@@ -138,16 +138,16 @@ def load_experiment_config(path):
                 raise ConfigError(f"unknown key {key!r} in [tagging]")
 
     decode_method = "greedy"
-    beam_width = 4
-    decode_max_len = None
+    decode_ints = {"beam_width": 4, "max_len": None}
     if parser.has_section("decode"):
         for key, raw in parser.items("decode"):
             if key == "method":
                 decode_method = raw.strip()
-            elif key == "beam_width":
-                beam_width = int(raw)
-            elif key == "max_len":
-                decode_max_len = int(raw)
+            elif key in decode_ints:
+                try:
+                    decode_ints[key] = int(raw)
+                except ValueError:
+                    raise ConfigError(f"[decode] {key} expects int, got {raw!r}") from None
             else:
                 raise ConfigError(f"unknown key {key!r} in [decode]")
 
@@ -166,6 +166,6 @@ def load_experiment_config(path):
         translator=_parse_model_section(parser, "translator", seed),
         synthesizer=_parse_model_section(parser, "synthesizer", seed),
         decode_method=decode_method,
-        beam_width=beam_width,
-        decode_max_len=decode_max_len,
+        beam_width=decode_ints["beam_width"],
+        decode_max_len=decode_ints["max_len"],
     )

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, LengthMismatch, MissingBaseline
+from .errors import EmptyCorpus, LengthMismatch, MalformedLine, MissingBaseline
 from .fileio import atomic_write
 
 
@@ -201,10 +201,18 @@ def write_report(report, path, fmt="tsv"):
 def read_scores_tsv(lines):
     """Parse (task, score) TSV lines into an ordered task -> score map."""
     scores = {}
-    for line in lines:
+    for line_number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        task, score = line.split("\t")
-        scores[task.strip()] = float(score)
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MalformedLine(
+                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
+            )
+        task, score = fields
+        try:
+            scores[task.strip()] = float(score)
+        except ValueError:
+            raise MalformedLine(line_number, f"non-numeric score {score!r}") from None
     return scores

@@ -81,19 +81,9 @@ def beam_decode(model, src_ids, vocab, max_len, width):
 
 def translate(checkpoint, source_text, decode="greedy", beam_width=4, max_len=None):
     """Translate one source string; total over arbitrary input text."""
-    if decode not in ("greedy", "beam"):
-        raise ValueError(f"decode must be 'greedy' or 'beam', got {decode!r}")
-    vocab = checkpoint.vocab
-    model = checkpoint.build_model()
-    max_len = max_len or checkpoint.config.max_len
-    max_len = min(max_len, checkpoint.config.max_len)
-    src_ids = _encode_source(vocab, source_text, max_len)
-    if decode == "beam":
-        out_ids = beam_decode(model, src_ids, vocab, max_len, beam_width)
-    else:
-        src = np.array([src_ids], dtype=np.int64)
-        out_ids = greedy_decode_batch(model, src, vocab, max_len)[0]
-    return vocab.decode(out_ids)
+    return translate_corpus(
+        checkpoint, [source_text], decode=decode, beam_width=beam_width, max_len=max_len
+    )[0]
 
 
 def translate_corpus(

@@ -1,51 +1,21 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, in numpy.
 
 The training loop spends most of its non-BLAS time in three places: the Adam
 parameter update, the embedding-gradient scatter-add, and the fused
-softmax/cross-entropy over the output vocabulary. Each has a numba @njit
-implementation and a pure-numpy fallback computing the same thing.
-
-Backend selection happens once at import from the TAGMT_BACKEND environment
-variable: "numba" (default when numba is importable) or "numpy". Results
-agree across backends to floating-point reordering (see tests); bitwise
-reproducibility is guaranteed within a backend, not across them.
-
-benchmarks/bench_kernels.py compares the two backends on realistic shapes.
+softmax/cross-entropy over the output vocabulary. Each is one vectorized
+numpy function here; the tests check them against plain-Python loops.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
+# Recorded in a checkpoint's training_meta["backend"] and in perf/run.py's machine block.
+BACKEND = "numpy"
+# Read by perf/run.py's machine block.
+HAS_NUMBA = False
 
 
-def _pick_backend():
-    choice = os.environ.get("TAGMT_BACKEND", "").strip().lower()
-    if choice not in ("", "numpy", "numba"):
-        raise ValueError(
-            f"TAGMT_BACKEND must be 'numpy' or 'numba', got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise ImportError("TAGMT_BACKEND=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-# ---------------------------------------------------------------------------
-# Adam update, fused over a flat parameter vector
-
-
-def adam_update_numpy(p, g, m, v, lr, beta1, beta2, eps, t):
+def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
+    """Adam update, in place, fused over a flat parameter vector."""
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
@@ -55,31 +25,11 @@ def adam_update_numpy(p, g, m, v, lr, beta1, beta2, eps, t):
     p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _adam_update_loop(p, g, m, v, lr, beta1, beta2, eps, t):
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for i in range(p.shape[0]):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-        p[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
-
-
-# ---------------------------------------------------------------------------
-# Row scatter-add for embedding gradients: out[ids[i]] += rows[i]
-
-
-def scatter_add_rows_numpy(out, ids, rows):
+def scatter_add_rows(out, ids, rows):
+    """Row scatter-add for embedding gradients: out[ids[i]] += rows[i]."""
     np.add.at(out, ids, rows)
 
 
-def _scatter_add_rows_loop(out, ids, rows):
-    for i in range(ids.shape[0]):
-        row = ids[i]
-        for j in range(rows.shape[1]):
-            out[row, j] += rows[i, j]
-
-
-# ---------------------------------------------------------------------------
 # Fused softmax + label-smoothed cross entropy over (N, V) logits.
 #
 # The smoothed target puts 1 - s on the gold class and s / (V - 2) on every
@@ -88,7 +38,7 @@ def _scatter_add_rows_loop(out, ids, rows):
 # gradient row. Returns (loss_sum, token_count, dlogits) unnormalized.
 
 
-def xent_loss_grad_numpy(logits, gold, pad_id, smoothing):
+def xent_loss_grad(logits, gold, pad_id, smoothing):
     n, v = logits.shape
     eff = smoothing if v > 2 else 0.0
     off = eff / (v - 2) if v > 2 else 0.0
@@ -111,67 +61,7 @@ def xent_loss_grad_numpy(logits, gold, pad_id, smoothing):
     return loss_sum, count, grad
 
 
-def _xent_loss_grad_loop(logits, gold, pad_id, smoothing):
-    n, v = logits.shape
-    eff = smoothing if v > 2 else 0.0
-    off = eff / (v - 2) if v > 2 else 0.0
-    grad = np.zeros_like(logits)
-    loss_sum = 0.0
-    count = 0
-    for i in range(n):
-        tgt = gold[i]
-        if tgt == pad_id:
-            continue
-        count += 1
-        mx = logits[i, 0]
-        for j in range(1, v):
-            if logits[i, j] > mx:
-                mx = logits[i, j]
-        z = 0.0
-        for j in range(v):
-            z += np.exp(logits[i, j] - mx)
-        logz = np.log(z) + mx
-        nonpad_sum = 0.0
-        for j in range(v):
-            p = np.exp(logits[i, j] - logz)
-            q = 0.0 if j == pad_id else off
-            if j == tgt:
-                q = 1.0 - eff
-            grad[i, j] = p - q
-            if j != pad_id and j != tgt:
-                nonpad_sum += logits[i, j] - logz
-        loss_sum += -((1.0 - eff) * (logits[i, tgt] - logz) + off * nonpad_sum)
-    return loss_sum, count, grad
-
-
-def xent_loss_numpy(logits, gold, pad_id, smoothing):
-    loss_sum, count, _ = xent_loss_grad_numpy(logits, gold, pad_id, smoothing)
+def xent_loss(logits, gold, pad_id, smoothing):
+    """(loss_sum, token_count) of xent_loss_grad, without the gradient."""
+    loss_sum, count, _ = xent_loss_grad(logits, gold, pad_id, smoothing)
     return loss_sum, count
-
-
-if HAS_NUMBA:
-    adam_update_numba = njit(cache=True)(_adam_update_loop)
-    scatter_add_rows_numba = njit(cache=True)(_scatter_add_rows_loop)
-    xent_loss_grad_numba = njit(cache=True)(_xent_loss_grad_loop)
-
-    def xent_loss_numba(logits, gold, pad_id, smoothing):
-        loss_sum, count, _ = xent_loss_grad_numba(logits, gold, pad_id, smoothing)
-        return loss_sum, count
-
-else:  # pragma: no cover
-    adam_update_numba = None
-    scatter_add_rows_numba = None
-    xent_loss_grad_numba = None
-    xent_loss_numba = None
-
-
-if BACKEND == "numba":
-    adam_update = adam_update_numba
-    scatter_add_rows = scatter_add_rows_numba
-    xent_loss_grad = xent_loss_grad_numba
-    xent_loss = xent_loss_numba
-else:
-    adam_update = adam_update_numpy
-    scatter_add_rows = scatter_add_rows_numpy
-    xent_loss_grad = xent_loss_grad_numpy
-    xent_loss = xent_loss_numpy

@@ -3,8 +3,8 @@
 Forward and backward passes are written by hand so analytic gradients can be
 checked against finite differences. Matrix products go through numpy/BLAS;
 the softmax/cross-entropy head, embedding scatter-add and Adam update are
-delegated to the switchable kernels in kernels.py. Everything runs in
-float64 for reproducibility and gradient-check headroom.
+the numpy kernels in kernels.py. Everything runs in float64 for
+reproducibility and gradient-check headroom.
 """
 
 import math

@@ -3,7 +3,7 @@
 Adam with warmup + inverse-sqrt decay, global-norm gradient clipping, and
 best-validation checkpoint selection. A single numpy Generator seeded from
 the config drives init, batch shuffling and dropout, so the whole loss trace
-is reproducible bit for bit given (seed, config, data) on one backend.
+is reproducible bit for bit given (seed, config, data).
 """
 
 import json

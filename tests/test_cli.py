@@ -118,6 +118,36 @@ def test_usage_error_exit_1():
     assert proc.returncode == 1
 
 
+def test_stray_backend_variable_is_ignored():
+    # kernels are numpy-only; a leftover TAGMT_BACKEND must not break startup
+    env = dict(os.environ, TAGMT_BACKEND="numba")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "corpus", "stats", "--vg",
+         os.path.join(DISAMBIG, "train.tsv")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("EN-HI E-Test", "expected 2 tab-separated fields"), ("EN-HI E-Test\tabc", "non-numeric score")],
+)
+def test_eval_report_bad_scores_line_exit_2(tmp_path, capsys, bad_line, message):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(f"EN-HI D-Test\t40.0\n{bad_line}\n", encoding="utf-8")
+    code = main(
+        ["eval", "report", "--text-only", str(scores), "--multimodal",
+         fixture_path("wat2022_multimodal.tsv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and message in err
+
+
 def test_eval_report_cli_matches_published_numbers(capsys):
     code = main(
         [

@@ -60,6 +60,13 @@ def test_bad_value_type_rejected(tmp_path):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("key", ["beam_width", "max_len"])
+def test_decode_int_error_names_section_and_key(tmp_path, key):
+    path = write_cfg(tmp_path, f"[decode]\n{key} = x\n")
+    with pytest.raises(ConfigError, match=rf"^\[decode\] {key} expects int, got 'x'$"):
+        load_experiment_config(path)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_experiment_config("/nonexistent/exp.cfg")
