@@ -53,6 +53,8 @@ class ExperimentConfig:
             )
         if self.beam_width < 1:
             raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
+        if self.decode_max_len is not None and self.decode_max_len < 2:
+            raise ConfigError(f"[decode] max_len must be >= 2, got {self.decode_max_len}")
         if self.tagging_backend == "file" and "detections" not in self.paths:
             raise ConfigError("tagging backend 'file' needs a detections path")
         for key, path in self.paths.items():

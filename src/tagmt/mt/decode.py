@@ -1,5 +1,10 @@
 """Greedy and beam decoding over a trained checkpoint.
 
+Both searches decode incrementally: `Transformer.start_decode` computes the
+encoder side once, and each step feeds only the newest token of every row to
+`Transformer.decode_step`, which keeps a per-layer self-attention K/V cache.
+Beam search reorders the cache rows to the surviving hypotheses.
+
 Decoding is deterministic: ties in token scores break toward the lowest
 token id, which also makes beam width 1 coincide with greedy search exactly.
 No length normalization is applied.
@@ -21,60 +26,63 @@ def _encode_source(vocab, source_text, max_len):
     return ids + [vocab.eos_id]
 
 
+def _top(flat, k):
+    """Indices of the k largest scores: score descending, then index ascending.
+
+    Over a flattened (row, token) array that is score, then beam row, then
+    token id. Only the entries that tie or beat the k-th largest are sorted.
+    """
+    if flat.size > k:
+        cut = np.partition(flat, flat.size - k)[flat.size - k]
+        candidates = np.flatnonzero(flat >= cut)
+    else:
+        candidates = np.arange(flat.size)
+    return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
+
+
 def greedy_decode_batch(model, src, vocab, max_len):
     """Decode a whole padded source batch step-by-step in lockstep."""
-    bos, eos = vocab.bos_id, vocab.eos_id
+    eos = vocab.eos_id
     b = src.shape[0]
-    memory, src_bias = model.encode(src)
-    ys = np.full((b, 1), bos, dtype=np.int64)
+    state = model.start_decode(src)
+    nxt = np.full(b, vocab.bos_id, dtype=np.int64)
     done = np.zeros(b, dtype=bool)
-    outputs = [[] for _ in range(b)]
-    for _ in range(max_len - 1):
-        logits = model.decode_logits(ys, memory, src_bias)[:, -1, :]
-        nxt = logits.argmax(axis=1)
+    tokens = np.full((b, max_len - 1), eos, dtype=np.int64)
+    for step in range(max_len - 1):
+        nxt = model.decode_step(nxt, state).argmax(axis=1)
         nxt[done] = eos
-        for row in range(b):
-            if done[row]:
-                continue
-            if nxt[row] == eos:
-                done[row] = True
-            else:
-                outputs[row].append(int(nxt[row]))
+        tokens[:, step] = nxt
+        done |= nxt == eos
         if done.all():
             break
-        ys = np.concatenate([ys, nxt[:, None]], axis=1)
-    return outputs
+    ended = tokens == eos
+    lengths = np.where(ended.any(axis=1), ended.argmax(axis=1), tokens.shape[1])
+    return [row[:n].tolist() for row, n in zip(tokens, lengths)]
 
 
 def beam_decode(model, src_ids, vocab, max_len, width):
     """Beam search for a single source; returns output ids without bos/eos."""
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
-    bos, eos = vocab.bos_id, vocab.eos_id
-    src = np.array([src_ids], dtype=np.int64)
-    memory, src_bias = model.encode(src)
-    active = [(0.0, [bos])]
+    eos = vocab.eos_id
+    state = model.start_decode(np.array([src_ids], dtype=np.int64))
+    scores = np.zeros(1)
+    ys = np.full((1, 1), vocab.bos_id, dtype=np.int64)
     finished = []
     for _ in range(max_len - 1):
-        if not active:
+        if not len(ys):
             break
-        ys = np.array([ids for _, ids in active], dtype=np.int64)
-        mem = np.repeat(memory, len(active), axis=0)
-        bias = np.repeat(src_bias, len(active), axis=0)
-        logp = _log_softmax(model.decode_logits(ys, mem, bias)[:, -1, :])
-        candidates = []
-        for row, (score, ids) in enumerate(active):
-            for tok in range(logp.shape[1]):
-                candidates.append((score + float(logp[row, tok]), row, tok, ids))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_active = []
-        for score, _, tok, ids in candidates[:width]:
-            if tok == eos:
-                finished.append((score, ids[1:]))
-            else:
-                next_active.append((score, ids + [tok]))
-        active = next_active
-    pool = finished + [(score, ids[1:]) for score, ids in active]
+        logp = _log_softmax(model.decode_step(ys[:, -1], state))
+        flat = (scores[:, None] + logp).ravel()
+        best = _top(flat, width)
+        rows, toks = np.divmod(best, logp.shape[1])
+        ended = toks == eos
+        finished.extend(zip(flat[best[ended]].tolist(), ys[rows[ended], 1:].tolist()))
+        rows, toks = rows[~ended], toks[~ended]
+        scores = flat[best[~ended]]
+        ys = np.concatenate([ys[rows], toks[:, None]], axis=1)
+        state.reorder(rows)
+    pool = finished + list(zip(scores.tolist(), ys[:, 1:].tolist()))
     pool.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
     return pool[0][1]
 
@@ -89,13 +97,19 @@ def translate(checkpoint, source_text, decode="greedy", beam_width=4, max_len=No
 def translate_corpus(
     checkpoint, source_texts, decode="greedy", beam_width=4, max_len=None, chunk=64
 ):
-    """Translate a list of sources, batching greedy decoding for speed."""
+    """Translate a list of sources, batching greedy decoding for speed.
+
+    max_len caps source and hypothesis lengths at the checkpoint's max_len;
+    None means the checkpoint's own.
+    """
     if decode not in ("greedy", "beam"):
         raise ValueError(f"decode must be 'greedy' or 'beam', got {decode!r}")
+    if max_len is not None and max_len < 2:
+        raise ValueError(f"max_len must be >= 2, got {max_len}")
     vocab = checkpoint.vocab
     model = checkpoint.build_model()
-    max_len = max_len or checkpoint.config.max_len
-    max_len = min(max_len, checkpoint.config.max_len)
+    limit = checkpoint.config.max_len
+    max_len = limit if max_len is None else min(max_len, limit)
     if decode == "beam":
         out = []
         for text in source_texts:

@@ -5,6 +5,12 @@ checked against finite differences. Matrix products go through numpy/BLAS;
 the softmax/cross-entropy head, embedding scatter-add and Adam update are
 the numpy kernels in kernels.py. Everything runs in float64 for
 reproducibility and gradient-check headroom.
+
+Decoding is incremental: `Transformer.start_decode` encodes a source batch
+and computes each decoder layer's cross-attention keys and values once, and
+`Transformer.decode_step` feeds one token per row, appends its self-attention
+keys and values to a per-layer cache (`DecodeState`) and returns the
+next-token logits, so a step costs the same at every position.
 """
 
 import math
@@ -196,6 +202,25 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _attention(qh, kh, vh, bias):
+    """Scaled dot-product attention over split heads: (weights, scale, merged context)."""
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    attn = masked_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale, bias)
+    return attn, scale, _merge_heads(attn @ vh)
+
+
+def _head_proj(params, prefix, name, x, heads):
+    """One attention input projection ('q', 'k' or 'v'), split into heads."""
+    y, _ = _linear_fwd(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
+    return _split_heads(y, heads)
+
+
+def _attn_out(params, prefix, qh, kh, vh, bias):
+    """Attention of split-head queries over cached keys/values, projected out."""
+    ctx = _attention(qh, kh, vh, bias)[2]
+    return _linear_fwd(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])[0]
+
+
 def _attn_fwd(params, prefix, xq, xkv, bias, heads):
     q, cq = _linear_fwd(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k, ck = _linear_fwd(xkv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
@@ -203,9 +228,7 @@ def _attn_fwd(params, prefix, xq, xkv, bias, heads):
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
-    scale = 1.0 / math.sqrt(qh.shape[-1])
-    attn = masked_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale, bias)
-    ctx = _merge_heads(attn @ vh)
+    attn, scale, ctx = _attention(qh, kh, vh, bias)
     out, co = _linear_fwd(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     return out, (cq, ck, cv, co, qh, kh, vh, attn, scale)
 
@@ -260,6 +283,34 @@ def _acc(grads, name, value):
         grads[name] += value
     else:
         grads[name] = value
+
+
+class DecodeState:
+    """Per-layer key/value caches of one incremental decode.
+
+    Made by `Transformer.start_decode` and advanced by
+    `Transformer.decode_step`. Every array has one row per hypothesis:
+    `cross` holds each decoder layer's cross-attention keys and values of the
+    encoder memory; `keys`/`values` hold each layer's self-attention keys and
+    values in buffers of max_len positions, of which the first `length` are
+    filled; `key_bias` masks the pad tokens among those positions, as
+    `Transformer._tgt_bias` does.
+    """
+
+    def __init__(self, cross, src_bias, keys, values, key_bias):
+        self.cross = cross
+        self.src_bias = src_bias
+        self.keys = keys
+        self.values = values
+        self.key_bias = key_bias
+        self.length = 0
+
+    def reorder(self, rows):
+        """Keep the hypotheses at `rows` (indices into the current rows), in that order."""
+        self.cross = [(k[rows], v[rows]) for k, v in self.cross]
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
+        self.src_bias, self.key_bias = self.src_bias[rows], self.key_bias[rows]
 
 
 class Transformer:
@@ -337,9 +388,10 @@ class Transformer:
         allowed = causal[None, None, :, :] & nonpad[:, None, None, :]
         return np.where(allowed, 0.0, NEG)
 
-    def _embed_fwd(self, ids):
+    def _embed_fwd(self, ids, start=0):
         scale = math.sqrt(self.config.model_dim)
-        return self.params["embed"][ids] * scale + self.pos[: ids.shape[1]][None, :, :]
+        positions = self.pos[start : start + ids.shape[1]]
+        return self.params["embed"][ids] * scale + positions[None, :, :]
 
     def _embed_bwd(self, grads, ids, dx):
         scale = math.sqrt(self.config.model_dim)
@@ -502,10 +554,55 @@ class Transformer:
         memory, src_bias, _ = self._encoder_fwd(src, None)
         return memory, src_bias
 
-    def decode_logits(self, tgt_in, memory, src_bias):
-        """Logits over the next token at every prefix position (no dropout)."""
-        dec_out, _ = self._decoder_fwd(tgt_in, memory, src_bias, None)
-        return dec_out @ self.params["out.w"] + self.params["out.b"]
+    def start_decode(self, src):
+        """Encode a padded source batch and return an empty `DecodeState`.
 
-    def parameter_count(self):
-        return sum(int(p.size) for p in self.params.values())
+        Each decoder layer's cross-attention keys and values of the encoder
+        memory are computed here, once for the whole decode.
+        """
+        p, c = self.params, self.config
+        memory, src_bias = self.encode(src)
+        cross = [
+            tuple(_head_proj(p, f"dec{i}.cross", name, memory, c.heads) for name in "kv")
+            for i in range(c.layers)
+        ]
+        shape = (src.shape[0], c.heads, c.max_len, c.model_dim // c.heads)
+        return DecodeState(
+            cross,
+            src_bias,
+            [np.zeros(shape, dtype=DTYPE) for _ in range(c.layers)],
+            [np.zeros(shape, dtype=DTYPE) for _ in range(c.layers)],
+            np.full((src.shape[0], 1, 1, c.max_len), NEG),
+        )
+
+    def decode_step(self, ids, state):
+        """Feed token `ids[r]` to row r at the next position; (B, V) next-token logits.
+
+        Equals the last row of the training decoder run over the whole prefix
+        without dropout; a pad token stays a masked key at every later step.
+        """
+        p, c = self.params, self.config
+        t = state.length
+        if t >= c.max_len:
+            raise ValueError(f"decode_step past max_len={c.max_len}")
+        ids = np.asarray(ids, dtype=np.int64)
+        state.key_bias[:, 0, 0, t] = np.where(ids != self.pad_id, 0.0, NEG)
+        state.length = t + 1
+        key_bias = state.key_bias[..., : t + 1]
+        x = self._embed_fwd(ids[:, None], start=t)
+        for i in range(c.layers):
+            h1, _ = _ln_fwd(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
+            keys, values = state.keys[i], state.values[i]
+            keys[:, :, t : t + 1] = _head_proj(p, f"dec{i}.self", "k", h1, c.heads)
+            values[:, :, t : t + 1] = _head_proj(p, f"dec{i}.self", "v", h1, c.heads)
+            qh = _head_proj(p, f"dec{i}.self", "q", h1, c.heads)
+            x = x + _attn_out(
+                p, f"dec{i}.self", qh, keys[:, :, : t + 1], values[:, :, : t + 1], key_bias
+            )
+            h2, _ = _ln_fwd(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
+            qh = _head_proj(p, f"dec{i}.cross", "q", h2, c.heads)
+            x = x + _attn_out(p, f"dec{i}.cross", qh, *state.cross[i], state.src_bias)
+            h3, _ = _ln_fwd(x, p[f"dec{i}.ln3.g"], p[f"dec{i}.ln3.b"])
+            x = x + _ff_fwd(p, f"dec{i}.ff", h3)[0]
+        out, _ = _ln_fwd(x, p["dec.ln.g"], p["dec.ln.b"])
+        return out[:, 0, :] @ p["out.w"] + p["out.b"]

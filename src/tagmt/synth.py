@@ -37,12 +37,6 @@ class EnrichedCorpus:
     def __len__(self):
         return len(self.pairs)
 
-    def extend(self, pairs, provenance):
-        for pair in pairs:
-            self.pairs.append(pair)
-            self.provenance.append(provenance)
-        return self
-
 
 def _check_no_sep(text):
     if SEP_TOKEN in text.split():

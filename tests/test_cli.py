@@ -116,6 +116,26 @@ def test_usage_error_exit_1():
         text=True,
     )
     assert proc.returncode == 1
+    # an unimportable tagmt also exits 1; only argparse prints its usage line
+    assert "usage:" in proc.stderr
+
+
+@pytest.mark.parametrize("max_len", ["0", "1", "-3"])
+def test_translate_max_len_below_two_exit_1(tmp_path, capsys, max_len):
+    from test_decode import random_checkpoint
+
+    ckpt = tmp_path / "random.ckpt"
+    random_checkpoint(0).save(str(ckpt))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    out = tmp_path / "hyps.txt"
+    rc = main(["mt", "translate", "--checkpoint", str(ckpt), "--input", str(sources),
+               "--output", str(out), "--max-len", max_len])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"max_len must be >= 2, got {max_len}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_stray_backend_variable_is_ignored():

@@ -67,6 +67,14 @@ def test_decode_int_error_names_section_and_key(tmp_path, key):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("value", ["0", "1", "-3"])
+def test_decode_max_len_below_two_rejected(tmp_path, value):
+    path = write_cfg(tmp_path, f"[decode]\nmax_len = {value}\n")
+    config = load_experiment_config(path)
+    with pytest.raises(ConfigError, match=rf"^\[decode\] max_len must be >= 2, got {value}$"):
+        config.validate()
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_experiment_config("/nonexistent/exp.cfg")

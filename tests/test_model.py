@@ -84,11 +84,53 @@ def test_masked_softmax_rows_normalized():
 def test_model_output_distributions_normalized():
     model = micro_model()
     src, tgt_in, _ = micro_batch()
+    state = model.start_decode(src)
+    for t in range(tgt_in.shape[1]):
+        logits = model.decode_step(tgt_in[:, t], state)
+        assert logits.shape == (2, 13)
+        probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+
+
+def full_prefix_logits(model, src, tgt_in):
+    """Oracle: the training decoder over the whole prefix, (B, T, V) logits."""
     memory, src_bias = model.encode(src)
-    logits = model.decode_logits(tgt_in, memory, src_bias)
-    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    probs /= probs.sum(axis=-1, keepdims=True)
-    assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+    dec_out, _ = model._decoder_fwd(tgt_in, memory, src_bias, None)
+    return dec_out @ model.params["out.w"] + model.params["out.b"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decode_step_matches_full_prefix_decoder(seed):
+    model = micro_model(seed)
+    src = micro_batch()[0]
+    # pad_id (0) inside row 1's prefix must stay a masked key at every later step
+    tgt = np.array([[1, 8, 9, 10, 3, 4, 5, 6], [1, 11, 0, 7, 0, 12, 9, 2]])
+    state = model.start_decode(src)
+    for t in range(tgt.shape[1]):
+        step = model.decode_step(tgt[:, t], state)
+        full = full_prefix_logits(model, src, tgt[:, : t + 1])[:, -1]
+        np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
+    with pytest.raises(ValueError, match="max_len"):
+        model.decode_step(tgt[:, -1], state)
+
+
+def test_decode_step_after_beam_reorder():
+    model = micro_model(3)
+    src = micro_batch()[0]
+    tgt = np.array([[1, 8, 9], [1, 0, 11]])
+    state = model.start_decode(src)
+    for t in range(tgt.shape[1]):
+        model.decode_step(tgt[:, t], state)
+    # beam search keeps row 1 twice and row 0 once, in that order
+    rows = np.array([1, 1, 0])
+    state.reorder(rows)
+    src, tgt = src[rows], tgt[rows]
+    for tokens in ([4, 5, 6], [7, 0, 12], [2, 9, 9]):
+        tgt = np.concatenate([tgt, np.array(tokens)[:, None]], axis=1)
+        step = model.decode_step(tgt[:, -1], state)
+        full = full_prefix_logits(model, src, tgt)[:, -1]
+        np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
 
 
 def test_forward_deterministic_without_dropout():

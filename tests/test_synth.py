@@ -152,9 +152,9 @@ def test_enriched_corpus_mixed_provenance(memorize_checkpoint):
     natural = [(TaggedSource("a dog runs", ("dog",)), "EIN HUND")] * 4
     bitext = parse_bitext(["a dog runs"] * 3, ["EIN HUND"] * 3)
     synthetic = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
-    combined = EnrichedCorpus()
-    combined.extend(natural, "natural")
-    combined.extend(synthetic.pairs, "synthetic")
+    combined = EnrichedCorpus(
+        natural + synthetic.pairs, ["natural"] * len(natural) + synthetic.provenance
+    )
     assert len(combined) == 7
     assert combined.provenance == ["natural"] * 4 + ["synthetic"] * 3
 
