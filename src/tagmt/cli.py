@@ -9,13 +9,7 @@ import sys
 
 from .config import ExperimentConfig, load_experiment_config
 from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv
-from .errors import (
-    ConfigError,
-    DataError,
-    Divergence,
-    TagmtError,
-    UnknownImage,
-)
+from .errors import ConfigError, DataError, Divergence, TagmtError
 from .evaluation import (
     bleu_from_texts,
     read_scores_tsv,
@@ -24,7 +18,7 @@ from .evaluation import (
     report_delta,
     write_report,
 )
-from .fileio import atomic_write, read_lines
+from .fileio import read_lines, write_lines
 from .mt.decode import translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
@@ -37,14 +31,12 @@ from .synth import (
     write_synth_pairs,
 )
 from .tagging import (
-    FileDetector,
-    StubDetector,
-    TaggedSource,
-    detect,
+    inject_tags,
     load_tag_vocabulary,
+    make_detector,
     read_tagged_corpus,
     read_tagsets_file,
-    select_tags,
+    select_corpus_tags,
     write_tagged_corpus,
     write_tagsets_file,
 )
@@ -77,14 +69,6 @@ def _model_config(args, section):
     if getattr(args, "max_steps", None) is not None:
         model = model.override(max_steps=args.max_steps)
     return model
-
-
-def _build_detector(args, vocabulary, seed):
-    if args.backend == "file":
-        if not args.detections:
-            raise ConfigError("backend 'file' needs --detections")
-        return FileDetector(args.detections, vocabulary=vocabulary)
-    return StubDetector(vocabulary=vocabulary, seed=seed)
 
 
 def _kv_lines(pairs, fmt):
@@ -136,18 +120,8 @@ def cmd_tags_extract(args):
     config = _load_config(args)
     corpus = load_vg_corpus(args.corpus)
     vocabulary = load_tag_vocabulary(args.tag_vocabulary)
-    detector = _build_detector(args, vocabulary, config.seed)
-    tagsets = []
-    seen = set()
-    for index, rec in enumerate(corpus.records):
-        if not rec.image_id or rec.image_id in seen:
-            continue
-        seen.add(rec.image_id)
-        try:
-            detections = detect(detector, rec.image_id)
-        except UnknownImage as err:
-            raise UnknownImage(err.image_id, record_index=index) from None
-        tagsets.append(select_tags(detections, k=args.k, image_id=rec.image_id))
+    detector = make_detector(args.backend, vocabulary, seed=config.seed, detections=args.detections)
+    tagsets = select_corpus_tags(corpus, detector, k=args.k)
     write_tagsets_file(tagsets, args.output)
     print(f"wrote {len(tagsets)} tag sets to {args.output}")
     return 0
@@ -155,16 +129,7 @@ def cmd_tags_extract(args):
 
 def cmd_tags_inject(args):
     corpus = load_vg_corpus(args.corpus)
-    by_image = read_tagsets_file(args.tagsets)
-    pairs = []
-    for index, rec in enumerate(corpus.records):
-        if not rec.image_id:
-            labels = []
-        elif rec.image_id in by_image:
-            labels = by_image[rec.image_id]
-        else:
-            raise UnknownImage(rec.image_id, record_index=index)
-        pairs.append((TaggedSource(text=rec.source_text, tags=tuple(labels)), rec.target_text))
+    pairs = inject_tags(corpus, read_tagsets_file(args.tagsets))
     write_tagged_corpus(pairs, args.output)
     print(f"wrote {len(pairs)} tagged pairs to {args.output}")
     return 0
@@ -245,9 +210,7 @@ def cmd_mt_translate(args):
         max_len=args.max_len,
     )
     if args.output:
-        with atomic_write(args.output) as out:
-            for line in hypotheses:
-                out.write(line + "\n")
+        write_lines(hypotheses, args.output)
         print(f"wrote {len(hypotheses)} translations to {args.output}")
     else:
         for line in hypotheses:

@@ -11,8 +11,8 @@ Parsing preserves record order exactly; order is the alignment identity.
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, EmptyText, LengthMismatch, MalformedLine
-from .fileio import atomic_write, read_lines
+from .errors import EmptyText, LengthMismatch, MalformedLine
+from .fileio import read_lines, write_lines
 
 SPLIT_LABELS = ("train", "dtest", "etest", "ctest", "unspecified")
 
@@ -186,18 +186,12 @@ def load_bitext(source_path, target_path, split_label="unspecified"):
 
 
 def write_vg_corpus(corpus, path):
-    with atomic_write(path) as out:
-        for line in serialize_vg_corpus(corpus):
-            out.write(line + "\n")
+    write_lines(serialize_vg_corpus(corpus), path)
 
 
 def write_bitext(corpus, source_path, target_path):
-    with atomic_write(source_path) as out:
-        for rec in corpus.records:
-            out.write(rec.source_text + "\n")
-    with atomic_write(target_path) as out:
-        for rec in corpus.records:
-            out.write(rec.target_text + "\n")
+    write_lines((rec.source_text for rec in corpus.records), source_path)
+    write_lines((rec.target_text for rec in corpus.records), target_path)
 
 
 def read_pairs_tsv(path):
@@ -216,12 +210,4 @@ def read_pairs_tsv(path):
 
 
 def write_pairs_tsv(pairs, path):
-    with atomic_write(path) as out:
-        for left, right in pairs:
-            out.write(f"{left}\t{right}\n")
-
-
-def require_nonempty(corpus):
-    if not corpus.records:
-        raise EmptyCorpus()
-    return corpus
+    write_lines((f"{left}\t{right}" for left, right in pairs), path)

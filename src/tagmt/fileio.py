@@ -1,4 +1,4 @@
-"""Small file helpers: atomic writes and strict UTF-8 reading."""
+"""Small file helpers: atomic writes and strict UTF-8 line files."""
 
 import os
 import tempfile
@@ -28,6 +28,13 @@ def atomic_write(path, mode="w", encoding="utf-8"):
         except OSError:
             pass
         raise
+
+
+def write_lines(lines, path):
+    """Write each string as one newline-terminated line, atomically."""
+    with atomic_write(path) as out:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def read_lines(path):

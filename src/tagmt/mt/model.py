@@ -130,6 +130,45 @@ def sinusoid_positions(max_len, dim):
     return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
 
 
+def param_layout(config, vocab_size):
+    """Every parameter as (name, shape, init), in initialization order.
+
+    init is "normal" (the embedding), "xavier" (weight matrices), "ones" or
+    "zeros". It is the one definition of the model's parameters: the
+    initializer draws from it, and checkpoints are checked against it.
+    """
+    d, f, v = config.model_dim, config.ff_dim, vocab_size
+    layout = [("embed", (v, d), "normal")]
+
+    def attn(prefix):
+        layout.extend((f"{prefix}.{w}", (d, d), "xavier") for w in ("wq", "wk", "wv", "wo"))
+        layout.extend((f"{prefix}.{b}", (d,), "zeros") for b in ("bq", "bk", "bv", "bo"))
+
+    def ln(prefix):
+        layout.extend([(f"{prefix}.g", (d,), "ones"), (f"{prefix}.b", (d,), "zeros")])
+
+    def ff(prefix):
+        layout.extend([(f"{prefix}.w1", (d, f), "xavier"), (f"{prefix}.b1", (f,), "zeros")])
+        layout.extend([(f"{prefix}.w2", (f, d), "xavier"), (f"{prefix}.b2", (d,), "zeros")])
+
+    for i in range(config.layers):
+        ln(f"enc{i}.ln1")
+        attn(f"enc{i}.attn")
+        ln(f"enc{i}.ln2")
+        ff(f"enc{i}.ff")
+    ln("enc.ln")
+    for i in range(config.layers):
+        ln(f"dec{i}.ln1")
+        attn(f"dec{i}.self")
+        ln(f"dec{i}.ln2")
+        attn(f"dec{i}.cross")
+        ln(f"dec{i}.ln3")
+        ff(f"dec{i}.ff")
+    ln("dec.ln")
+    layout.extend([("out.w", (d, v), "xavier"), ("out.b", (v,), "zeros")])
+    return layout
+
+
 # --- primitive layers: each fwd returns (out, cache), bwd consumes it -------
 
 
@@ -332,47 +371,16 @@ class Transformer:
     # -- initialization ------------------------------------------------------
 
     def _init_params(self, rng):
-        c = self.config
-        d, f, v = c.model_dim, c.ff_dim, self.vocab_size
+        d = self.config.model_dim
         params = {}
-
-        def xavier(fan_in, fan_out):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DTYPE)
-
-        def add_attn(prefix):
-            for name in ("wq", "wk", "wv", "wo"):
-                params[f"{prefix}.{name}"] = xavier(d, d)
-            for name in ("bq", "bk", "bv", "bo"):
-                params[f"{prefix}.{name}"] = np.zeros(d, dtype=DTYPE)
-
-        def add_ln(prefix):
-            params[f"{prefix}.g"] = np.ones(d, dtype=DTYPE)
-            params[f"{prefix}.b"] = np.zeros(d, dtype=DTYPE)
-
-        def add_ff(prefix):
-            params[f"{prefix}.w1"] = xavier(d, f)
-            params[f"{prefix}.b1"] = np.zeros(f, dtype=DTYPE)
-            params[f"{prefix}.w2"] = xavier(f, d)
-            params[f"{prefix}.b2"] = np.zeros(d, dtype=DTYPE)
-
-        params["embed"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(v, d)).astype(DTYPE)
-        for i in range(c.layers):
-            add_ln(f"enc{i}.ln1")
-            add_attn(f"enc{i}.attn")
-            add_ln(f"enc{i}.ln2")
-            add_ff(f"enc{i}.ff")
-        add_ln("enc.ln")
-        for i in range(c.layers):
-            add_ln(f"dec{i}.ln1")
-            add_attn(f"dec{i}.self")
-            add_ln(f"dec{i}.ln2")
-            add_attn(f"dec{i}.cross")
-            add_ln(f"dec{i}.ln3")
-            add_ff(f"dec{i}.ff")
-        add_ln("dec.ln")
-        params["out.w"] = xavier(d, v)
-        params["out.b"] = np.zeros(v, dtype=DTYPE)
+        for name, shape, init in param_layout(self.config, self.vocab_size):
+            if init == "normal":
+                params[name] = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape).astype(DTYPE)
+            elif init == "xavier":
+                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+                params[name] = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+            else:
+                params[name] = (np.ones if init == "ones" else np.zeros)(shape, dtype=DTYPE)
         return params
 
     # -- masks ---------------------------------------------------------------

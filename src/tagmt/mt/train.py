@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ArchitectureMismatch, ConfigError, Divergence, EmptyCorpus
 from ..fileio import atomic_write
 from . import kernels
-from .model import DTYPE, ModelConfig, Transformer
+from .model import DTYPE, ModelConfig, Transformer, param_layout
 from .vocab import Vocab, vocab_from_pairs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -50,6 +50,8 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint. A format version, or parameter names and shapes,
+        other than its config and vocabulary imply raise ConfigError."""
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             version = meta.get("format_version")
@@ -63,12 +65,20 @@ class Checkpoint:
                 for key in data.files
                 if key.startswith("param:")
             }
-        return cls(
-            config=ModelConfig.from_dict(meta["config"]),
-            params=params,
-            vocab=Vocab(tokens=tuple(meta["vocab_tokens"])),
-            training_meta=meta["training_meta"],
-        )
+        config = ModelConfig.from_dict(meta["config"])
+        vocab = Vocab(tokens=tuple(meta["vocab_tokens"]))
+        expected = {name: shape for name, shape, _ in param_layout(config, len(vocab))}
+        for name in sorted(expected.keys() | params.keys()):
+            if name not in params:
+                problem = "is missing"
+            elif name not in expected:
+                problem = "is not a parameter of this model"
+            elif params[name].shape != expected[name]:
+                problem = f"has shape {params[name].shape}, expected {expected[name]}"
+            else:
+                continue
+            raise ConfigError(f"checkpoint {path}: parameter {name!r} {problem}")
+        return cls(config=config, params=params, vocab=vocab, training_meta=meta["training_meta"])
 
 
 def learning_rate_at(step, config):

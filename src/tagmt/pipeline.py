@@ -1,39 +1,21 @@
 """End-to-end experiment: tag, train, synthesize, enrich, translate, report.
 
-Every stage writes its artifact atomically under the output directory, and
-every stage is the exact computation its standalone CLI subcommand performs,
-so running the pipeline equals composing the subcommands by hand. Reports
-carry no timestamp, which keeps repeated runs byte-identical.
+Every stage writes its artifact atomically under the output directory. Each
+stage calls the same public function (and the same file writer) as its
+standalone CLI subcommand, so running the pipeline equals composing the
+subcommands by hand. Reports carry no timestamp, which keeps repeated runs
+byte-identical.
 """
 
 import os
 
 from .corpus import load_bitext, load_vg_corpus
 from .evaluation import bleu_from_texts, report_delta, write_report
-from .fileio import atomic_write
+from .fileio import write_lines
 from .mt.decode import translate_corpus
 from .mt.train import train
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus, write_synth_pairs
-from .tagging import (
-    FileDetector,
-    StubDetector,
-    load_tag_vocabulary,
-    tag_corpus,
-    write_tagged_corpus,
-)
-
-
-def make_detector(config):
-    vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
-    if config.tagging_backend == "file":
-        return FileDetector(config.paths["detections"], vocabulary=vocabulary)
-    return StubDetector(vocabulary=vocabulary, seed=config.seed)
-
-
-def _write_lines(lines, path):
-    with atomic_write(path) as out:
-        for line in lines:
-            out.write(line + "\n")
+from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
 
 
 def run_pipeline(config, log=print):
@@ -50,7 +32,9 @@ def run_pipeline(config, log=print):
 
     log(f"[1/7] corpora + tags (backend={config.tagging_backend}, k={config.top_k})")
     vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
-    detector = make_detector(config)
+    detector = make_detector(
+        config.tagging_backend, vocabulary, seed=config.seed, detections=config.paths.get("detections")
+    )
     train_corpus = load_vg_corpus(config.paths["train_corpus"], "train")
     test_corpus = load_vg_corpus(config.paths["test_corpus"], "etest")
     valid_corpus = None
@@ -102,8 +86,8 @@ def run_pipeline(config, log=print):
     )
     text_hyp = translate_corpus(text_ckpt, [r.source_text for r in test_corpus.records], **decode_kwargs)
     mm_hyp = translate_corpus(mm_ckpt, [tagged.rendered for tagged, _ in tagged_test], **decode_kwargs)
-    _write_lines(text_hyp, artifact("hypotheses_text.txt"))
-    _write_lines(mm_hyp, artifact("hypotheses_multimodal.txt"))
+    write_lines(text_hyp, artifact("hypotheses_text.txt"))
+    write_lines(mm_hyp, artifact("hypotheses_multimodal.txt"))
 
     references = [r.target_text for r in test_corpus.records]
     text_bleu = bleu_from_texts(text_hyp, references)

@@ -10,7 +10,7 @@ training data.
 from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, MalformedLine, SeparatorCollision
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_lines, write_lines
 from .mt.decode import translate, translate_corpus
 from .mt.train import train
 from .tagging import TagRecord, TagSet, TaggedSource
@@ -125,7 +125,10 @@ def synthesize_tags(checkpoint, source_text, target_text, k=10, vocabulary=None)
 
 
 def tags_from_decoded(decoded, k=10, vocabulary=None, image_id=""):
-    """Turn a raw decoded string into a valid TagSet (total on any input)."""
+    """Turn a raw decoded string into a valid TagSet (total on any string;
+    k must be >= 1, as in select_tags)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     known = set(vocabulary) if vocabulary is not None else None
     labels = []
     seen = set()
@@ -171,9 +174,7 @@ def enrich_corpus(bitext, checkpoint, k=10, vocabulary=None):
 
 
 def write_synth_pairs(pairs, path):
-    with atomic_write(path) as out:
-        for pair in pairs:
-            out.write(f"{pair.input_text}\t{pair.output_text}\n")
+    write_lines((f"{pair.input_text}\t{pair.output_text}" for pair in pairs), path)
 
 
 def read_synth_pairs(path):

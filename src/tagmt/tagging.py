@@ -4,6 +4,11 @@ the separator protocol fusing a tag list with a source sentence.
 A tagged source renders as ``<text> ## <label1>,<label2>,...`` with a single
 space on each side of ``##`` and no spaces around commas. An empty tag set
 renders the bare sentence, so the model never sees a dangling separator.
+
+The pipeline and the ``tags`` subcommands share one function per step:
+`make_detector` builds the backend, `select_corpus_tags` picks one TagSet per
+distinct image (``tags extract``), `inject_tags` fuses an image_id -> labels
+map into the records (``tags inject``), and `tag_corpus` composes the two.
 """
 
 import hashlib
@@ -11,13 +16,14 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (
+    ConfigError,
     InvalidConfidence,
     MalformedLine,
     SeparatorCollision,
     UnknownImage,
     UnknownLabel,
 )
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_lines, write_lines
 
 SEPARATOR = "##"
 DEFAULT_TOP_K = 10
@@ -130,6 +136,19 @@ class FileDetector:
             return list(self._by_image[image_id])
         except KeyError:
             raise UnknownImage(image_id) from None
+
+
+def make_detector(backend, vocabulary=None, seed=0, detections=None):
+    """Build the 'stub' or 'file' detection backend.
+
+    The file backend reads the detections TSV at ``detections``; without one
+    it is a configuration error.
+    """
+    if backend == "file":
+        if not detections:
+            raise ConfigError("tagging backend 'file' needs a detections file")
+        return FileDetector(detections, vocabulary=vocabulary)
+    return StubDetector(vocabulary=vocabulary, seed=seed)
 
 
 def _parse_detections_file(lines, known_labels):
@@ -246,32 +265,54 @@ def parse_tagged(rendered):
     return text, labels
 
 
-def tag_corpus(corpus, detector_backend, k=DEFAULT_TOP_K):
-    """Tag every record of a corpus, preserving order and target texts.
+def select_corpus_tags(corpus, detector_backend, k=DEFAULT_TOP_K):
+    """Select the top-k TagSet of each distinct non-empty image_id.
 
-    Records with an empty image_id get an empty tag set. Detection errors are
-    re-raised with the failing record index attached.
+    TagSets come in the order their images first appear. A detection error is
+    re-raised with the index of the record that first names the image.
     """
-    out = []
+    tagsets = []
+    seen = set()
+    for index, rec in enumerate(corpus.records):
+        if not rec.image_id or rec.image_id in seen:
+            continue
+        seen.add(rec.image_id)
+        try:
+            detections = detect(detector_backend, rec.image_id)
+        except UnknownImage as err:
+            raise UnknownImage(err.image_id, record_index=index) from None
+        tagsets.append(select_tags(detections, k=k, image_id=rec.image_id))
+    return tagsets
+
+
+def inject_tags(corpus, labels_by_image):
+    """Fuse an image_id -> labels map into a corpus as (TaggedSource, target)
+    pairs, preserving order and target texts.
+
+    Records with an empty image_id get no tags; an image absent from the map
+    raises UnknownImage with the record index.
+    """
+    pairs = []
     for index, rec in enumerate(corpus.records):
         if not rec.image_id:
-            tagset = TagSet(image_id="")
+            labels = ()
+        elif rec.image_id in labels_by_image:
+            labels = tuple(labels_by_image[rec.image_id])
         else:
-            try:
-                detections = detect(detector_backend, rec.image_id)
-            except UnknownImage as err:
-                raise UnknownImage(err.image_id, record_index=index) from None
-            tagset = select_tags(detections, k=k, image_id=rec.image_id)
-        tagged = TaggedSource(text=rec.source_text, tags=tuple(tagset.labels))
-        out.append((tagged, rec.target_text))
-    return out
+            raise UnknownImage(rec.image_id, record_index=index)
+        pairs.append((TaggedSource(text=rec.source_text, tags=labels), rec.target_text))
+    return pairs
+
+
+def tag_corpus(corpus, detector_backend, k=DEFAULT_TOP_K):
+    """Tag every record of a corpus: `select_corpus_tags` then `inject_tags`."""
+    tagsets = select_corpus_tags(corpus, detector_backend, k=k)
+    return inject_tags(corpus, {ts.image_id: ts.labels for ts in tagsets})
 
 
 def write_tagged_corpus(pairs, path):
     """Write (TaggedSource, target) pairs as a two-column TSV."""
-    with atomic_write(path) as out:
-        for tagged, target in pairs:
-            out.write(f"{tagged.rendered}\t{target}\n")
+    write_lines((f"{tagged.rendered}\t{target}" for tagged, target in pairs), path)
 
 
 def read_tagged_corpus(path):
@@ -292,9 +333,7 @@ def read_tagged_corpus(path):
 
 def write_tagsets_file(tagsets, path):
     """Write selected TagSets as ``image_id\\tlabel1,label2,...`` lines."""
-    with atomic_write(path) as out:
-        for ts in tagsets:
-            out.write(f"{ts.image_id}\t" + ",".join(ts.labels) + "\n")
+    write_lines((f"{ts.image_id}\t" + ",".join(ts.labels) for ts in tagsets), path)
 
 
 def read_tagsets_file(path):

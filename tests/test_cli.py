@@ -222,6 +222,80 @@ def test_tags_extract_stub_backend(tmp_path, capsys):
         assert len([l for l in labels.split(",") if l]) <= 3
 
 
+def write_one_record_corpus(tmp_path, image_id):
+    path = tmp_path / "one.tsv"
+    path.write_text(f"{image_id}\t1\t1\t2\t2\ta source\ta target\n", encoding="utf-8")
+    return str(path)
+
+
+def test_tags_inject_unknown_image_exit_2(tmp_path, capsys):
+    tagsets = tmp_path / "tagsets.tsv"
+    tagsets.write_text("other\tdog\n", encoding="utf-8")
+    code = main(["tags", "inject", "--corpus", write_one_record_corpus(tmp_path, "im1"),
+                 "--tagsets", str(tagsets), "--output", str(tmp_path / "tagged.tsv")])
+    assert code == 2
+    assert "(record 0)" in capsys.readouterr().err
+
+
+def test_tags_extract_file_backend_needs_detections_exit_1(tmp_path, capsys):
+    code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"),
+                 "--backend", "file", "--output", str(tmp_path / "tagsets.tsv")])
+    assert code == 1
+    assert "detections" in capsys.readouterr().err
+
+
+def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
+    code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "no-such-image"),
+                 "--backend", "file", "--detections", os.path.join(DISAMBIG, "detections.tsv"),
+                 "--tag-vocabulary", os.path.join(DISAMBIG, "tag_vocab.txt"),
+                 "--output", str(tmp_path / "tagsets.tsv")])
+    assert code == 2
+    assert "(record 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_synth_enrich_k_below_one_exit_1(tmp_path, capsys, k):
+    from test_decode import random_checkpoint
+
+    ckpt = tmp_path / "synth.ckpt"
+    random_checkpoint(0).save(str(ckpt))
+    src = tmp_path / "extra.src"
+    tgt = tmp_path / "extra.tgt"
+    src.write_text("aa bb\n", encoding="utf-8")
+    tgt.write_text("cc dd\n", encoding="utf-8")
+    out = tmp_path / "enriched.tsv"
+    code = main(["synth", "enrich", "--checkpoint", str(ckpt), "--source", str(src),
+                 "--target", str(tgt), "--k", k, "--output", str(out)])
+    assert code == 1
+    assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (b"[decode]\nmethod = greedy\nmethod = beam\n", 3),
+        (b"[decode]\nmethod = greedy\n[decode]\n", 3),
+        (b"seed = 1\n[experiment]\n", 1),
+        (b"[decode]\nmethod = greedy\nnot a key value line\n", 3),
+        (b"[experiment]\ntask = caf\xe9\n", 2),
+    ],
+    ids=["duplicate-key", "duplicate-section", "no-section-header", "unparsable-line", "non-utf8"],
+)
+def test_malformed_config_exit_1(tmp_path, body, line):
+    cfg = tmp_path / "broken.cfg"
+    cfg.write_bytes(body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "pipeline", "run", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" in proc.stderr
+    assert f"{cfg} line {line}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exit_3(tmp_path, capsys):
     train_tsv = tmp_path / "train.tsv"

@@ -75,6 +75,25 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
         config.validate()
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[tagging]\nbackend = foo\n", r"\[tagging\] backend must be 'stub' or 'file', got 'foo'"),
+        ("[tagging]\nk = 0\n", r"\[tagging\] k must be >= 1, got 0"),
+        ("[decode]\nmethod = x\n", r"\[decode\] method must be 'greedy' or 'beam', got 'x'"),
+        ("[decode]\nbeam_width = 0\n", r"\[decode\] beam_width must be >= 1, got 0"),
+        ("[translator]\nlayers = 0\n", r"\[translator\] layers must be >= 1, got 0"),
+        ("[synthesizer]\nbatch_size = 0\n", r"\[synthesizer\] batch_size must be >= 1, got 0"),
+    ],
+    ids=["tagging-backend", "tagging-k", "decode-method", "decode-beam_width",
+         "translator-layers", "synthesizer-batch_size"],
+)
+def test_validation_error_names_section_and_key(tmp_path, body, message):
+    config = load_experiment_config(write_cfg(tmp_path, body))
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        config.validate()
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_experiment_config("/nonexistent/exp.cfg")

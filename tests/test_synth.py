@@ -69,6 +69,12 @@ def test_tags_from_decoded_empty():
     assert tags_from_decoded("", vocabulary=VOCAB).labels == []
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_tags_from_decoded_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=rf"k must be >= 1, got {k}"):
+        tags_from_decoded("dog,car", k=k, vocabulary=VOCAB)
+
+
 def test_tags_from_decoded_fuzz_invariants():
     rng = random.Random(3)
     alphabet = VOCAB + ["", " ", "x", "##", "<sep>", ",", "dog dog", "zz"]

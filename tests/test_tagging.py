@@ -19,6 +19,7 @@ from tagmt.tagging import (
     load_tag_vocabulary,
     parse_tagged,
     render_tagged,
+    select_corpus_tags,
     select_tags,
     tag_corpus,
     write_detections_file,
@@ -254,6 +255,16 @@ def test_tag_corpus_attaches_record_index(tmp_path):
         tag_corpus(corpus, det)
     assert err.value.record_index == 1
     assert "missing" in str(err.value)
+
+
+def test_select_corpus_tags_one_per_image_in_first_seen_order():
+    lines = [f"{image}\t1\t1\t2\t2\tsrc {i}\ttgt {i}" for i, image in enumerate("bab")]
+    corpus = parse_vg_corpus(lines + ["\t1\t1\t2\t2\tno image\tkein bild"])
+    detector = StubDetector(seed=1)
+    tagsets = select_corpus_tags(corpus, detector, k=3)
+    assert [ts.image_id for ts in tagsets] == ["b", "a"]
+    for ts in tagsets:
+        assert ts == select_tags(detect(detector, ts.image_id), k=3, image_id=ts.image_id)
 
 
 # -- vocabulary ---------------------------------------------------------------

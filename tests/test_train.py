@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,29 @@ def test_checkpoint_version_guard(tmp_path):
     with open(path, "wb") as out:
         np.savez(out, meta=json.dumps({"format_version": 99}))
     with pytest.raises(ConfigError):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda params: params.pop("dec0.ff.b2"), "'dec0.ff.b2' is missing"),
+        (lambda params: params.update(extra=np.zeros(3)), "'extra' is not a parameter"),
+        (
+            lambda params: params.update({"enc0.attn.wq": np.zeros((16, 8))}),
+            r"'enc0.attn.wq' has shape \(16, 8\), expected \(16, 16\)",
+        ),
+    ],
+    ids=["missing", "extra", "shape"],
+)
+def test_checkpoint_layout_mismatch_rejected(tmp_path, mutate, message):
+    from test_decode import random_checkpoint
+
+    checkpoint = random_checkpoint(0)
+    mutate(checkpoint.params)
+    path = tmp_path / "mismatch.ckpt"
+    checkpoint.save(path)
+    with pytest.raises(ConfigError, match=rf"^checkpoint {re.escape(str(path))}: parameter {message}"):
         Checkpoint.load(path)
 
 
