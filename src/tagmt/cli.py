@@ -7,7 +7,7 @@ offending line or record named), 3 training divergence.
 import argparse
 import sys
 
-from .config import ExperimentConfig, load_experiment_config
+from .config import ExperimentConfig, load_experiment_config, validate_model
 from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv
 from .errors import ConfigError, DataError, Divergence, TagmtError
 from .evaluation import (
@@ -64,11 +64,10 @@ def _load_config(args):
 
 
 def _model_config(args, section):
-    config = _load_config(args)
-    model = config.translator if section == "translator" else config.synthesizer
+    model = getattr(_load_config(args), section)
     if getattr(args, "max_steps", None) is not None:
         model = model.override(max_steps=args.max_steps)
-    return model
+    return validate_model(section, model)
 
 
 def _kv_lines(pairs, fmt):

@@ -58,6 +58,14 @@ KEYS = {
 SECTIONS = {section for section, _ in KEYS}
 
 
+def validate_model(section, model):
+    """Validate the ModelConfig of [translator] or [synthesizer]; an error names the section."""
+    try:
+        return model.validate()
+    except ConfigError as err:
+        raise ConfigError(f"[{section}] {err}") from None
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 13
@@ -93,10 +101,7 @@ class ExperimentConfig:
             if key != "output_dir" and not os.path.exists(path):
                 raise ConfigError(f"[paths] {key} does not exist: {path}")
         for section in MODEL_SECTIONS:
-            try:
-                getattr(self, section).validate()
-            except ConfigError as err:
-                raise ConfigError(f"[{section}] {err}") from None
+            validate_model(section, getattr(self, section))
         return self
 
     def with_seed(self, seed):

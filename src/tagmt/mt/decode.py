@@ -12,6 +12,9 @@ No length normalization is applied.
 
 import numpy as np
 
+# sources per greedy batch in translate_corpus
+GREEDY_BATCH = 64
+
 
 def _log_softmax(logits):
     mx = logits.max(axis=-1, keepdims=True)
@@ -94,10 +97,8 @@ def translate(checkpoint, source_text, decode="greedy", beam_width=4, max_len=No
     )[0]
 
 
-def translate_corpus(
-    checkpoint, source_texts, decode="greedy", beam_width=4, max_len=None, chunk=64
-):
-    """Translate a list of sources, batching greedy decoding for speed.
+def translate_corpus(checkpoint, source_texts, decode="greedy", beam_width=4, max_len=None):
+    """Translate a list of sources, batching greedy decoding GREEDY_BATCH at a time.
 
     max_len caps source and hypothesis lengths at the checkpoint's max_len;
     None means the checkpoint's own.
@@ -117,8 +118,8 @@ def translate_corpus(
             out.append(vocab.decode(beam_decode(model, ids, vocab, max_len, beam_width)))
         return out
     results = []
-    for start in range(0, len(source_texts), chunk):
-        batch_texts = source_texts[start : start + chunk]
+    for start in range(0, len(source_texts), GREEDY_BATCH):
+        batch_texts = source_texts[start : start + GREEDY_BATCH]
         encoded = [_encode_source(vocab, t, max_len) for t in batch_texts]
         s_max = max(len(ids) for ids in encoded)
         src = np.full((len(encoded), s_max), vocab.pad_id, dtype=np.int64)

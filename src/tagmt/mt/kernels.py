@@ -3,7 +3,9 @@
 The training loop spends most of its non-BLAS time in three places: the Adam
 parameter update, the embedding-gradient scatter-add, and the fused
 softmax/cross-entropy over the output vocabulary. Each is one vectorized
-numpy function here; the tests check them against plain-Python loops.
+numpy function here; the tests check them against plain-Python loops. Adam
+runs once per training step, over the flat vector that holds every
+parameter.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ HAS_NUMBA = False
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
-    """Adam update, in place, fused over a flat parameter vector."""
+    """Adam update, in place, over the flat vector of every parameter (one call a step)."""
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2

@@ -6,6 +6,13 @@ the softmax/cross-entropy head, embedding scatter-add and Adam update are
 the numpy kernels in kernels.py. Everything runs in float64 for
 reproducibility and gradient-check headroom.
 
+`param_layout` defines the parameters, and `FlatViews` lays them out back to
+back in one flat vector with a named view per parameter. `forward_backward`
+writes every gradient through such views into one zeroed vector, and
+training holds the parameters the same way, so clipping and Adam act on one
+vector per step. A model built from a plain name -> array dict (a loaded
+checkpoint) uses it as is, with no copy.
+
 Decoding is incremental: `Transformer.start_decode` encodes a source batch
 and computes each decoder layer's cross-attention keys and values once, and
 `Transformer.decode_step` feeds one token per row, appends its self-attention
@@ -135,7 +142,8 @@ def param_layout(config, vocab_size):
 
     init is "normal" (the embedding), "xavier" (weight matrices), "ones" or
     "zeros". It is the one definition of the model's parameters: the
-    initializer draws from it, and checkpoints are checked against it.
+    initializer draws from it, checkpoints are checked against it, and it
+    lays the parameters out in one flat vector (`FlatViews`).
     """
     d, f, v = config.model_dim, config.ff_dim, vocab_size
     layout = [("embed", (v, d), "normal")]
@@ -169,43 +177,71 @@ def param_layout(config, vocab_size):
     return layout
 
 
+class FlatViews(dict):
+    """Name -> view, in the parameter's shape, of one flat float64 `vector`.
+
+    The parameters of a `param_layout` lie back to back in `vector`, in
+    layout order, so one operation on `vector` (the Adam update, gradient
+    clipping, a snapshot copy) acts on every parameter. Without a vector, a
+    zeroed one is made.
+    """
+
+    def __init__(self, layout, vector=None):
+        super().__init__()
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        self.vector = np.zeros(sum(sizes), dtype=DTYPE) if vector is None else vector
+        start = 0
+        for (name, shape, _), size in zip(layout, sizes):
+            self[name] = self.vector[start : start + size].reshape(shape)
+            start += size
+
+
 # --- primitive layers: each fwd returns (out, cache), bwd consumes it -------
+#
+# A backward writes its parameters' gradients into `grads` (a FlatViews of
+# zeros, see forward_backward) and returns the gradient of its input. Every
+# parameter but the shared embedding feeds exactly one layer, so each
+# gradient view is written once.
 
 
-def _linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+def _linear_fwd(x, params, prefix, suffix=""):
+    """x @ w + b with w, b = params[f"{prefix}.w{suffix}"], params[f"{prefix}.b{suffix}"]."""
+    w = params[f"{prefix}.w{suffix}"]
+    return x @ w + params[f"{prefix}.b{suffix}"], (x, w, prefix, suffix)
 
 
-def _linear_bwd(dy, cache):
-    x, w = cache
-    dx = dy @ w.T
+def _linear_bwd(dy, cache, grads):
+    x, w, prefix, suffix = cache
     flat_x = x.reshape(-1, x.shape[-1])
     flat_dy = dy.reshape(-1, dy.shape[-1])
-    return dx, flat_x.T @ flat_dy, flat_dy.sum(axis=0)
+    np.matmul(flat_x.T, flat_dy, out=grads[f"{prefix}.w{suffix}"])
+    flat_dy.sum(axis=0, out=grads[f"{prefix}.b{suffix}"])
+    return dy @ w.T
 
 
-def _ln_fwd(x, g, b):
+def _ln_fwd(x, params, prefix):
+    """Layer norm with gain params[f"{prefix}.g"] and bias params[f"{prefix}.b"]."""
+    g = params[f"{prefix}.g"]
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    return xhat * g + params[f"{prefix}.b"], (xhat, inv, g, prefix)
 
 
-def _ln_bwd(dy, cache):
-    xhat, inv, g = cache
+def _ln_bwd(dy, cache, grads):
+    xhat, inv, g, prefix = cache
     flat_dy = dy.reshape(-1, dy.shape[-1])
     flat_xhat = xhat.reshape(-1, xhat.shape[-1])
-    dg = (flat_dy * flat_xhat).sum(axis=0)
-    db = flat_dy.sum(axis=0)
+    (flat_dy * flat_xhat).sum(axis=0, out=grads[f"{prefix}.g"])
+    flat_dy.sum(axis=0, out=grads[f"{prefix}.b"])
     dxhat = dy * g
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def masked_softmax(scores, bias):
@@ -250,78 +286,52 @@ def _attention(qh, kh, vh, bias):
 
 def _head_proj(params, prefix, name, x, heads):
     """One attention input projection ('q', 'k' or 'v'), split into heads."""
-    y, _ = _linear_fwd(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
-    return _split_heads(y, heads)
+    return _split_heads(_linear_fwd(x, params, prefix, name)[0], heads)
 
 
 def _attn_out(params, prefix, qh, kh, vh, bias):
     """Attention of split-head queries over cached keys/values, projected out."""
     ctx = _attention(qh, kh, vh, bias)[2]
-    return _linear_fwd(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])[0]
+    return _linear_fwd(ctx, params, prefix, "o")[0]
 
 
 def _attn_fwd(params, prefix, xq, xkv, bias, heads):
-    q, cq = _linear_fwd(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k, ck = _linear_fwd(xkv, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v, cv = _linear_fwd(xkv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    q, cq = _linear_fwd(xq, params, prefix, "q")
+    k, ck = _linear_fwd(xkv, params, prefix, "k")
+    v, cv = _linear_fwd(xkv, params, prefix, "v")
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
     attn, scale, ctx = _attention(qh, kh, vh, bias)
-    out, co = _linear_fwd(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    out, co = _linear_fwd(ctx, params, prefix, "o")
     return out, (cq, ck, cv, co, qh, kh, vh, attn, scale)
 
 
-def _attn_bwd(dout, cache, grads, prefix, heads):
+def _attn_bwd(dout, cache, grads, heads):
     cq, ck, cv, co, qh, kh, vh, attn, scale = cache
-    dctx, dwo, dbo = _linear_bwd(dout, co)
-    _acc(grads, f"{prefix}.wo", dwo)
-    _acc(grads, f"{prefix}.bo", dbo)
-    dctx_h = _split_heads(dctx, heads)
+    dctx_h = _split_heads(_linear_bwd(dout, co, grads), heads)
     dattn = dctx_h @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
     dscores = _softmax_bwd(dattn, attn) * scale
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dq = _merge_heads(dqh)
-    dk = _merge_heads(dkh)
-    dv = _merge_heads(dvh)
-    dxq, dwq, dbq = _linear_bwd(dq, cq)
-    dxk, dwk, dbk = _linear_bwd(dk, ck)
-    dxv, dwv, dbv = _linear_bwd(dv, cv)
-    _acc(grads, f"{prefix}.wq", dwq)
-    _acc(grads, f"{prefix}.bq", dbq)
-    _acc(grads, f"{prefix}.wk", dwk)
-    _acc(grads, f"{prefix}.bk", dbk)
-    _acc(grads, f"{prefix}.wv", dwv)
-    _acc(grads, f"{prefix}.bv", dbv)
+    dxq = _linear_bwd(_merge_heads(dqh), cq, grads)
+    dxk = _linear_bwd(_merge_heads(dkh), ck, grads)
+    dxv = _linear_bwd(_merge_heads(dvh), cv, grads)
     return dxq, dxk + dxv
 
 
 def _ff_fwd(params, prefix, x):
-    h, c1 = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+    h, c1 = _linear_fwd(x, params, prefix, "1")
     r = np.maximum(h, 0.0)
-    y, c2 = _linear_fwd(r, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    y, c2 = _linear_fwd(r, params, prefix, "2")
     return y, (c1, c2, h)
 
 
-def _ff_bwd(dy, cache, grads, prefix):
+def _ff_bwd(dy, cache, grads):
     c1, c2, h = cache
-    dr, dw2, db2 = _linear_bwd(dy, c2)
-    dh = dr * (h > 0.0)
-    dx, dw1, db1 = _linear_bwd(dh, c1)
-    _acc(grads, f"{prefix}.w1", dw1)
-    _acc(grads, f"{prefix}.b1", db1)
-    _acc(grads, f"{prefix}.w2", dw2)
-    _acc(grads, f"{prefix}.b2", db2)
-    return dx
-
-
-def _acc(grads, name, value):
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value
+    dh = _linear_bwd(dy, c2, grads) * (h > 0.0)
+    return _linear_bwd(dh, c1, grads)
 
 
 class DecodeState:
@@ -361,6 +371,7 @@ class Transformer:
         self.vocab_size = vocab_size
         self.pad_id = pad_id
         self.pos = sinusoid_positions(config.max_len, config.model_dim)
+        self.layout = param_layout(config, vocab_size)
         if params is not None:
             self.params = params
         else:
@@ -373,7 +384,7 @@ class Transformer:
     def _init_params(self, rng):
         d = self.config.model_dim
         params = {}
-        for name, shape, init in param_layout(self.config, self.vocab_size):
+        for name, shape, init in self.layout:
             if init == "normal":
                 params[name] = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape).astype(DTYPE)
             elif init == "xavier":
@@ -403,8 +414,6 @@ class Transformer:
 
     def _embed_bwd(self, grads, ids, dx):
         scale = math.sqrt(self.config.model_dim)
-        if "embed" not in grads:
-            grads["embed"] = np.zeros_like(self.params["embed"])
         rows = (dx * scale).reshape(-1, dx.shape[-1])
         kernels.scatter_add_rows(grads["embed"], ids.ravel().astype(np.int64), rows)
 
@@ -417,40 +426,28 @@ class Transformer:
         x, drop0 = _dropout_fwd(x, c.dropout, rng)
         layer_caches = []
         for i in range(c.layers):
-            h1, cln1 = _ln_fwd(x, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
+            h1, cln1 = _ln_fwd(x, p, f"enc{i}.ln1")
             a, cattn = _attn_fwd(p, f"enc{i}.attn", h1, h1, bias, c.heads)
             a, cd1 = _dropout_fwd(a, c.dropout, rng)
             x = x + a
-            h2, cln2 = _ln_fwd(x, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
+            h2, cln2 = _ln_fwd(x, p, f"enc{i}.ln2")
             ff, cff = _ff_fwd(p, f"enc{i}.ff", h2)
             ff, cd2 = _dropout_fwd(ff, c.dropout, rng)
             x = x + ff
             layer_caches.append((cln1, cattn, cd1, cln2, cff, cd2))
-        memory, cln_final = _ln_fwd(x, p["enc.ln.g"], p["enc.ln.b"])
+        memory, cln_final = _ln_fwd(x, p, "enc.ln")
         cache = (drop0, layer_caches, cln_final)
         return memory, bias, cache
 
     def _encoder_bwd(self, dmemory, src, cache, grads):
-        p, c = self.params, self.config
         drop0, layer_caches, cln_final = cache
-        dx, dg, db = _ln_bwd(dmemory, cln_final)
-        _acc(grads, "enc.ln.g", dg)
-        _acc(grads, "enc.ln.b", db)
-        for i in reversed(range(c.layers)):
+        dx = _ln_bwd(dmemory, cln_final, grads)
+        for i in reversed(range(self.config.layers)):
             cln1, cattn, cd1, cln2, cff, cd2 = layer_caches[i]
-            dff = _dropout_bwd(dx, cd2)
-            dh2 = _ff_bwd(dff, cff, grads, f"enc{i}.ff")
-            dxl, dg, db = _ln_bwd(dh2, cln2)
-            _acc(grads, f"enc{i}.ln2.g", dg)
-            _acc(grads, f"enc{i}.ln2.b", db)
-            dx = dx + dxl
-            da = _dropout_bwd(dx, cd1)
-            dq, dkv = _attn_bwd(da, cattn, grads, f"enc{i}.attn", c.heads)
-            dh1 = dq + dkv
-            dxl, dg, db = _ln_bwd(dh1, cln1)
-            _acc(grads, f"enc{i}.ln1.g", dg)
-            _acc(grads, f"enc{i}.ln1.b", db)
-            dx = dx + dxl
+            dh2 = _ff_bwd(_dropout_bwd(dx, cd2), cff, grads)
+            dx = dx + _ln_bwd(dh2, cln2, grads)
+            dq, dkv = _attn_bwd(_dropout_bwd(dx, cd1), cattn, grads, self.config.heads)
+            dx = dx + _ln_bwd(dq + dkv, cln1, grads)
         dx = _dropout_bwd(dx, drop0)
         self._embed_bwd(grads, src, dx)
 
@@ -461,53 +458,38 @@ class Transformer:
         x, drop0 = _dropout_fwd(x, c.dropout, rng)
         layer_caches = []
         for i in range(c.layers):
-            h1, cln1 = _ln_fwd(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
+            h1, cln1 = _ln_fwd(x, p, f"dec{i}.ln1")
             a, cself = _attn_fwd(p, f"dec{i}.self", h1, h1, self_bias, c.heads)
             a, cd1 = _dropout_fwd(a, c.dropout, rng)
             x = x + a
-            h2, cln2 = _ln_fwd(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
+            h2, cln2 = _ln_fwd(x, p, f"dec{i}.ln2")
             a, ccross = _attn_fwd(p, f"dec{i}.cross", h2, memory, src_bias, c.heads)
             a, cd2 = _dropout_fwd(a, c.dropout, rng)
             x = x + a
-            h3, cln3 = _ln_fwd(x, p[f"dec{i}.ln3.g"], p[f"dec{i}.ln3.b"])
+            h3, cln3 = _ln_fwd(x, p, f"dec{i}.ln3")
             ff, cff = _ff_fwd(p, f"dec{i}.ff", h3)
             ff, cd3 = _dropout_fwd(ff, c.dropout, rng)
             x = x + ff
             layer_caches.append((cln1, cself, cd1, cln2, ccross, cd2, cln3, cff, cd3))
-        out, cln_final = _ln_fwd(x, p["dec.ln.g"], p["dec.ln.b"])
+        out, cln_final = _ln_fwd(x, p, "dec.ln")
         cache = (drop0, layer_caches, cln_final)
         return out, cache
 
     def _decoder_bwd(self, dout, tgt_in, cache, grads):
         """Returns the gradient flowing into the encoder memory."""
-        p, c = self.params, self.config
+        heads = self.config.heads
         drop0, layer_caches, cln_final = cache
-        dx, dg, db = _ln_bwd(dout, cln_final)
-        _acc(grads, "dec.ln.g", dg)
-        _acc(grads, "dec.ln.b", db)
+        dx = _ln_bwd(dout, cln_final, grads)
         dmemory = None
-        for i in reversed(range(c.layers)):
+        for i in reversed(range(self.config.layers)):
             cln1, cself, cd1, cln2, ccross, cd2, cln3, cff, cd3 = layer_caches[i]
-            dff = _dropout_bwd(dx, cd3)
-            dh3 = _ff_bwd(dff, cff, grads, f"dec{i}.ff")
-            dxl, dg, db = _ln_bwd(dh3, cln3)
-            _acc(grads, f"dec{i}.ln3.g", dg)
-            _acc(grads, f"dec{i}.ln3.b", db)
-            dx = dx + dxl
-            da = _dropout_bwd(dx, cd2)
-            dq, dmem = _attn_bwd(da, ccross, grads, f"dec{i}.cross", c.heads)
+            dh3 = _ff_bwd(_dropout_bwd(dx, cd3), cff, grads)
+            dx = dx + _ln_bwd(dh3, cln3, grads)
+            dq, dmem = _attn_bwd(_dropout_bwd(dx, cd2), ccross, grads, heads)
             dmemory = dmem if dmemory is None else dmemory + dmem
-            dxl, dg, db = _ln_bwd(dq, cln2)
-            _acc(grads, f"dec{i}.ln2.g", dg)
-            _acc(grads, f"dec{i}.ln2.b", db)
-            dx = dx + dxl
-            da = _dropout_bwd(dx, cd1)
-            dq, dkv = _attn_bwd(da, cself, grads, f"dec{i}.self", c.heads)
-            dh1 = dq + dkv
-            dxl, dg, db = _ln_bwd(dh1, cln1)
-            _acc(grads, f"dec{i}.ln1.g", dg)
-            _acc(grads, f"dec{i}.ln1.b", db)
-            dx = dx + dxl
+            dx = dx + _ln_bwd(dq, cln2, grads)
+            dq, dkv = _attn_bwd(_dropout_bwd(dx, cd1), cself, grads, heads)
+            dx = dx + _ln_bwd(dq + dkv, cln1, grads)
         dx = _dropout_bwd(dx, drop0)
         self._embed_bwd(grads, tgt_in, dx)
         return dmemory
@@ -515,16 +497,17 @@ class Transformer:
     # -- public entry points ---------------------------------------------------
 
     def forward_backward(self, src, tgt_in, tgt_out, rng=None):
-        """One training step's loss and parameter gradients.
+        """One training step's loss, token count and parameter gradients.
 
         rng enables dropout (training mode); pass None for a deterministic
         evaluation pass. Loss is the mean label-smoothed cross entropy over
-        non-pad target positions.
+        non-pad target positions. The gradients are a `FlatViews` of a new
+        flat vector: one view per parameter name, every one written.
         """
         p, c = self.params, self.config
         memory, src_bias, enc_cache = self._encoder_fwd(src, rng)
         dec_out, dec_cache = self._decoder_fwd(tgt_in, memory, src_bias, rng)
-        logits, clogits = _linear_fwd(dec_out, p["out.w"], p["out.b"])
+        logits, clogits = _linear_fwd(dec_out, p, "out")
         flat_logits = np.ascontiguousarray(logits.reshape(-1, self.vocab_size))
         loss_sum, count, dflat = kernels.xent_loss_grad(
             flat_logits,
@@ -536,13 +519,9 @@ class Transformer:
             raise ValueError("batch contains no non-pad target tokens")
         loss = loss_sum / count
         dlogits = (dflat / count).reshape(logits.shape)
-        grads = {}
-        ddec, dw, db = _linear_bwd(dlogits, clogits)
-        _acc(grads, "out.w", dw)
-        _acc(grads, "out.b", db)
+        grads = FlatViews(self.layout)
+        ddec = _linear_bwd(dlogits, clogits, grads)
         dmemory = self._decoder_bwd(ddec, tgt_in, dec_cache, grads)
-        if dmemory is None:
-            dmemory = np.zeros_like(memory)
         self._encoder_bwd(dmemory, src, enc_cache, grads)
         return loss, count, grads
 
@@ -599,7 +578,7 @@ class Transformer:
         key_bias = state.key_bias[..., : t + 1]
         x = self._embed_fwd(ids[:, None], start=t)
         for i in range(c.layers):
-            h1, _ = _ln_fwd(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
+            h1, _ = _ln_fwd(x, p, f"dec{i}.ln1")
             keys, values = state.keys[i], state.values[i]
             keys[:, :, t : t + 1] = _head_proj(p, f"dec{i}.self", "k", h1, c.heads)
             values[:, :, t : t + 1] = _head_proj(p, f"dec{i}.self", "v", h1, c.heads)
@@ -607,10 +586,10 @@ class Transformer:
             x = x + _attn_out(
                 p, f"dec{i}.self", qh, keys[:, :, : t + 1], values[:, :, : t + 1], key_bias
             )
-            h2, _ = _ln_fwd(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
+            h2, _ = _ln_fwd(x, p, f"dec{i}.ln2")
             qh = _head_proj(p, f"dec{i}.cross", "q", h2, c.heads)
             x = x + _attn_out(p, f"dec{i}.cross", qh, *state.cross[i], state.src_bias)
-            h3, _ = _ln_fwd(x, p[f"dec{i}.ln3.g"], p[f"dec{i}.ln3.b"])
+            h3, _ = _ln_fwd(x, p, f"dec{i}.ln3")
             x = x + _ff_fwd(p, f"dec{i}.ff", h3)[0]
-        out, _ = _ln_fwd(x, p["dec.ln.g"], p["dec.ln.b"])
+        out, _ = _ln_fwd(x, p, "dec.ln")
         return out[:, 0, :] @ p["out.w"] + p["out.b"]

@@ -1,19 +1,25 @@
 """Training, fine-tuning and checkpointing for the numpy transformer.
 
 Adam with warmup + inverse-sqrt decay, global-norm gradient clipping, and
-best-validation checkpoint selection. A single numpy Generator seeded from
-the config drives init, batch shuffling and dropout, so the whole loss trace
-is reproducible bit for bit given (seed, config, data).
+best-validation checkpoint selection. Training holds the parameters, the
+gradient, the Adam moments and the best-validation snapshot as flat vectors
+laid out by `model.param_layout` (`model.FlatViews`), so a step is one norm
+reduction, at most one in-place scale and one `kernels.adam_update` call. A
+single numpy Generator seeded from the config drives init, batch shuffling
+and dropout, so the whole loss trace is reproducible bit for bit given
+(seed, config, data). A checkpoint file still stores one `param:<name>`
+array per parameter.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
 from ..errors import ArchitectureMismatch, ConfigError, Divergence, EmptyCorpus
 from ..fileio import atomic_write
 from . import kernels
-from .model import DTYPE, ModelConfig, Transformer, param_layout
+from .model import DTYPE, FlatViews, ModelConfig, Transformer, param_layout
 from .vocab import Vocab, vocab_from_pairs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -50,21 +56,40 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path):
-        """Read a checkpoint. A format version, or parameter names and shapes,
-        other than its config and vocabulary imply raise ConfigError."""
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            version = meta.get("format_version")
-            if version != CHECKPOINT_FORMAT_VERSION:
-                raise ConfigError(
-                    f"checkpoint {path} has format_version {version!r}, "
-                    f"expected {CHECKPOINT_FORMAT_VERSION}"
-                )
-            params = {
-                key[len("param:") :]: np.array(data[key])
-                for key in data.files
-                if key.startswith("param:")
-            }
+        """Read a checkpoint, or raise ConfigError naming the path when the file
+        is not an .npz archive whose `meta` entry is a JSON object with
+        config, vocab_tokens and training_meta, when its format version is not
+        this one, or when its parameter names and shapes are not those its
+        config and vocabulary imply."""
+
+        def invalid(problem):
+            return ConfigError(f"checkpoint {path}: {problem}")
+
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                raw_meta = str(data["meta"])
+                params = {
+                    key[len("param:") :]: np.array(data[key])
+                    for key in data.files
+                    if key.startswith("param:")
+                }
+        except KeyError:
+            raise invalid("no 'meta' entry") from None
+        # a plain .npy file loads as an array, which is no context manager
+        except (AttributeError, EOFError, TypeError, ValueError, zipfile.BadZipFile):
+            raise invalid("not an .npz archive") from None
+        try:
+            meta = json.loads(raw_meta)
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise invalid("'meta' entry is not a JSON object")
+        version = meta.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise invalid(f"format_version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}")
+        for key in ("config", "vocab_tokens", "training_meta"):
+            if key not in meta:
+                raise invalid(f"meta has no {key!r}")
         config = ModelConfig.from_dict(meta["config"])
         vocab = Vocab(tokens=tuple(meta["vocab_tokens"]))
         expected = {name: shape for name, shape, _ in param_layout(config, len(vocab))}
@@ -77,7 +102,7 @@ class Checkpoint:
                 problem = f"has shape {params[name].shape}, expected {expected[name]}"
             else:
                 continue
-            raise ConfigError(f"checkpoint {path}: parameter {name!r} {problem}")
+            raise invalid(f"parameter {name!r} {problem}")
         return cls(config=config, params=params, vocab=vocab, training_meta=meta["training_meta"])
 
 
@@ -126,15 +151,16 @@ def make_batch(encoded, indices, vocab):
     return src, tgt_in, tgt_out
 
 
-def _clip_grads(grads, clip):
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = total**0.5
+def _clip_grads(grad, clip):
+    """Scale the flat gradient in place to global norm `clip` when its norm is
+    above it; return the norm before clipping.
+
+    einsum sums in its own fixed order; BLAS ddot would split the sum by the
+    BLAS thread count and make the trace depend on it.
+    """
+    norm = float(np.einsum("i,i->", grad, grad)) ** 0.5
     if norm > clip:
-        scale = clip / norm
-        for g in grads.values():
-            g *= scale
+        grad *= clip / norm
     return norm
 
 
@@ -175,23 +201,21 @@ def train(
     encoded_valid = encode_pairs(validation_pairs, vocab, config)
 
     rng = np.random.default_rng(config.seed)
-    if init_params is None:
-        model = Transformer(config, len(vocab), pad_id=vocab.pad_id, rng=rng)
-    else:
-        model = Transformer(
-            config,
-            len(vocab),
-            pad_id=vocab.pad_id,
-            params={k: v.astype(DTYPE, copy=True) for k, v in init_params.items()},
-        )
-
-    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id, params=init_params, rng=rng)
+    # From here on the parameters are views of one flat vector, which Adam
+    # updates in one call and the best-validation snapshot copies whole.
+    layout = model.layout
+    model.params = FlatViews(
+        layout, np.concatenate([model.params[name].ravel() for name, _, _ in layout], dtype=DTYPE)
+    )
+    flat = model.params.vector
+    adam_m = np.zeros_like(flat)
+    adam_v = np.zeros_like(flat)
 
     train_trace = []
     val_trace = []
     best_loss = None
-    best_params = None
+    best_flat = None
     best_step = None
     stale_validations = 0
     stopped_early = False
@@ -209,20 +233,11 @@ def train(
             loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng)
             if not np.isfinite(loss):
                 raise Divergence(step, loss)
-            _clip_grads(grads, config.grad_clip)
+            _clip_grads(grads.vector, config.grad_clip)
             lr = learning_rate_at(step, config)
-            for name, p in model.params.items():
-                kernels.adam_update(
-                    p.ravel(),
-                    grads[name].ravel(),
-                    adam_m[name].ravel(),
-                    adam_v[name].ravel(),
-                    lr,
-                    ADAM_BETA1,
-                    ADAM_BETA2,
-                    ADAM_EPS,
-                    step,
-                )
+            kernels.adam_update(
+                flat, grads.vector, adam_m, adam_v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step
+            )
             train_trace.append(float(loss))
             if step % config.validation_interval == 0 and encoded_valid:
                 vloss = evaluate_loss(model, encoded_valid, vocab, config.batch_size)
@@ -230,7 +245,7 @@ def train(
                 if best_loss is None or vloss < best_loss:
                     best_loss = float(vloss)
                     best_step = step
-                    best_params = {k: v.copy() for k, v in model.params.items()}
+                    best_flat = flat.copy()
                     stale_validations = 0
                 else:
                     stale_validations += 1
@@ -241,7 +256,7 @@ def train(
             elif log is not None and step % config.validation_interval == 0:
                 log(f"step {step}: train {loss:.4f}")
 
-    final_params = best_params if best_params is not None else model.params
+    final_params = model.params if best_flat is None else FlatViews(layout, best_flat)
     meta = {
         "steps": step,
         "best_step": best_step if best_step is not None else step,

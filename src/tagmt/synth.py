@@ -13,7 +13,7 @@ from .errors import EmptyCorpus, MalformedLine, SeparatorCollision
 from .fileio import atomic_write, read_lines, write_lines
 from .mt.decode import translate, translate_corpus
 from .mt.train import train
-from .tagging import TagRecord, TagSet, TaggedSource
+from .tagging import TagRecord, TagSet, TaggedSource, check_k
 
 SEP_TOKEN = "<sep>"
 
@@ -127,8 +127,7 @@ def synthesize_tags(checkpoint, source_text, target_text, k=10, vocabulary=None)
 def tags_from_decoded(decoded, k=10, vocabulary=None, image_id=""):
     """Turn a raw decoded string into a valid TagSet (total on any string;
     k must be >= 1, as in select_tags)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     known = set(vocabulary) if vocabulary is not None else None
     labels = []
     seen = set()
@@ -153,8 +152,9 @@ def enrich_corpus(bitext, checkpoint, k=10, vocabulary=None):
     """Decode synthetic tags for every record of a text-only corpus.
 
     Output order and target texts match the input exactly; every pair is
-    marked synthetic.
+    marked synthetic. k is checked before anything is decoded.
     """
+    check_k(k)
     inputs = []
     for index, rec in enumerate(bitext.records):
         try:

@@ -202,6 +202,12 @@ def detect(detector_backend, image_id):
     return detections
 
 
+def check_k(k):
+    """Raise ValueError unless the top-k tag count k is at least 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
     """Pick the top-k tags from raw detections.
 
@@ -209,8 +215,7 @@ def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
     confidence descending with ties broken by label ascending, then truncated
     to k. Fewer than k detections are all kept.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     best = {}
     for det in detections:
         if not 0.0 <= det.confidence <= 1.0:

@@ -138,6 +138,47 @@ def test_translate_max_len_below_two_exit_1(tmp_path, capsys, max_len):
     assert not out.exists()
 
 
+def _write_corrupt_checkpoint(path, kind):
+    import json
+
+    import numpy as np
+
+    from test_decode import random_checkpoint
+
+    checkpoint = random_checkpoint(0)
+    if kind == "truncated":
+        checkpoint.save(path)
+        path.write_bytes(path.read_bytes()[:-100])
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "plain-text":
+        path.write_text("not a checkpoint\n", encoding="utf-8")
+    else:
+        meta = {"format_version": 1, "config": checkpoint.config.to_dict(), "training_meta": {}}
+        with open(path, "wb") as out:
+            if kind == "no-meta":
+                np.savez(out, **{f"param:{k}": v for k, v in checkpoint.params.items()})
+            else:
+                np.savez(out, meta=json.dumps(meta))
+
+
+@pytest.mark.parametrize("kind", ["truncated", "empty", "no-meta", "no-vocab-tokens", "plain-text"])
+def test_corrupt_checkpoint_exit_1(tmp_path, kind):
+    ckpt = tmp_path / f"{kind}.ckpt"
+    _write_corrupt_checkpoint(ckpt, kind)
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
+         "--input", str(sources)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"checkpoint {ckpt}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_stray_backend_variable_is_ignored():
     # kernels are numpy-only; a leftover TAGMT_BACKEND must not break startup
     env = dict(os.environ, TAGMT_BACKEND="numba")
@@ -268,6 +309,26 @@ def test_synth_enrich_k_below_one_exit_1(tmp_path, capsys, k):
                  "--target", str(tgt), "--k", k, "--output", str(out)])
     assert code == 1
     assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        (["mt", "train", "--train"], "[translator]\nlayers = 0\n", "[translator] layers must be >= 1, got 0"),
+        (["synth", "train", "--pairs"], "[synthesizer]\nheads = 3\n", "[synthesizer] model_dim (128) must be"),
+    ],
+    ids=["mt-train", "synth-train"],
+)
+def test_train_config_error_names_section(tmp_path, capsys, command, body, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    code = main([*command, str(pairs), "--config", str(cfg), "--output", str(out)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -137,6 +137,17 @@ def test_enrich_corpus_counts_and_targets(memorize_checkpoint):
         assert tagged.tags == ("dog",)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_enrich_corpus_rejects_k_below_one_before_decoding(monkeypatch, k):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("translate_corpus ran before k was checked")
+
+    monkeypatch.setattr("tagmt.synth.translate_corpus", no_decode)
+    bitext = parse_bitext(["a dog runs"], ["EIN HUND"])
+    with pytest.raises(ValueError, match=rf"k must be >= 1, got {k}"):
+        enrich_corpus(bitext, checkpoint=None, k=k, vocabulary=VOCAB)
+
+
 def test_enrich_empty_bitext(memorize_checkpoint):
     enriched = enrich_corpus(parse_bitext([], []), memorize_checkpoint, vocabulary=VOCAB)
     assert len(enriched) == 0

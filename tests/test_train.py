@@ -7,7 +7,14 @@ from conftest import TINY_CONFIG
 from tagmt.errors import ArchitectureMismatch, ConfigError, Divergence, EmptyCorpus
 from tagmt.evaluation import bleu_from_texts
 from tagmt.mt.decode import translate_corpus
-from tagmt.mt.train import Checkpoint, encode_pairs, fine_tune, learning_rate_at, train
+from tagmt.mt.train import (
+    Checkpoint,
+    _clip_grads,
+    encode_pairs,
+    fine_tune,
+    learning_rate_at,
+    train,
+)
 from tagmt.mt.vocab import vocab_from_pairs
 from tagmt.toy import make_copy_task
 
@@ -25,6 +32,20 @@ def test_same_seed_bitwise_identical_traces():
     assert a.training_meta["val_loss_trace"] == b.training_meta["val_loss_trace"]
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
+
+
+def test_clip_grads_scales_above_clip_and_keeps_below():
+    grad = 3.0 * np.random.default_rng(0).normal(size=1000)
+    norm = float(np.linalg.norm(grad))
+    assert norm > 10.0
+
+    above = grad.copy()
+    assert _clip_grads(above, 1.0) == pytest.approx(norm, rel=1e-12)
+    assert abs(np.linalg.norm(above) - 1.0) <= 1e-12
+
+    below = grad.copy()
+    assert _clip_grads(below, 2 * norm) == pytest.approx(norm, rel=1e-12)
+    assert below.tobytes() == grad.tobytes()
 
 
 def test_different_seed_changes_trace():
