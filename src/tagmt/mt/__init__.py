@@ -1,6 +1,6 @@
 """Compact seq2seq machine translation: vocabulary, model, training, decoding."""
 
-from .decode import translate, translate_corpus
+from .decode import translate_corpus
 from .kernels import BACKEND
 from .model import ModelConfig, Transformer
 from .train import Checkpoint, fine_tune, train
@@ -18,7 +18,6 @@ __all__ = [
     "fine_tune",
     "tokenize",
     "train",
-    "translate",
     "translate_corpus",
     "vocab_from_pairs",
 ]

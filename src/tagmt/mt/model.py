@@ -123,11 +123,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(known)
+        """The config `to_dict` gave, each value checked against the type that
+        `config.KEYS` parses its field as (the seed: the [experiment] seed's)."""
+        from ..config import KEYS  # tagmt.config imports this module
+
+        if not isinstance(data, dict):
+            raise ConfigError("config is not a JSON object")
+        kinds = {attr: kind for (sec, _), (attr, kind) in KEYS.items() if sec == "translator"}
+        kinds["seed"] = KEYS["experiment", "seed"][1]
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        for name, value in data.items():
+            # bool is no int here; an int is a valid float
+            if type(value) is not kinds[name] and (kinds[name], type(value)) != (float, int):
+                raise ConfigError(
+                    f"config field {name!r} expects {kinds[name].__name__}, got {value!r}"
+                )
+        return cls(**data).validate(min_steps=0)
 
 
 def sinusoid_positions(max_len, dim):
@@ -355,11 +368,25 @@ class DecodeState:
         self.length = 0
 
     def reorder(self, rows):
-        """Keep the hypotheses at `rows` (indices into the current rows), in that order."""
+        """Keep the hypotheses at `rows` (indices into the current rows), in that order.
+
+        Only the first `length` positions of the self-attention buffers are
+        copied; keeping every row in place copies nothing.
+        """
+        if len(rows) == len(self.src_bias) and (rows == np.arange(len(rows))).all():
+            return
+
+        def prefix(buffer, axis):
+            # a new max_len buffer whose first `length` positions along axis are filled
+            filled = (slice(None),) * axis + (slice(0, self.length),)
+            out = np.empty((len(rows),) + buffer.shape[1:], dtype=buffer.dtype)
+            out[filled] = buffer[(rows,) + filled[1:]]
+            return out
+
         self.cross = [(k[rows], v[rows]) for k, v in self.cross]
-        self.keys = [k[rows] for k in self.keys]
-        self.values = [v[rows] for v in self.values]
-        self.src_bias, self.key_bias = self.src_bias[rows], self.key_bias[rows]
+        self.keys = [prefix(k, 2) for k in self.keys]
+        self.values = [prefix(v, 2) for v in self.values]
+        self.src_bias, self.key_bias = self.src_bias[rows], prefix(self.key_bias, 3)
 
 
 class Transformer:

@@ -59,8 +59,9 @@ class Checkpoint:
         """Read a checkpoint, or raise ConfigError naming the path when the file
         is not an .npz archive whose `meta` entry is a JSON object with
         config, vocab_tokens and training_meta, when its format version is not
-        this one, or when its parameter names and shapes are not those its
-        config and vocabulary imply."""
+        this one, when a config value has the wrong type or is invalid, or
+        when its parameter names and shapes are not those its config and
+        vocabulary imply."""
 
         def invalid(problem):
             return ConfigError(f"checkpoint {path}: {problem}")
@@ -90,7 +91,10 @@ class Checkpoint:
         for key in ("config", "vocab_tokens", "training_meta"):
             if key not in meta:
                 raise invalid(f"meta has no {key!r}")
-        config = ModelConfig.from_dict(meta["config"])
+        try:
+            config = ModelConfig.from_dict(meta["config"])
+        except ConfigError as err:
+            raise invalid(err) from None
         vocab = Vocab(tokens=tuple(meta["vocab_tokens"]))
         expected = {name: shape for name, shape, _ in param_layout(config, len(vocab))}
         for name in sorted(expected.keys() | params.keys()):

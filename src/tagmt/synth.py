@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, MalformedLine, SeparatorCollision
 from .fileio import atomic_write, read_lines, write_lines
-from .mt.decode import translate, translate_corpus
+from .mt.decode import translate_corpus
 from .mt.train import train
 from .tagging import TagRecord, TagSet, TaggedSource, check_k
 
@@ -63,13 +63,6 @@ def build_synth_pairs(tagged_corpus):
     return pairs
 
 
-def split_synth_input(input_text):
-    """Recover (source, target) from a synth input; inverse of construction."""
-    tokens = input_text.split()
-    idx = tokens.index(SEP_TOKEN)
-    return " ".join(tokens[:idx]), " ".join(tokens[idx + 1 :])
-
-
 def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
     """Train the tag synthesizer and measure held-out exact-match fit.
 
@@ -110,23 +103,15 @@ def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
     return checkpoint
 
 
-def synthesize_tags(checkpoint, source_text, target_text, k=10, vocabulary=None):
-    """Decode a tag set for one text-only pair.
+def tags_from_decoded(decoded, k=10, vocabulary=None, image_id=""):
+    """Turn a raw decoded string into a valid TagSet (total on any string;
+    k must be >= 1, as in select_tags).
 
-    Decoder output is split on commas; tokens outside the tag vocabulary are
+    The string is split on commas; labels outside the tag vocabulary are
     dropped, duplicates keep their first occurrence, and the result is
     truncated to k. Confidences are a synthetic descending ramp so the
     TagSet ordering invariant holds; they carry no detector meaning.
     """
-    _check_no_sep(source_text)
-    _check_no_sep(target_text)
-    decoded = translate(checkpoint, f"{source_text} {SEP_TOKEN} {target_text}")
-    return tags_from_decoded(decoded, k=k, vocabulary=vocabulary)
-
-
-def tags_from_decoded(decoded, k=10, vocabulary=None, image_id=""):
-    """Turn a raw decoded string into a valid TagSet (total on any string;
-    k must be >= 1, as in select_tags)."""
     check_k(k)
     known = set(vocabulary) if vocabulary is not None else None
     labels = []

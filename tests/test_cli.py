@@ -179,6 +179,51 @@ def test_corrupt_checkpoint_exit_1(tmp_path, kind):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"layers": "2"}, "config field 'layers' expects int, got '2'"),
+        ({"heads": 2.0}, "config field 'heads' expects int, got 2.0"),
+        ({"max_len": True}, "config field 'max_len' expects int, got True"),
+        ({"dropout": "0.1"}, "config field 'dropout' expects float, got '0.1'"),
+        ({"colour": 1}, "unknown config fields: ['colour']"),
+        ({"layers": 0}, "layers must be >= 1, got 0"),
+        (None, "config is not a JSON object"),
+    ],
+    ids=["str-int", "float-int", "bool-int", "str-float", "unknown", "invalid", "not-object"],
+)
+def test_checkpoint_bad_config_exit_1(tmp_path, change, message):
+    import json
+
+    import numpy as np
+
+    from test_decode import random_checkpoint
+
+    checkpoint = random_checkpoint(0)
+    config = checkpoint.config.to_dict()
+    meta = {
+        "format_version": 1,
+        "config": [config] if change is None else {**config, **change},
+        "vocab_tokens": list(checkpoint.vocab.tokens),
+        "training_meta": {},
+    }
+    ckpt = tmp_path / "bad-config.ckpt"
+    with open(ckpt, "wb") as out:
+        arrays = {f"param:{name}": value for name, value in checkpoint.params.items()}
+        np.savez(out, meta=json.dumps(meta), **arrays)
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
+         "--input", str(sources)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"checkpoint {ckpt}: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_stray_backend_variable_is_ignored():
     # kernels are numpy-only; a leftover TAGMT_BACKEND must not break startup
     env = dict(os.environ, TAGMT_BACKEND="numba")

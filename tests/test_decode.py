@@ -2,8 +2,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagmt.mt.decode import _log_softmax, beam_decode, translate, translate_corpus
+from tagmt.mt.decode import _encode_source, _log_softmax, beam_search, translate_corpus
 from tagmt.mt.model import ModelConfig
 from tagmt.mt.train import Checkpoint, train
 from tagmt.mt.vocab import vocab_from_pairs
@@ -28,8 +30,8 @@ def test_beam_width_one_equals_greedy():
     for seed in range(6):
         ckpt = random_checkpoint(seed)
         for text in ("aa bb", "cc dd ee aa", "ee", "zz unk tokens"):
-            greedy = translate(ckpt, text, decode="greedy")
-            beam1 = translate(ckpt, text, decode="beam", beam_width=1)
+            greedy = translate_corpus(ckpt, [text], decode="greedy")[0]
+            beam1 = translate_corpus(ckpt, [text], decode="beam", beam_width=1)[0]
             assert beam1 == greedy, (seed, text)
 
 
@@ -68,22 +70,41 @@ GOLDEN = [
 @pytest.mark.parametrize("seed, text, greedy, beam", GOLDEN)
 def test_golden_hypotheses(seed, text, greedy, beam):
     ckpt = random_checkpoint(seed)
-    assert translate(ckpt, text, decode="greedy") == greedy
-    assert translate(ckpt, text, decode="beam", beam_width=3) == beam
+    assert translate_corpus(ckpt, [text], decode="greedy")[0] == greedy
+    assert translate_corpus(ckpt, [text], decode="beam", beam_width=3)[0] == beam
+
+
+class TableState:
+    """The sentence of every row, reordered with the rows."""
+
+    def __init__(self, sentence):
+        self.sentence = sentence
+        self.length = 0
+
+    def reorder(self, rows):
+        self.sentence = self.sentence[rows]
 
 
 class TableModel:
-    """Stub decoder: step t's logits for last token i are table[t, i] in every row."""
+    """Stub decoder over a batch of sentences, one table each.
 
-    def __init__(self, table):
-        self.table = table
+    Source row s is sentence s; at step t the logits of a row of sentence s
+    whose last token is i are tables[s][t, i].
+    """
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.rows = []  # rows fed at each step
 
     def start_decode(self, src):
-        return SimpleNamespace(length=0, reorder=lambda rows: None)
+        return TableState(np.arange(len(src)))
 
     def decode_step(self, ids, state):
         state.length += 1
-        return self.table[state.length - 1, ids]
+        self.rows.append(len(ids))
+        return np.stack(
+            [self.tables[s][state.length - 1, i] for s, i in zip(state.sentence, ids)]
+        )
 
 
 def reference_beam(table, bos, eos, width):
@@ -118,42 +139,54 @@ def test_beam_tie_break_matches_reference(seed):
     table = rng.integers(0, 3, size=(steps, vocab_size, vocab_size)).astype(float)
     vocab = SimpleNamespace(bos_id=1, eos_id=2)
     width = int(rng.integers(1, 6))
-    got = beam_decode(TableModel(table), [3], vocab, steps + 1, width)
-    assert got == reference_beam(table, 1, 2, width)
+    # up to two more sentences with their own tables share the search
+    more = rng.integers(0, 3, size=(int(rng.integers(0, 3)), steps, vocab_size, vocab_size))
+    tables = [table, *more.astype(float)]
+    src = np.full((len(tables), 1), 3)
+    got = beam_search(TableModel(tables), src, vocab, steps + 1, width)
+    assert got == [reference_beam(t, 1, 2, width) for t in tables]
+
+
+def test_finished_sentences_leave_the_batch():
+    # sentence 0 always prefers eos (2), sentence 1 never does
+    tables = np.zeros((2, 3, 4, 4))
+    tables[0, :, :, 2] = tables[1, :, :, 3] = 1.0
+    model, vocab = TableModel(tables), SimpleNamespace(bos_id=1, eos_id=2)
+    assert beam_search(model, np.zeros((2, 1)), vocab, 4, 1) == [[], [3, 3, 3]]
+    assert model.rows == [2, 1, 1]
 
 
 def test_empty_source_no_crash():
     ckpt = random_checkpoint(0)
-    out = translate(ckpt, "")
+    out = translate_corpus(ckpt, [""])[0]
     assert isinstance(out, str)
 
 
 def test_translate_deterministic():
     ckpt = random_checkpoint(3)
-    assert translate(ckpt, "aa bb cc") == translate(ckpt, "aa bb cc")
+    assert translate_corpus(ckpt, ["aa bb cc"]) == translate_corpus(ckpt, ["aa bb cc"])
 
 
 def test_unknown_tokens_fall_back_to_unk():
     ckpt = random_checkpoint(1)
-    out = translate(ckpt, "completely novel words")
+    out = translate_corpus(ckpt, ["completely novel words"])[0]
     assert isinstance(out, str)
 
 
 def test_copy_task_translation(copy_checkpoint):
-    assert translate(copy_checkpoint, "t01 t02 t03") == "t01 t02 t03"
+    assert translate_corpus(copy_checkpoint, ["t01 t02 t03"]) == ["t01 t02 t03"]
 
 
 def test_beam_matches_greedy_on_confident_model(copy_checkpoint):
     text = "t04 t09 t11 t17"
-    assert translate(copy_checkpoint, text, decode="beam", beam_width=4) == translate(
-        copy_checkpoint, text
-    )
+    beam = translate_corpus(copy_checkpoint, [text], decode="beam", beam_width=4)
+    assert beam == translate_corpus(copy_checkpoint, [text])
 
 
 def test_translate_corpus_matches_single(copy_checkpoint):
     sources = [s for s, _ in make_copy_task(20, seed=33)]
     batched = translate_corpus(copy_checkpoint, sources)
-    single = [translate(copy_checkpoint, s) for s in sources]
+    single = [translate_corpus(copy_checkpoint, [s])[0] for s in sources]
     assert batched == single
 
 
@@ -165,12 +198,61 @@ def test_translate_corpus_beam_path(copy_checkpoint):
 
 def test_overlong_source_truncated_not_crashing(copy_checkpoint):
     long_text = " ".join(["t01"] * 100)
-    out = translate(copy_checkpoint, long_text)
+    out = translate_corpus(copy_checkpoint, [long_text])[0]
     assert isinstance(out, str)
 
 
 def test_bad_decode_mode(copy_checkpoint):
     with pytest.raises(ValueError):
-        translate(copy_checkpoint, "t01", decode="sampling")
+        translate_corpus(copy_checkpoint, ["t01"], decode="sampling")
     with pytest.raises(ValueError):
-        translate(copy_checkpoint, "t01", decode="beam", beam_width=0)
+        translate_corpus(copy_checkpoint, ["t01"], decode="beam", beam_width=0)
+
+
+def greedy_reference(model, src, vocab, max_len):
+    """Greedy search as a plain argmax over `decode_step`, the whole batch in lockstep."""
+    eos = vocab.eos_id
+    b = src.shape[0]
+    state = model.start_decode(src)
+    nxt = np.full(b, vocab.bos_id, dtype=np.int64)
+    done = np.zeros(b, dtype=bool)
+    tokens = np.full((b, max_len - 1), eos, dtype=np.int64)
+    for step in range(max_len - 1):
+        nxt = model.decode_step(nxt, state).argmax(axis=1)
+        nxt[done] = eos
+        tokens[:, step] = nxt
+        done |= nxt == eos
+        if done.all():
+            break
+    ended = tokens == eos
+    lengths = np.where(ended.any(axis=1), ended.argmax(axis=1), tokens.shape[1])
+    return [row[:n].tolist() for row, n in zip(tokens, lengths)]
+
+
+WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "zz"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    sources=st.lists(
+        st.lists(st.sampled_from(WORDS), max_size=14).map(" ".join), min_size=1, max_size=5
+    ),
+    width=st.integers(1, 4),
+    max_len=st.integers(2, 12),
+)
+def test_batched_search_properties(seed, sources, width, max_len):
+    ckpt = random_checkpoint(seed)
+    model, vocab = ckpt.build_model(), ckpt.vocab
+    beam = dict(decode="beam", beam_width=width, max_len=max_len)
+    # a batch gives every source the hypothesis it gets alone
+    batched = translate_corpus(ckpt, sources, **beam)
+    assert batched == [translate_corpus(ckpt, [text], **beam)[0] for text in sources]
+    # width 1 is greedy: the plain argmax loop over the same padded batch
+    encoded = [_encode_source(vocab, text, max_len) for text in sources]
+    src = np.full((len(encoded), max(map(len, encoded))), vocab.pad_id, dtype=np.int64)
+    for row, ids in enumerate(encoded):
+        src[row, : len(ids)] = ids
+    greedy = greedy_reference(model, src, vocab, max_len)
+    assert beam_search(model, src, vocab, max_len, 1) == greedy
+    assert translate_corpus(ckpt, sources, max_len=max_len) == [vocab.decode(g) for g in greedy]

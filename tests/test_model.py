@@ -116,21 +116,24 @@ def test_decode_step_matches_full_prefix_decoder(seed):
 
 
 def test_decode_step_after_beam_reorder():
-    model = micro_model(3)
-    src = micro_batch()[0]
-    tgt = np.array([[1, 8, 9], [1, 0, 11]])
-    state = model.start_decode(src)
-    for t in range(tgt.shape[1]):
-        model.decode_step(tgt[:, t], state)
-    # beam search keeps row 1 twice and row 0 once, in that order
-    rows = np.array([1, 1, 0])
-    state.reorder(rows)
-    src, tgt = src[rows], tgt[rows]
-    for tokens in ([4, 5, 6], [7, 0, 12], [2, 9, 9]):
-        tgt = np.concatenate([tgt, np.array(tokens)[:, None]], axis=1)
-        step = model.decode_step(tgt[:, -1], state)
-        full = full_prefix_logits(model, src, tgt)[:, -1]
-        np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
+    # beam search keeps row 1 twice and row 0 once, in that order; swaps the
+    # rows; keeps every row in place, which copies nothing; or drops a row
+    for rows in ([1, 1, 0], [1, 0], [0, 1], [1]):
+        model = micro_model(3)
+        src = micro_batch()[0]
+        tgt = np.array([[1, 8, 9], [1, 0, 11]])
+        state = model.start_decode(src)
+        for t in range(tgt.shape[1]):
+            model.decode_step(tgt[:, t], state)
+        keys = state.keys
+        state.reorder(np.array(rows))
+        assert (state.keys is keys) == (rows == [0, 1])
+        src, tgt = src[rows], tgt[rows]
+        for tokens in ([4, 5, 6], [7, 0, 12], [2, 9, 9]):
+            tgt = np.concatenate([tgt, np.array(tokens[: len(rows)])[:, None]], axis=1)
+            step = model.decode_step(tgt[:, -1], state)
+            full = full_prefix_logits(model, src, tgt)[:, -1]
+            np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
 
 
 def test_forward_deterministic_without_dropout():
@@ -178,8 +181,7 @@ def test_config_validation_errors():
 
 
 def test_translate_accepts_tagged_and_untagged(copy_checkpoint):
-    from tagmt.mt.decode import translate
+    from tagmt.mt.decode import translate_corpus
 
-    plain = translate(copy_checkpoint, "t01 t02")
-    tagged = translate(copy_checkpoint, "t01 t02 ## dog,cat")
+    plain, tagged = translate_corpus(copy_checkpoint, ["t01 t02", "t01 t02 ## dog,cat"])
     assert isinstance(plain, str) and isinstance(tagged, str)

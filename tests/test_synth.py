@@ -10,8 +10,6 @@ from tagmt.synth import (
     build_synth_pairs,
     enrich_corpus,
     read_synth_pairs,
-    split_synth_input,
-    synthesize_tags,
     tags_from_decoded,
     train_synthesizer,
     write_synth_pairs,
@@ -52,7 +50,8 @@ def test_build_pairs_inverse_consistent():
         tags = tuple(rng.sample(VOCAB, k=rng.randint(0, 3)))
         tagged.append((TaggedSource(src, tags), tgt))
     for pair, (ts, tgt) in zip(build_synth_pairs(tagged), tagged):
-        assert split_synth_input(pair.input_text) == (ts.text, tgt)
+        assert pair.input_text == f"{ts.text} <sep> {tgt}"
+        assert pair.input_text.split(" <sep> ") == [ts.text, tgt]
 
 
 def test_tags_from_decoded_dedup():
@@ -113,8 +112,9 @@ def memorize_checkpoint():
 
 
 def test_synthesizer_memorizes_single_pair(memorize_checkpoint):
-    ts = synthesize_tags(memorize_checkpoint, "a dog runs", "EIN HUND", vocabulary=VOCAB)
-    assert ts.labels == ["dog"]
+    bitext = parse_bitext(["a dog runs"], ["EIN HUND"])
+    [(tagged, _)] = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB).pairs
+    assert list(tagged.tags) == ["dog"]
     assert memorize_checkpoint.training_meta["synth_fit"] == 1.0
 
 

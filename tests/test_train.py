@@ -162,13 +162,11 @@ def test_checkpoint_save_load_round_trip(tmp_path, copy_checkpoint):
 
 
 def test_reloaded_checkpoint_decodes_identically(tmp_path, copy_checkpoint):
-    from tagmt.mt.decode import translate
-
     path = tmp_path / "model.ckpt"
     copy_checkpoint.save(path)
     loaded = Checkpoint.load(path)
     for text in ("t01 t05 t09", "t02", "t29 t28 t27 t26"):
-        assert translate(loaded, text) == translate(copy_checkpoint, text)
+        assert translate_corpus(loaded, [text]) == translate_corpus(copy_checkpoint, [text])
 
 
 def test_checkpoint_version_guard(tmp_path):
