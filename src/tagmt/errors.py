@@ -1,12 +1,19 @@
 """Exception hierarchy shared by all tagmt modules.
 
-DataError subclasses map to CLI exit code 2, TrainingError to exit code 3,
-everything else (usage, bad configuration) to exit code 1.
+DataError subclasses map to CLI exit code 2, Divergence to exit code 3,
+everything else (usage, bad configuration) to exit code 1. Every class
+survives a pickle round trip with its message and fields, so an error can
+cross a process boundary.
 """
 
 
 class TagmtError(Exception):
     """Base class for all tagmt errors."""
+
+    def __reduce__(self):
+        # Rebuild without calling __init__: the subclasses' constructors take
+        # fields, not the formatted message that self.args holds.
+        return Exception.__new__, (type(self),), {**self.__dict__, "args": self.args}
 
 
 class ConfigError(TagmtError):

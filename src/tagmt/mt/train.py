@@ -59,9 +59,10 @@ class Checkpoint:
         """Read a checkpoint, or raise ConfigError naming the path when the file
         is not an .npz archive whose `meta` entry is a JSON object with
         config, vocab_tokens and training_meta, when its format version is not
-        this one, when a config value has the wrong type or is invalid, or
-        when its parameter names and shapes are not those its config and
-        vocabulary imply."""
+        this one, when a config value has the wrong type or is invalid, when
+        vocab_tokens is not a valid vocabulary or training_meta not an
+        object, or when its parameter names and shapes are not those its
+        config and vocabulary imply."""
 
         def invalid(problem):
             return ConfigError(f"checkpoint {path}: {problem}")
@@ -95,7 +96,15 @@ class Checkpoint:
             config = ModelConfig.from_dict(meta["config"])
         except ConfigError as err:
             raise invalid(err) from None
-        vocab = Vocab(tokens=tuple(meta["vocab_tokens"]))
+        tokens = meta["vocab_tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+            raise invalid("'vocab_tokens' is not a list of strings")
+        try:
+            vocab = Vocab(tokens=tuple(tokens))
+        except ValueError as err:
+            raise invalid(err) from None
+        if not isinstance(meta["training_meta"], dict):
+            raise invalid("'training_meta' is not a JSON object")
         expected = {name: shape for name, shape, _ in param_layout(config, len(vocab))}
         for name in sorted(expected.keys() | params.keys()):
             if name not in params:

@@ -5,17 +5,118 @@ stage calls the same public function (and the same file writer) as its
 standalone CLI subcommand, so running the pipeline equals composing the
 subcommands by hand. Reports carry no timestamp, which keeps repeated runs
 byte-identical.
+
+The text-only translator reads nothing the synthesizer chain produces, so
+with two or more CPUs it trains in a forked child while the parent runs the
+synthesizer, enrichment and multimodal stages. The child logs nothing, and
+the artifacts and the error raised are those of the serial order.
 """
 
+import ctypes
 import os
+import pickle
+import signal
+from contextlib import contextmanager
+
+import numpy as np
 
 from .corpus import load_bitext, load_vg_corpus
+from .errors import TrainingError
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
 from .mt.decode import translate_corpus
-from .mt.train import train
+from .mt.train import Checkpoint, train
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus, write_synth_pairs
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
+
+
+# a user who sets one of these has pinned the BLAS thread count
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_thread_control():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or
+    None when the user pinned the count or numpy's BLAS exports neither."""
+    if any(var in os.environ for var in BLAS_ENV):
+        return None
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _alongside(work):
+    """Run work() while the with-block runs: in a forked child when two or
+    more CPUs are available, else first, here.
+
+    The child and the parent each get half of an unpinned BLAS thread count;
+    the parent gets its count back on leaving. Leaving waits for the child,
+    so none outlives the block, and re-raises the exception the child sent
+    through a pipe. That exception wins over one from the block, because the
+    serial order would have raised it first.
+    """
+    if len(os.sched_getaffinity(0)) < 2:
+        work()
+        yield
+        return
+    blas = _blas_thread_control()
+    threads = blas[0]() if blas else 1
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 0
+        try:
+            os.close(read_fd)
+            if threads >= 2:
+                blas[1](threads // 2)
+            work()
+        except BaseException as err:
+            status = 1
+            try:
+                payload = pickle.dumps(err)
+            except Exception:
+                payload = pickle.dumps(TrainingError(f"{type(err).__name__}: {err}"))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            # no atexit handlers, no flush of buffers the parent also holds
+            os._exit(status)
+    os.close(write_fd)
+    if threads >= 2:
+        blas[1](threads - threads // 2)
+    try:
+        yield
+    finally:
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                payload = pipe.read()
+        except BaseException:  # interrupted while waiting
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+            if threads >= 2:
+                blas[1](threads)
+        if payload:
+            raise pickle.loads(payload)
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise TrainingError(f"text-only training process ended with exit code {code}")
 
 
 def run_pipeline(config, log=print):
@@ -51,32 +152,32 @@ def run_pipeline(config, log=print):
     text_valid = [(r.source_text, r.target_text) for r in valid_corpus.records] if valid_corpus else []
 
     log("[2/7] text-only translator")
-    text_ckpt = train(config.translator, text_train, text_valid)
-    text_ckpt.save(artifact("translator_text.ckpt"))
+    text_path = artifact("translator_text.ckpt")
+    with _alongside(lambda: train(config.translator, text_train, text_valid).save(text_path)):
+        log("[3/7] tag synthesizer")
+        synth_pairs = build_synth_pairs(tagged_train)
+        write_synth_pairs(synth_pairs, artifact("synth_pairs.tsv"))
+        synth_ckpt = train_synthesizer(synth_pairs, config.synthesizer)
+        synth_ckpt.save(artifact("synthesizer.ckpt"))
+        fit = synth_ckpt.training_meta.get("synth_fit")
+        if fit is not None:
+            log(f"      synthesizer held-out exact match: {fit:.3f}")
 
-    log("[3/7] tag synthesizer")
-    synth_pairs = build_synth_pairs(tagged_train)
-    write_synth_pairs(synth_pairs, artifact("synth_pairs.tsv"))
-    synth_ckpt = train_synthesizer(synth_pairs, config.synthesizer)
-    synth_ckpt.save(artifact("synthesizer.ckpt"))
-    fit = synth_ckpt.training_meta.get("synth_fit")
-    if fit is not None:
-        log(f"      synthesizer held-out exact match: {fit:.3f}")
+        log("[4/7] enrich text-only bitext with synthetic tags")
+        mm_train = [(tagged.rendered, target) for tagged, target in tagged_train]
+        if "bitext_source" in config.paths and "bitext_target" in config.paths:
+            bitext = load_bitext(config.paths["bitext_source"], config.paths["bitext_target"])
+            enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
+            write_enriched_corpus(enriched, artifact("enriched.tsv"))
+            mm_train += [(tagged.rendered, target) for tagged, target in enriched.pairs]
+        else:
+            log("      no bitext configured; multimodal training uses natural data only")
 
-    log("[4/7] enrich text-only bitext with synthetic tags")
-    mm_train = [(tagged.rendered, target) for tagged, target in tagged_train]
-    if "bitext_source" in config.paths and "bitext_target" in config.paths:
-        bitext = load_bitext(config.paths["bitext_source"], config.paths["bitext_target"])
-        enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
-        write_enriched_corpus(enriched, artifact("enriched.tsv"))
-        mm_train += [(tagged.rendered, target) for tagged, target in enriched.pairs]
-    else:
-        log("      no bitext configured; multimodal training uses natural data only")
-
-    log("[5/7] multimodal translator (natural + synthetic tags)")
-    mm_valid = [(tagged.rendered, target) for tagged, target in tagged_valid]
-    mm_ckpt = train(config.translator, mm_train, mm_valid)
-    mm_ckpt.save(artifact("translator_multimodal.ckpt"))
+        log("[5/7] multimodal translator (natural + synthetic tags)")
+        mm_valid = [(tagged.rendered, target) for tagged, target in tagged_valid]
+        mm_ckpt = train(config.translator, mm_train, mm_valid)
+        mm_ckpt.save(artifact("translator_multimodal.ckpt"))
+    text_ckpt = Checkpoint.load(text_path)
 
     log("[6/7] translate the test split with both systems")
     decode_kwargs = dict(

@@ -193,6 +193,31 @@ def test_corrupt_checkpoint_exit_1(tmp_path, kind):
     ids=["str-int", "float-int", "bool-int", "str-float", "unknown", "invalid", "not-object"],
 )
 def test_checkpoint_bad_config_exit_1(tmp_path, change, message):
+    from test_decode import random_checkpoint
+
+    config = random_checkpoint(0).config.to_dict()
+    _assert_meta_rejected(
+        tmp_path, {"config": [config] if change is None else {**config, **change}}, message
+    )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"vocab_tokens": 5}, "'vocab_tokens' is not a list of strings"),
+        ({"vocab_tokens": [1, 2, 3]}, "'vocab_tokens' is not a list of strings"),
+        ({"vocab_tokens": ["aa", "bb"]}, "reserved token '<pad>' missing from vocabulary"),
+        ({"training_meta": [1]}, "'training_meta' is not a JSON object"),
+    ],
+    ids=["int-vocab", "int-tokens", "no-reserved", "list-training-meta"],
+)
+def test_checkpoint_bad_meta_exit_1(tmp_path, change, message):
+    _assert_meta_rejected(tmp_path, change, message)
+
+
+def _assert_meta_rejected(tmp_path, change, message):
+    """Write a random checkpoint whose meta entries are replaced by `change`;
+    `mt translate` on it must exit 1 with `message` and the path."""
     import json
 
     import numpy as np
@@ -200,14 +225,14 @@ def test_checkpoint_bad_config_exit_1(tmp_path, change, message):
     from test_decode import random_checkpoint
 
     checkpoint = random_checkpoint(0)
-    config = checkpoint.config.to_dict()
     meta = {
         "format_version": 1,
-        "config": [config] if change is None else {**config, **change},
+        "config": checkpoint.config.to_dict(),
         "vocab_tokens": list(checkpoint.vocab.tokens),
         "training_meta": {},
+        **change,
     }
-    ckpt = tmp_path / "bad-config.ckpt"
+    ckpt = tmp_path / "bad-meta.ckpt"
     with open(ckpt, "wb") as out:
         arrays = {f"param:{name}": value for name, value in checkpoint.params.items()}
         np.savez(out, meta=json.dumps(meta), **arrays)
@@ -541,6 +566,115 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     for name in ("tagged_train.tsv", "synth_pairs.tsv", "enriched.tsv",
                  "hypotheses_text.txt", "hypotheses_multimodal.txt", "report.tsv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+PIPELINE_ARTIFACTS = [
+    "tagged_train.tsv",
+    "tagged_test.tsv",
+    "translator_text.ckpt",
+    "synth_pairs.tsv",
+    "synthesizer.ckpt",
+    "enriched.tsv",
+    "translator_multimodal.ckpt",
+    "hypotheses_text.txt",
+    "hypotheses_multimodal.txt",
+    "report.tsv",
+    "report.txt",
+]
+
+
+def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
+    """`pipeline run` as if `cpus` CPUs were available; returns the exit
+    code, the stderr and how many times the pipeline forked."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "fork", counting_fork)
+        code = main(["pipeline", "run", "--config", cfg, "--output-dir", str(out_dir)])
+    return code, capsys.readouterr().err, len(forks)
+
+
+@pytest.mark.slow
+def test_pipeline_concurrent_equals_serial(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    cfg = write_mini_cfg(tmp_path, "unused")
+    runs = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, out, cpus)
+        assert code == 0, err
+        assert forks == (cpus - 1)
+        assert sorted(os.listdir(out)) == sorted(PIPELINE_ARTIFACTS)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PIPELINE_ARTIFACTS}
+        runs[cpus] = digests, err
+    assert runs[1] == runs[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the test_divergence_exit_3 translator, with room for the fixture sentences
+DIVERGING_TRANSLATOR = (
+    "[translator]\nlayers = 1\nheads = 2\nmodel_dim = 16\nff_dim = 16\n"
+    "max_steps = 30\nvalidation_interval = 30\nlearning_rate = 1e300\n"
+    "grad_clip = 1e308\nwarmup_steps = 1\nmax_len = 48\n\n"
+)
+
+
+def _mini_cfg_variant(tmp_path, diverging=False, bad_bitext=False):
+    """MINI_CFG with the diverging translator and/or a bitext source whose
+    third line holds the reserved separator."""
+    body = MINI_CFG
+    if diverging:
+        body = body[: body.index("[translator]")] + DIVERGING_TRANSLATOR + body[body.index("[synthesizer]") :]
+    if bad_bitext:
+        lines = read_lines(os.path.join(DISAMBIG, "extra.src"))
+        lines[2] = "the boy <sep> the bat"
+        source = tmp_path / "extra.src"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        body = body.replace("bitext_source = {d}/extra.src", f"bitext_source = {source}")
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(body.format(d=DISAMBIG, out="unused"), encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad_bitext", [False, True], ids=["chain-ok", "chain-fails"])
+def test_pipeline_text_divergence_exit_3(tmp_path, monkeypatch, capsys, bad_bitext):
+    # The multimodal translator diverges too, and with a bad bitext line the
+    # parent's chain fails at step 4; either way the text-only divergence
+    # comes first in the serial order, so it is the error reported.
+    cfg = _mini_cfg_variant(tmp_path, diverging=True, bad_bitext=bad_bitext)
+    errs = []
+    for cpus in (1, 2):
+        code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, tmp_path / f"cpus{cpus}", cpus)
+        assert code == 3, err
+        assert forks == (cpus - 1)
+        errs.append(err)
+    # the parent logs its later stages before it reaps the child; the error is the same
+    last_lines = [err.splitlines()[-1] for err in errs]
+    assert last_lines[0].startswith("error: training loss became non-finite at step ")
+    assert last_lines[0] == last_lines[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pipeline_bad_bitext_line_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = _mini_cfg_variant(tmp_path, bad_bitext=True)
+    code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, tmp_path / "out", 2)
+    assert code == 2, err
+    assert forks == 1
+    assert "error: text contains the reserved separator '<sep>': 'record 2: the boy <sep> the bat'" in err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_non_utf8_input_exit_2(tmp_path, capsys):
