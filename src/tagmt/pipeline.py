@@ -7,9 +7,10 @@ subcommands by hand. Reports carry no timestamp, which keeps repeated runs
 byte-identical.
 
 The text-only translator reads nothing the synthesizer chain produces, so
-with two or more CPUs it trains in a forked child while the parent runs the
-synthesizer, enrichment and multimodal stages. The child logs nothing, and
-the artifacts and the error raised are those of the serial order.
+when the CPUs hold two processes' BLAS threads it trains in a forked child
+while the parent runs the synthesizer, enrichment and multimodal stages. The
+child logs nothing, and the artifacts and the error raised are those of the
+serial order.
 """
 
 import ctypes
@@ -30,47 +31,35 @@ from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_en
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
 
 
-# a user who sets one of these has pinned the BLAS thread count
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_thread_control():
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or
-    None when the user pinned the count or numpy's BLAS exports neither."""
-    if any(var in os.environ for var in BLAS_ENV):
-        return None
+def _blas_threads():
+    """The thread count of the OpenBLAS numpy loaded, or None when its BLAS
+    does not export scipy_openblas_get_num_threads64_ (numpy 2's wheels do)."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
     except (AttributeError, OSError):
         return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 @contextmanager
 def _alongside(work):
-    """Run work() while the with-block runs: in a forked child when two or
-    more CPUs are available, else first, here.
+    """Run work() while the with-block runs: in a forked child when the CPUs
+    available hold two processes of numpy's BLAS threads, else first, here.
 
-    The child and the parent each get half of an unpinned BLAS thread count;
-    the parent gets its count back on leaving. Leaving waits for the child,
-    so none outlives the block, and re-raises the exception the child sent
-    through a pipe. That exception wins over one from the block, because the
-    serial order would have raised it first.
+    Both processes keep the BLAS thread count: OpenBLAS sums some matrix
+    products in an order that depends on it, so a changed count would change
+    checkpoints, and with fewer CPUs the two processes' threads would contend
+    for them. Leaving waits for the child, so none outlives the block, and
+    re-raises the exception the child sent through a pipe. That exception
+    wins over one from the block, because the serial order would have raised
+    it first.
     """
-    if len(os.sched_getaffinity(0)) < 2:
+    threads = _blas_threads()
+    if threads is None or len(os.sched_getaffinity(0)) < 2 * threads:
         work()
         yield
         return
-    blas = _blas_thread_control()
-    threads = blas[0]() if blas else 1
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -82,8 +71,6 @@ def _alongside(work):
         status = 0
         try:
             os.close(read_fd)
-            if threads >= 2:
-                blas[1](threads // 2)
             work()
         except BaseException as err:
             status = 1
@@ -97,8 +84,6 @@ def _alongside(work):
             # no atexit handlers, no flush of buffers the parent also holds
             os._exit(status)
     os.close(write_fd)
-    if threads >= 2:
-        blas[1](threads - threads // 2)
     try:
         yield
     finally:
@@ -110,8 +95,6 @@ def _alongside(work):
             raise
         finally:
             _, status = os.waitpid(pid, 0)
-            if threads >= 2:
-                blas[1](threads)
         if payload:
             raise pickle.loads(payload)
         if status:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import fixture_path
+from tagmt import pipeline
 from tagmt.cli import main
 from tagmt.corpus import load_vg_corpus
 from tagmt.fileio import read_lines
@@ -583,9 +584,9 @@ PIPELINE_ARTIFACTS = [
 ]
 
 
-def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
-    """`pipeline run` as if `cpus` CPUs were available; returns the exit
-    code, the stderr and how many times the pipeline forked."""
+def _counting_forks(patch, cpus, blas_threads):
+    """Make `pipeline` see `cpus` CPUs and `blas_threads` BLAS threads (BLAS
+    itself keeps its count); returns the list each os.fork call appends to."""
     forks = []
     real_fork = os.fork
 
@@ -593,23 +594,71 @@ def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
         forks.append(1)
         return real_fork()
 
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    patch.setattr(os, "fork", counting_fork)
+    patch.setattr(pipeline, "_blas_threads", lambda: blas_threads)
+    return forks
+
+
+def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
+    """`pipeline run` as if `cpus` CPUs and one BLAS thread were available;
+    returns the exit code, the stderr and how many times the pipeline forked."""
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        patch.setattr(os, "fork", counting_fork)
+        forks = _counting_forks(patch, cpus, 1)
         code = main(["pipeline", "run", "--config", cfg, "--output-dir", str(out_dir)])
     return code, capsys.readouterr().err, len(forks)
+
+
+@pytest.mark.parametrize(
+    "cpus, blas_threads, forks",
+    [(1, 1, 0), (2, 1, 1), (2, 2, 0), (3, 2, 0), (4, 2, 1), (8, None, 0)],
+)
+def test_text_training_forks_only_when_cpus_hold_both(tmp_path, monkeypatch, cpus, blas_threads, forks):
+    done = tmp_path / "done"
+    with monkeypatch.context() as patch:
+        calls = _counting_forks(patch, cpus, blas_threads)
+        with pipeline._alongside(lambda: done.write_text("trained")):
+            pass
+    assert len(calls) == forks
+    assert done.read_text() == "trained"
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
+def test_blas_threads_reads_numpys_blas(pinned):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tagmt.pipeline import _blas_threads; print(_blas_threads())"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads = proc.stdout.strip()
+    if threads == "None":
+        pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+    if pinned:
+        assert int(threads) == 1
+    else:
+        assert int(threads) >= 1
 
 
 @pytest.mark.slow
 def test_pipeline_concurrent_equals_serial(tmp_path, monkeypatch, capsys):
     import hashlib
 
-    cfg = write_mini_cfg(tmp_path, "unused")
+    # At ff_dim 64 some weight-gradient products of the synthesizer sum in an
+    # order that depends on OpenBLAS's thread count (1 versus 2 changes
+    # synthesizer.ckpt), so a concurrent path that changed that count would
+    # show here on a machine with two or more CPUs and unpinned BLAS.
+    cfg = tmp_path / "wide_ff.cfg"
+    cfg.write_text(MINI_CFG.replace("ff_dim = 48", "ff_dim = 64").format(d=DISAMBIG, out="unused"), encoding="utf-8")
     runs = {}
     for cpus in (1, 2):
         out = tmp_path / f"cpus{cpus}"
-        code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, out, cpus)
+        code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), out, cpus)
         assert code == 0, err
         assert forks == (cpus - 1)
         assert sorted(os.listdir(out)) == sorted(PIPELINE_ARTIFACTS)
