@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .config import ExperimentConfig, load_experiment_config, validate_model
-from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv
+from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
 from .errors import ConfigError, DataError, Divergence, TagmtError
 from .evaluation import (
     bleu_from_texts,
@@ -22,14 +22,7 @@ from .fileio import read_lines, write_lines
 from .mt.decode import translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
-from .synth import (
-    build_synth_pairs,
-    enrich_corpus,
-    read_synth_pairs,
-    train_synthesizer,
-    write_enriched_corpus,
-    write_synth_pairs,
-)
+from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import (
     inject_tags,
     load_tag_vocabulary,
@@ -140,14 +133,14 @@ def cmd_tags_inject(args):
 def cmd_synth_build_pairs(args):
     tagged = read_tagged_corpus(args.tagged)
     pairs = build_synth_pairs(tagged)
-    write_synth_pairs(pairs, args.output)
+    write_pairs_tsv(pairs, args.output)
     print(f"wrote {len(pairs)} synthesizer pairs to {args.output}")
     return 0
 
 
 def cmd_synth_train(args):
     model_config = _model_config(args, "synthesizer")
-    pairs = read_synth_pairs(args.pairs)
+    pairs = read_pairs_tsv(args.pairs)
     checkpoint = train_synthesizer(pairs, model_config, log=_log)
     checkpoint.save(args.output)
     fit = checkpoint.training_meta.get("synth_fit")
@@ -403,7 +396,7 @@ def main(argv=None):
     except Divergence as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (DataError, UnicodeDecodeError) as err:
+    except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (TagmtError, ValueError, OSError) as err:

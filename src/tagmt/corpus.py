@@ -12,7 +12,7 @@ Parsing preserves record order exactly; order is the alignment identity.
 from dataclasses import dataclass, field
 
 from .errors import EmptyText, LengthMismatch, MalformedLine
-from .fileio import read_lines, write_lines
+from .fileio import read_lines, tsv_rows, write_lines
 
 SPLIT_LABELS = ("train", "dtest", "etest", "ctest", "unspecified")
 
@@ -74,15 +74,7 @@ def parse_vg_corpus(lines, split_label="unspecified"):
     """
     _check_split(split_label)
     records = []
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 7:
-            raise MalformedLine(
-                line_number, f"expected 7 tab-separated fields, got {len(fields)}"
-            )
+    for line_number, fields in tsv_rows(lines, 7):
         image_id = fields[0].strip()
         try:
             x, y, width, height = (int(v) for v in fields[1:5])
@@ -196,17 +188,7 @@ def write_bitext(corpus, source_path, target_path):
 
 def read_pairs_tsv(path):
     """Read a two-column (source, target) TSV into a list of string pairs."""
-    pairs = []
-    for line_number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(
-                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        pairs.append((fields[0], fields[1]))
-    return pairs
+    return [(fields[0], fields[1]) for _, fields in tsv_rows(read_lines(path), 2)]
 
 
 def write_pairs_tsv(pairs, path):

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, LengthMismatch, MalformedLine, MissingBaseline
-from .fileio import atomic_write
+from .fileio import atomic_write, tsv_rows
 
 
 @dataclass(frozen=True)
@@ -199,20 +199,22 @@ def write_report(report, path, fmt="tsv"):
 
 
 def read_scores_tsv(lines):
-    """Parse (task, score) TSV lines into an ordered task -> score map."""
+    """Parse (task, score) TSV lines into an ordered task -> score map.
+
+    ``#`` comment lines are skipped like blank ones. Scores must be finite
+    and tasks unique.
+    """
     scores = {}
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(
-                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        task, score = fields
+    uncommented = ("" if line.lstrip().startswith("#") else line for line in lines)
+    for line_number, (task, score) in tsv_rows(uncommented, 2):
+        task = task.strip()
         try:
-            scores[task.strip()] = float(score)
+            value = float(score)
         except ValueError:
             raise MalformedLine(line_number, f"non-numeric score {score!r}") from None
+        if not math.isfinite(value):
+            raise MalformedLine(line_number, f"score {score.strip()!r} is not finite")
+        if task in scores:
+            raise MalformedLine(line_number, f"repeated task {task!r}")
+        scores[task] = value
     return scores

@@ -1,8 +1,10 @@
-"""Small file helpers: atomic writes and strict UTF-8 line files."""
+"""Small file helpers: atomic writes, strict UTF-8 line files and TSV rows."""
 
 import os
 import tempfile
 from contextlib import contextmanager
+
+from .errors import MalformedLine
 
 
 @contextmanager
@@ -38,10 +40,42 @@ def write_lines(lines, path):
 
 
 def read_lines(path):
-    """Read a UTF-8 text file into a list of lines without trailing newlines.
+    """Read a UTF-8 text file into a list of lines without line endings.
 
-    Decoding errors are hard errors; silently dropping bytes would corrupt
-    line alignment between parallel files.
+    ``\n``, ``\r\n`` and a lone ``\r`` each end a line. An undecodable byte
+    raises MalformedLine naming the file and the line it sits on; silently
+    dropping bytes would corrupt line alignment between parallel files.
     """
-    with open(path, encoding="utf-8") as handle:
-        return [line.rstrip("\n").rstrip("\r") for line in handle]
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_number = _newlines(data[: err.start].decode("utf-8")).count("\n") + 1
+        raise MalformedLine(line_number, f"{path} is not valid UTF-8") from None
+    lines = _newlines(text).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _newlines(text):
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def tsv_rows(lines, width):
+    """Yield ``(line_number, fields)`` for each non-blank line, split on tabs.
+
+    Line numbers are 1-based over all lines, blank ones included. A line
+    with other than ``width`` fields raises MalformedLine.
+    """
+    for line_number, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise MalformedLine(
+                line_number, f"expected {width} tab-separated fields, got {len(fields)}"
+            )
+        yield line_number, fields

@@ -21,13 +21,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .corpus import load_bitext, load_vg_corpus
+from .corpus import load_bitext, load_vg_corpus, write_pairs_tsv
 from .errors import TrainingError
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
 from .mt.decode import translate_corpus
 from .mt.train import Checkpoint, train
-from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus, write_synth_pairs
+from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
 
 
@@ -139,7 +139,7 @@ def run_pipeline(config, log=print):
     with _alongside(lambda: train(config.translator, text_train, text_valid).save(text_path)):
         log("[3/7] tag synthesizer")
         synth_pairs = build_synth_pairs(tagged_train)
-        write_synth_pairs(synth_pairs, artifact("synth_pairs.tsv"))
+        write_pairs_tsv(synth_pairs, artifact("synth_pairs.tsv"))
         synth_ckpt = train_synthesizer(synth_pairs, config.synthesizer)
         synth_ckpt.save(artifact("synthesizer.ckpt"))
         fit = synth_ckpt.training_meta.get("synth_fit")

@@ -9,21 +9,13 @@ training data.
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, MalformedLine, SeparatorCollision
-from .fileio import atomic_write, read_lines, write_lines
+from .errors import EmptyCorpus, SeparatorCollision
+from .fileio import atomic_write, read_lines, tsv_rows
 from .mt.decode import translate_corpus
 from .mt.train import train
-from .tagging import TagRecord, TagSet, TaggedSource, check_k
+from .tagging import TaggedSource, check_k, parse_tagged, split_labels
 
 SEP_TOKEN = "<sep>"
-
-CONFIDENCE_RAMP_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class SynthPair:
-    input_text: str
-    output_text: str
 
 
 @dataclass
@@ -38,29 +30,27 @@ class EnrichedCorpus:
         return len(self.pairs)
 
 
-def _check_no_sep(text):
-    if SEP_TOKEN in text.split():
-        raise SeparatorCollision(SEP_TOKEN, text)
+def _sep_input(index, source, target):
+    """The synthesizer input ``source <sep> target`` of record ``index``;
+    raises SeparatorCollision naming the record if either side holds a
+    standalone ``<sep>``."""
+    for text in (source, target):
+        if SEP_TOKEN in text.split():
+            raise SeparatorCollision(SEP_TOKEN, f"record {index}: {text}")
+    return f"{source} {SEP_TOKEN} {target}"
 
 
 def build_synth_pairs(tagged_corpus):
     """Invert a tagged corpus into synthesizer training pairs.
 
-    Each (TaggedSource, target) record becomes input ``src <sep> tgt`` and
-    output ``label1,label2,...`` (the empty string when the record carries
-    no tags). Order is preserved.
+    Each (TaggedSource, target) record becomes the string pair (input
+    ``src <sep> tgt``, output ``label1,label2,...``); the output is the empty
+    string when the record carries no tags. Order is preserved.
     """
-    pairs = []
-    for tagged, target in tagged_corpus:
-        _check_no_sep(tagged.text)
-        _check_no_sep(target)
-        pairs.append(
-            SynthPair(
-                input_text=f"{tagged.text} {SEP_TOKEN} {target}",
-                output_text=",".join(tagged.tags),
-            )
-        )
-    return pairs
+    return [
+        (_sep_input(index, tagged.text, target), ",".join(tagged.tags))
+        for index, (tagged, target) in enumerate(tagged_corpus)
+    ]
 
 
 def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
@@ -79,17 +69,14 @@ def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
     used = pairs[: len(pairs) - n_held]
     if not used:
         used, held = pairs, []
-    string_pairs = [(p.input_text, p.output_text) for p in used]
-    held_pairs = [(p.input_text, p.output_text) for p in held]
-    checkpoint = train(config, string_pairs, held_pairs, log=log)
+    checkpoint = train(config, used, held, log=log)
 
     if held:
-        decoded = translate_corpus(checkpoint, [src for src, _ in held_pairs])
-        hits = 0
-        for output, (_, want) in zip(decoded, held_pairs):
-            want_set = {label for label in want.split(",") if label}
-            got_set = {label for label in output.split(",") if label}
-            hits += got_set == want_set
+        decoded = translate_corpus(checkpoint, [src for src, _ in held])
+        hits = sum(
+            set(split_labels(output)) == set(split_labels(want))
+            for output, (_, want) in zip(decoded, held)
+        )
         fit = hits / len(held)
     else:
         fit = None
@@ -103,34 +90,24 @@ def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
     return checkpoint
 
 
-def tags_from_decoded(decoded, k=10, vocabulary=None, image_id=""):
-    """Turn a raw decoded string into a valid TagSet (total on any string;
-    k must be >= 1, as in select_tags).
+def tags_from_decoded(decoded, k=10, vocabulary=None):
+    """Turn a raw decoded string into a tuple of at most k labels (total on
+    any string; k must be >= 1, as in select_tags).
 
     The string is split on commas; labels outside the tag vocabulary are
     dropped, duplicates keep their first occurrence, and the result is
-    truncated to k. Confidences are a synthetic descending ramp so the
-    TagSet ordering invariant holds; they carry no detector meaning.
+    truncated to k.
     """
     check_k(k)
     known = set(vocabulary) if vocabulary is not None else None
     labels = []
-    seen = set()
-    for part in decoded.split(","):
-        label = part.strip()
-        if not label or label in seen:
+    for label in split_labels(decoded):
+        if label in labels or (known is not None and label not in known):
             continue
-        if known is not None and label not in known:
-            continue
-        seen.add(label)
         labels.append(label)
         if len(labels) == k:
             break
-    tags = tuple(
-        TagRecord(label=label, confidence=1.0 - i * CONFIDENCE_RAMP_STEP)
-        for i, label in enumerate(labels)
-    )
-    return TagSet(tags=tags, image_id=image_id)
+    return tuple(labels)
 
 
 def enrich_corpus(bitext, checkpoint, k=10, vocabulary=None):
@@ -140,40 +117,17 @@ def enrich_corpus(bitext, checkpoint, k=10, vocabulary=None):
     marked synthetic. k is checked before anything is decoded.
     """
     check_k(k)
-    inputs = []
-    for index, rec in enumerate(bitext.records):
-        try:
-            _check_no_sep(rec.source_text)
-            _check_no_sep(rec.target_text)
-        except SeparatorCollision as err:
-            raise SeparatorCollision(SEP_TOKEN, f"record {index}: {err.text}") from None
-        inputs.append(f"{rec.source_text} {SEP_TOKEN} {rec.target_text}")
+    inputs = [
+        _sep_input(index, rec.source_text, rec.target_text)
+        for index, rec in enumerate(bitext.records)
+    ]
     decoded = translate_corpus(checkpoint, inputs)
     enriched = EnrichedCorpus()
     for rec, output in zip(bitext.records, decoded):
-        tagset = tags_from_decoded(output, k=k, vocabulary=vocabulary)
-        tagged = TaggedSource(text=rec.source_text, tags=tuple(tagset.labels))
-        enriched.pairs.append((tagged, rec.target_text))
+        tags = tags_from_decoded(output, k=k, vocabulary=vocabulary)
+        enriched.pairs.append((TaggedSource(text=rec.source_text, tags=tags), rec.target_text))
         enriched.provenance.append("synthetic")
     return enriched
-
-
-def write_synth_pairs(pairs, path):
-    write_lines((f"{pair.input_text}\t{pair.output_text}" for pair in pairs), path)
-
-
-def read_synth_pairs(path):
-    pairs = []
-    for line_number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(
-                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        pairs.append(SynthPair(input_text=fields[0], output_text=fields[1]))
-    return pairs
 
 
 def write_enriched_corpus(enriched, path):
@@ -183,18 +137,9 @@ def write_enriched_corpus(enriched, path):
 
 
 def read_enriched_corpus(path):
-    from .tagging import parse_tagged
-
     enriched = EnrichedCorpus()
-    for line_number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(
-                line_number, f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        text, labels = parse_tagged(fields[0])
-        enriched.pairs.append((TaggedSource(text=text, tags=tuple(labels)), fields[1]))
-        enriched.provenance.append(fields[2])
+    for _, (source, target, provenance) in tsv_rows(read_lines(path), 3):
+        text, labels = parse_tagged(source)
+        enriched.pairs.append((TaggedSource(text=text, tags=tuple(labels)), target))
+        enriched.provenance.append(provenance)
     return enriched

@@ -23,7 +23,7 @@ from .errors import (
     UnknownImage,
     UnknownLabel,
 )
-from .fileio import atomic_write, read_lines, write_lines
+from .fileio import atomic_write, read_lines, tsv_rows, write_lines
 
 SEPARATOR = "##"
 DEFAULT_TOP_K = 10
@@ -153,34 +153,25 @@ def make_detector(backend, vocabulary=None, seed=0, detections=None):
 
 def _parse_detections_file(lines, known_labels):
     by_image = {}
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(
-                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        image_id = fields[0].strip()
+    for line_number, (image_id, entries) in tsv_rows(lines, 2):
+        image_id = image_id.strip()
+        if image_id in by_image:
+            raise MalformedLine(line_number, f"repeated image id {image_id!r}")
         detections = []
-        entries = fields[1].strip()
-        if entries:
-            for entry in entries.split(","):
-                parts = entry.strip().rsplit(" ", 1)
-                if len(parts) != 2:
-                    raise MalformedLine(
-                        line_number, f"cannot split {entry.strip()!r} into label and confidence"
-                    )
-                label, conf_text = parts[0].strip(), parts[1]
-                try:
-                    confidence = float(conf_text)
-                except ValueError:
-                    raise MalformedLine(
-                        line_number, f"non-numeric confidence {conf_text!r}"
-                    ) from None
-                if label not in known_labels:
-                    raise UnknownLabel(label, line_number)
-                detections.append(TagRecord(label=label, confidence=confidence))
+        for entry in split_labels(entries):
+            parts = entry.rsplit(" ", 1)
+            if len(parts) != 2:
+                raise MalformedLine(line_number, f"cannot split {entry!r} into label and confidence")
+            label, conf_text = parts[0].strip(), parts[1]
+            try:
+                confidence = float(conf_text)
+            except ValueError:
+                raise MalformedLine(line_number, f"non-numeric confidence {conf_text!r}") from None
+            if not 0.0 <= confidence <= 1.0:
+                raise MalformedLine(line_number, f"confidence {confidence!r} outside [0, 1]")
+            if label not in known_labels:
+                raise UnknownLabel(label, line_number)
+            detections.append(TagRecord(label=label, confidence=confidence))
         by_image[image_id] = detections
     return by_image
 
@@ -191,15 +182,6 @@ def write_detections_file(by_image, path):
         for image_id, detections in by_image.items():
             entries = ", ".join(f"{d.label} {d.confidence:g}" for d in detections)
             out.write(f"{image_id}\t{entries}\n")
-
-
-def detect(detector_backend, image_id):
-    """Run a backend on one image id. No cap is applied here."""
-    detections = detector_backend.detect(image_id)
-    for det in detections:
-        if not 0.0 <= det.confidence <= 1.0:
-            raise InvalidConfidence(det.confidence)
-    return detections
 
 
 def check_k(k):
@@ -227,28 +209,21 @@ def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
     return TagSet(tags=tags, image_id=image_id)
 
 
-def _labels_of(tagset_or_labels):
-    if isinstance(tagset_or_labels, TagSet):
-        return tagset_or_labels.labels
-    return list(tagset_or_labels)
-
-
 def _has_standalone_separator(text):
     return SEPARATOR in text.split()
 
 
-def render_tagged(text, tagset):
-    """Fuse a sentence with a tag list under the separator protocol.
+def render_tagged(text, labels):
+    """Fuse a sentence with a list of labels under the separator protocol.
 
-    ``tagset`` may be a TagSet or a plain list of labels. Raises
-    SeparatorCollision if the sentence already contains a standalone ``##``
-    token, ValueError if it contains a tab (which would break TSV output).
+    Raises SeparatorCollision if the sentence already contains a standalone
+    ``##`` token, ValueError if it contains a tab (which would break TSV
+    output).
     """
     if "\t" in text:
         raise ValueError(f"text contains a tab character: {text!r}")
     if _has_standalone_separator(text):
         raise SeparatorCollision(SEPARATOR, text)
-    labels = _labels_of(tagset)
     if not labels:
         return text
     return f"{text} {SEPARATOR} " + ",".join(labels)
@@ -264,10 +239,13 @@ def parse_tagged(rendered):
     idx = rendered.rfind(f" {SEPARATOR} ")
     if idx < 0:
         return rendered, []
-    text = rendered[:idx]
-    tail = rendered[idx + len(SEPARATOR) + 2 :]
-    labels = [label for label in tail.split(",") if label]
-    return text, labels
+    return rendered[:idx], split_labels(rendered[idx + len(SEPARATOR) + 2 :])
+
+
+def split_labels(text):
+    """Split a comma-joined label list, stripping each label and dropping
+    empty ones: ``"dog, cat,,"`` gives ``["dog", "cat"]``."""
+    return [label.strip() for label in text.split(",") if label.strip()]
 
 
 def select_corpus_tags(corpus, detector_backend, k=DEFAULT_TOP_K):
@@ -283,7 +261,7 @@ def select_corpus_tags(corpus, detector_backend, k=DEFAULT_TOP_K):
             continue
         seen.add(rec.image_id)
         try:
-            detections = detect(detector_backend, rec.image_id)
+            detections = detector_backend.detect(rec.image_id)
         except UnknownImage as err:
             raise UnknownImage(err.image_id, record_index=index) from None
         tagsets.append(select_tags(detections, k=k, image_id=rec.image_id))
@@ -294,11 +272,14 @@ def inject_tags(corpus, labels_by_image):
     """Fuse an image_id -> labels map into a corpus as (TaggedSource, target)
     pairs, preserving order and target texts.
 
-    Records with an empty image_id get no tags; an image absent from the map
-    raises UnknownImage with the record index.
+    Records with an empty image_id get no tags. An image absent from the map
+    raises UnknownImage, and a source containing a standalone ``##`` raises
+    SeparatorCollision, each with the record index.
     """
     pairs = []
     for index, rec in enumerate(corpus.records):
+        if _has_standalone_separator(rec.source_text):
+            raise SeparatorCollision(SEPARATOR, f"record {index}: {rec.source_text}")
         if not rec.image_id:
             labels = ()
         elif rec.image_id in labels_by_image:
@@ -323,16 +304,9 @@ def write_tagged_corpus(pairs, path):
 def read_tagged_corpus(path):
     """Read a tagged-corpus TSV back into (TaggedSource, target) pairs."""
     pairs = []
-    for line_number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(
-                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        text, labels = parse_tagged(fields[0])
-        pairs.append((TaggedSource(text=text, tags=tuple(labels)), fields[1]))
+    for _, (source, target) in tsv_rows(read_lines(path), 2):
+        text, labels = parse_tagged(source)
+        pairs.append((TaggedSource(text=text, tags=tuple(labels)), target))
     return pairs
 
 
@@ -344,14 +318,9 @@ def write_tagsets_file(tagsets, path):
 def read_tagsets_file(path):
     """Read a tagsets file back into an image_id -> labels mapping."""
     by_image = {}
-    for line_number, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(
-                line_number, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        labels = [label for label in fields[1].strip().split(",") if label]
-        by_image[fields[0].strip()] = labels
+    for line_number, (image_id, labels) in tsv_rows(read_lines(path), 2):
+        image_id = image_id.strip()
+        if image_id in by_image:
+            raise MalformedLine(line_number, f"repeated image id {image_id!r}")
+        by_image[image_id] = split_labels(labels)
     return by_image

@@ -266,7 +266,14 @@ def test_stray_backend_variable_is_ignored():
 
 @pytest.mark.parametrize(
     "bad_line, message",
-    [("EN-HI E-Test", "expected 2 tab-separated fields"), ("EN-HI E-Test\tabc", "non-numeric score")],
+    [
+        ("EN-HI E-Test", "expected 2 tab-separated fields"),
+        ("EN-HI E-Test\tabc", "non-numeric score"),
+        ("EN-HI E-Test\tnan", "score 'nan' is not finite"),
+        ("EN-HI E-Test\t-inf", "score '-inf' is not finite"),
+        ("EN-HI E-Test\t1e999", "score '1e999' is not finite"),
+        ("EN-HI D-Test\t41.0", "repeated task 'EN-HI D-Test'"),
+    ],
 )
 def test_eval_report_bad_scores_line_exit_2(tmp_path, capsys, bad_line, message):
     scores = tmp_path / "scores.tsv"
@@ -730,3 +737,77 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "latin1.tsv"
     bad.write_bytes("a\t1\t1\t2\t2\tcafé\ttgt\n".encode("latin-1"))
     assert main(["corpus", "validate", "--vg", str(bad)]) == 2
+
+
+# A VG file whose third line holds an invalid UTF-8 byte; the first two end
+# in a lone CR and a CRLF, which count as line ends too.
+NON_UTF8_VG = b"a\t1\t1\t2\t2\tsrc\ttgt\rb\t1\t1\t2\t2\tsrc\ttgt\r\nc\t1\t1\t2\t2\t\xff\ttgt\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["corpus", "validate", "--vg", "{bad}"], ["eval", "bleu", "--hypotheses", "{bad}", "--references", "{good}"]],
+    ids=["corpus-validate", "eval-bleu"],
+)
+def test_non_utf8_names_file_and_line_exit_2(tmp_path, capsys, argv):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_bytes(NON_UTF8_VG)
+    good.write_text("x\ny\nz\n", encoding="utf-8")
+    assert main([arg.format(bad=bad, good=good) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {bad} is not valid UTF-8\n"
+
+
+def _data_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "detections, message",
+    [
+        ("im1\tdog 1.5\n", "line 1: confidence 1.5 outside [0, 1]"),
+        ("\nim1\tdog nan\n", "line 2: confidence nan outside [0, 1]"),
+        ("im1\tdog -0.1\n", "line 1: confidence -0.1 outside [0, 1]"),
+        ("im1\tdog 0.5\nim1\tcat 0.9\n", "line 2: repeated image id 'im1'"),
+    ],
+)
+def test_tags_extract_bad_detections_exit_2(tmp_path, capsys, detections, message):
+    det = tmp_path / "det.tsv"
+    det.write_text(detections, encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("dog\ncat\n", encoding="utf-8")
+    err = _data_error(
+        capsys,
+        ["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"), "--backend", "file",
+         "--detections", str(det), "--tag-vocabulary", str(vocab), "--output", str(tmp_path / "out.tsv")],
+    )
+    assert message in err
+
+
+def test_tags_inject_repeated_image_exit_2(tmp_path, capsys):
+    tagsets = tmp_path / "tagsets.tsv"
+    tagsets.write_text("im1\tdog\nim1\tcat\n", encoding="utf-8")
+    err = _data_error(capsys, ["tags", "inject", "--corpus", write_one_record_corpus(tmp_path, "im1"),
+                               "--tagsets", str(tagsets), "--output", str(tmp_path / "tagged.tsv")])
+    assert "line 2: repeated image id 'im1'" in err
+
+
+def test_tags_inject_separator_names_record_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "vg.tsv"
+    corpus.write_text("im1\t1\t1\t2\t2\ta cat\tt\nim1\t1\t1\t2\t2\ta ## dog\tt\n", encoding="utf-8")
+    tagsets = tmp_path / "tagsets.tsv"
+    tagsets.write_text("im1\tdog\n", encoding="utf-8")
+    err = _data_error(capsys, ["tags", "inject", "--corpus", str(corpus), "--tagsets", str(tagsets),
+                               "--output", str(tmp_path / "tagged.tsv")])
+    assert err == "error: text contains the reserved separator '##': 'record 1: a ## dog'\n"
+
+
+def test_synth_build_pairs_separator_names_record_exit_2(tmp_path, capsys):
+    tagged = tmp_path / "tagged.tsv"
+    tagged.write_text("a cat ## cat\tt\nthe <sep> bat ## dog\tu\n", encoding="utf-8")
+    err = _data_error(capsys, ["synth", "build-pairs", "--tagged", str(tagged),
+                               "--output", str(tmp_path / "pairs.tsv")])
+    assert err == "error: text contains the reserved separator '<sep>': 'record 1: the <sep> bat'\n"

@@ -14,6 +14,7 @@ from tagmt.corpus import (
     write_pairs_tsv,
 )
 from tagmt.errors import EmptyText, LengthMismatch, MalformedLine
+from tagmt.fileio import read_lines, tsv_rows
 
 
 def test_parse_vg_single_line():
@@ -149,3 +150,40 @@ def test_pairs_tsv_bad_column_count(tmp_path):
     with pytest.raises(MalformedLine) as err:
         read_pairs_tsv(path)
     assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize(
+    "data, lines",
+    [
+        (b"", []),
+        (b"a", ["a"]),
+        (b"a\n", ["a"]),
+        (b"a\n\n", ["a", ""]),
+        (b"a\r\nb\rc\n", ["a", "b", "c"]),
+        (b"a\r\r\nb\r", ["a", "", "b"]),
+        (b"a\x0cb\x1cc\n", ["a\x0cb\x1cc"]),
+        ("ü x\n".encode("utf-8"), ["ü x"]),
+    ],
+)
+def test_read_lines_universal_newlines_only(tmp_path, data, lines):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    assert read_lines(path) == lines
+    with open(path, encoding="utf-8") as handle:
+        assert [line.rstrip("\n") for line in handle] == lines
+
+
+def test_read_lines_names_undecodable_byte(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ok\r\xc3\xa9\r\nthird \xc3\n")
+    with pytest.raises(MalformedLine) as err:
+        read_lines(path)
+    assert err.value.line_number == 3
+    assert str(err.value) == f"line 3: {path} is not valid UTF-8"
+
+
+def test_tsv_rows_counts_blank_lines_and_fields():
+    rows = list(tsv_rows(["a\tb", "", "  ", "c\td\n"], 2))
+    assert rows == [(1, ["a", "b"]), (4, ["c", "d"])]
+    with pytest.raises(MalformedLine, match=r"^line 2: expected 2 tab-separated fields, got 3$"):
+        list(tsv_rows(["a\tb", "a\tb\tc"], 2))

@@ -5,15 +5,8 @@ import pytest
 from tagmt.corpus import parse_bitext
 from tagmt.errors import EmptyCorpus, SeparatorCollision
 from tagmt.mt.model import ModelConfig
-from tagmt.synth import (
-    SynthPair,
-    build_synth_pairs,
-    enrich_corpus,
-    read_synth_pairs,
-    tags_from_decoded,
-    train_synthesizer,
-    write_synth_pairs,
-)
+from tagmt.corpus import read_pairs_tsv, write_pairs_tsv
+from tagmt.synth import build_synth_pairs, enrich_corpus, tags_from_decoded, train_synthesizer
 from tagmt.tagging import TaggedSource
 
 VOCAB = ["dog", "cat", "car", "person", "tree"]
@@ -21,12 +14,12 @@ VOCAB = ["dog", "cat", "car", "person", "tree"]
 
 def test_build_pairs_single_record():
     pairs = build_synth_pairs([(TaggedSource("a red car", ("car",)), "लाल कार")])
-    assert pairs == [SynthPair(input_text="a red car <sep> लाल कार", output_text="car")]
+    assert pairs == [("a red car <sep> लाल कार", "car")]
 
 
 def test_build_pairs_no_tags_empty_output():
     pairs = build_synth_pairs([(TaggedSource("a man", ()), "एक आदमी")])
-    assert pairs[0].output_text == ""
+    assert pairs[0][1] == ""
 
 
 def test_build_pairs_empty():
@@ -49,23 +42,21 @@ def test_build_pairs_inverse_consistent():
         tgt = " ".join(rng.choices(words, k=rng.randint(1, 6)))
         tags = tuple(rng.sample(VOCAB, k=rng.randint(0, 3)))
         tagged.append((TaggedSource(src, tags), tgt))
-    for pair, (ts, tgt) in zip(build_synth_pairs(tagged), tagged):
-        assert pair.input_text == f"{ts.text} <sep> {tgt}"
-        assert pair.input_text.split(" <sep> ") == [ts.text, tgt]
+    for (input_text, _), (ts, tgt) in zip(build_synth_pairs(tagged), tagged):
+        assert input_text == f"{ts.text} <sep> {tgt}"
+        assert input_text.split(" <sep> ") == [ts.text, tgt]
 
 
 def test_tags_from_decoded_dedup():
-    ts = tags_from_decoded("dog,dog,car", vocabulary=VOCAB)
-    assert ts.labels == ["dog", "car"]
+    assert tags_from_decoded("dog,dog,car", vocabulary=VOCAB) == ("dog", "car")
 
 
 def test_tags_from_decoded_vocabulary_filter():
-    ts = tags_from_decoded("dog,notalabel", vocabulary=VOCAB)
-    assert ts.labels == ["dog"]
+    assert tags_from_decoded("dog,notalabel", vocabulary=VOCAB) == ("dog",)
 
 
 def test_tags_from_decoded_empty():
-    assert tags_from_decoded("", vocabulary=VOCAB).labels == []
+    assert tags_from_decoded("", vocabulary=VOCAB) == ()
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -80,12 +71,10 @@ def test_tags_from_decoded_fuzz_invariants():
     for _ in range(500):
         raw = ",".join(rng.choices(alphabet, k=rng.randint(0, 12)))
         k = rng.randint(1, 5)
-        ts = tags_from_decoded(raw, k=k, vocabulary=VOCAB)
-        assert len(ts.labels) <= k
-        assert len(set(ts.labels)) == len(ts.labels)
-        assert all(label in VOCAB for label in ts.labels)
-        confs = [t.confidence for t in ts.tags]
-        assert confs == sorted(confs, reverse=True)
+        labels = tags_from_decoded(raw, k=k, vocabulary=VOCAB)
+        assert len(labels) <= k
+        assert len(set(labels)) == len(labels)
+        assert all(label in VOCAB for label in labels)
 
 
 SYNTH_CONFIG = ModelConfig(
@@ -107,7 +96,7 @@ SYNTH_CONFIG = ModelConfig(
 
 @pytest.fixture(scope="module")
 def memorize_checkpoint():
-    pair = SynthPair(input_text="a dog runs <sep> EIN HUND", output_text="dog")
+    pair = ("a dog runs <sep> EIN HUND", "dog")
     return train_synthesizer([pair] * 40, SYNTH_CONFIG)
 
 
@@ -154,13 +143,10 @@ def test_enrich_empty_bitext(memorize_checkpoint):
 
 
 def test_synth_pairs_file_round_trip(tmp_path):
-    pairs = [
-        SynthPair("a <sep> b", "dog,cat"),
-        SynthPair("x y <sep> z", ""),
-    ]
+    pairs = [("a <sep> b", "dog,cat"), ("x y <sep> z", "")]
     path = tmp_path / "pairs.tsv"
-    write_synth_pairs(pairs, path)
-    assert read_synth_pairs(path) == pairs
+    write_pairs_tsv(pairs, path)
+    assert read_pairs_tsv(path) == pairs
 
 
 def test_enriched_corpus_mixed_provenance(memorize_checkpoint):

@@ -15,7 +15,6 @@ from tagmt.tagging import (
     StubDetector,
     TagRecord,
     TagSet,
-    detect,
     load_tag_vocabulary,
     parse_tagged,
     render_tagged,
@@ -178,7 +177,7 @@ def test_stub_detector_ranges():
     vocab = set(stub.vocabulary)
     sizes = set()
     for i in range(200):
-        dets = detect(stub, f"img{i}")
+        dets = stub.detect(f"img{i}")
         sizes.add(len(dets))
         for d in dets:
             assert 0.0 <= d.confidence <= 1.0
@@ -264,7 +263,7 @@ def test_select_corpus_tags_one_per_image_in_first_seen_order():
     tagsets = select_corpus_tags(corpus, detector, k=3)
     assert [ts.image_id for ts in tagsets] == ["b", "a"]
     for ts in tagsets:
-        assert ts == select_tags(detect(detector, ts.image_id), k=3, image_id=ts.image_id)
+        assert ts == select_tags(detector.detect(ts.image_id), k=3, image_id=ts.image_id)
 
 
 # -- vocabulary ---------------------------------------------------------------
