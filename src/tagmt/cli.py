@@ -216,6 +216,10 @@ def cmd_mt_translate(args):
 def cmd_eval_bleu(args):
     hyps = read_lines(args.hypotheses)
     refs = read_lines(args.references)
+    if len(hyps) != len(refs):
+        raise DataError(
+            f"{args.hypotheses} has {len(hyps)} lines, {args.references} has {len(refs)}"
+        )
     score = bleu_from_texts(hyps, refs, smooth="add1" if args.smooth else "none")
     if args.format == "tsv":
         # machine-readable: full precision so downstream deltas never suffer

@@ -8,6 +8,12 @@ which keeps a per-layer self-attention K/V cache, and `DecodeState.reorder`
 moves the cache rows to the surviving hypotheses. A slot that holds no
 hypothesis scores -inf; a sentence leaves the batch once all its slots are.
 
+A step holds its activations as one (rows, d) matrix, so each projection is
+one GEMM over every row of the batch. BLAS may round a GEMM's rows differently
+at another row count, so batching can move logits in the last bits: a
+sentence's hypothesis decoded in a batch equals the one decoded alone except
+where two candidates tie to within that rounding.
+
 A step scores every (row, token) extension of a sentence's hypotheses by the
 hypothesis score plus the token's log-probability and keeps the `width` best.
 Ties break by score descending, then beam row, then token id, so decoding is

@@ -5,7 +5,7 @@ parameter update, the embedding-gradient scatter-add, and the fused
 softmax/cross-entropy over the output vocabulary. Each is one vectorized
 numpy function here; the tests check them against plain-Python loops. Adam
 runs once per training step, over the flat vector that holds every
-parameter.
+parameter, in cache-sized blocks.
 """
 
 import numpy as np
@@ -16,15 +16,40 @@ BACKEND = "numpy"
 HAS_NUMBA = False
 
 
+# elements per block of adam_update: its scratch and operands stay in cache
+ADAM_BLOCK = 8192
+
+
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
-    """Adam update, in place, over the flat vector of every parameter (one call a step)."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    mhat = m / (1.0 - beta1**t)
-    vhat = v / (1.0 - beta2**t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
+    """Adam update, in place, over the flat vector of every parameter (one call a step).
+
+    The vector is processed in blocks of ADAM_BLOCK elements with two scratch
+    buffers. Each element goes through the operations, in the order, of
+        m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * (g * g)
+        p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    so the result does not depend on the block size.
+    """
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    a = np.empty(min(ADAM_BLOCK, len(p)), dtype=p.dtype)
+    b = np.empty_like(a)
+    for start in range(0, len(p), ADAM_BLOCK):
+        blk = slice(start, start + ADAM_BLOCK)
+        pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+        x, y = a[: len(pb)], b[: len(pb)]
+        mb *= beta1
+        np.multiply(1.0 - beta1, gb, out=x)
+        mb += x
+        vb *= beta2
+        np.multiply(gb, gb, out=x)
+        x *= 1.0 - beta2
+        vb += x
+        np.divide(mb, c1, out=y)
+        y *= lr
+        np.divide(vb, c2, out=x)
+        np.sqrt(x, out=x)
+        x += eps
+        y /= x
+        pb -= y
 
 
 def scatter_add_rows(out, ids, rows):
@@ -40,7 +65,10 @@ def scatter_add_rows(out, ids, rows):
 # gradient row. Returns (loss_sum, token_count, dlogits) unnormalized.
 
 
-def xent_loss_grad(logits, gold, pad_id, smoothing):
+def _xent(logits, gold, pad_id, smoothing):
+    """xent_loss_grad's loss, with what its gradient reuses: (loss_sum,
+    token_count, ex = exp(logits - row max), z = row sums of ex, non-pad rows,
+    eff, off)."""
     n, v = logits.shape
     eff = smoothing if v > 2 else 0.0
     off = eff / (v - 2) if v > 2 else 0.0
@@ -49,21 +77,22 @@ def xent_loss_grad(logits, gold, pad_id, smoothing):
     ex = np.exp(logits - mx)
     z = ex.sum(axis=1, keepdims=True)
     logp = logits - (np.log(z) + mx)
-    rows = np.arange(n)
-    gold_logp = logp[rows, gold]
+    gold_logp = logp[np.arange(n), gold]
     nonpad_sum = logp.sum(axis=1) - logp[:, pad_id]
     loss_rows = -((1.0 - eff) * gold_logp + off * (nonpad_sum - gold_logp))
-    loss_sum = float(loss_rows[mask].sum())
-    count = int(mask.sum())
+    return float(loss_rows[mask].sum()), int(mask.sum()), ex, z, mask, eff, off
+
+
+def xent_loss_grad(logits, gold, pad_id, smoothing):
+    loss_sum, count, ex, z, mask, eff, off = _xent(logits, gold, pad_id, smoothing)
     grad = ex / z
     grad -= off
     grad[:, pad_id] += off
-    grad[rows, gold] -= (1.0 - eff) - off
+    grad[np.arange(len(gold)), gold] -= (1.0 - eff) - off
     grad[~mask] = 0.0
     return loss_sum, count, grad
 
 
 def xent_loss(logits, gold, pad_id, smoothing):
-    """(loss_sum, token_count) of xent_loss_grad, without the gradient."""
-    loss_sum, count, _ = xent_loss_grad(logits, gold, pad_id, smoothing)
-    return loss_sum, count
+    """(loss_sum, token_count) of xent_loss_grad, without computing the gradient."""
+    return _xent(logits, gold, pad_id, smoothing)[:2]

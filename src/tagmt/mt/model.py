@@ -17,7 +17,8 @@ Decoding is incremental: `Transformer.start_decode` encodes a source batch
 and computes each decoder layer's cross-attention keys and values once, and
 `Transformer.decode_step` feeds one token per row, appends its self-attention
 keys and values to a per-layer cache (`DecodeState`) and returns the
-next-token logits, so a step costs the same at every position.
+next-token logits, so a step costs the same at every position. A step holds
+its activations as one (rows, d) matrix: each projection is one GEMM.
 """
 
 import math
@@ -300,12 +301,6 @@ def _attention(qh, kh, vh, bias):
 def _head_proj(params, prefix, name, x, heads):
     """One attention input projection ('q', 'k' or 'v'), split into heads."""
     return _split_heads(_linear_fwd(x, params, prefix, name)[0], heads)
-
-
-def _attn_out(params, prefix, qh, kh, vh, bias):
-    """Attention of split-head queries over cached keys/values, projected out."""
-    ctx = _attention(qh, kh, vh, bias)[2]
-    return _linear_fwd(ctx, params, prefix, "o")[0]
 
 
 def _attn_fwd(params, prefix, xq, xkv, bias, heads):
@@ -603,20 +598,29 @@ class Transformer:
         state.key_bias[:, 0, 0, t] = np.where(ids != self.pad_id, 0.0, NEG)
         state.length = t + 1
         key_bias = state.key_bias[..., : t + 1]
-        x = self._embed_fwd(ids[:, None], start=t)
+        rows = len(ids)
+
+        def proj(h, prefix, name):
+            # one GEMM over all rows, split as `_split_heads` splits one position
+            return _linear_fwd(h, p, prefix, name)[0].reshape(rows, c.heads, 1, -1)
+
+        def attend(prefix, qh, kh, vh, bias):
+            ctx = _attention(qh, kh, vh, bias)[2].reshape(rows, -1)
+            return _linear_fwd(ctx, p, prefix, "o")[0]
+
+        # the step's activations stay (rows, d) from the embedding to the logits
+        x = self._embed_fwd(ids[:, None], start=t)[:, 0]
         for i in range(c.layers):
+            sa, ca = f"dec{i}.self", f"dec{i}.cross"
             h1, _ = _ln_fwd(x, p, f"dec{i}.ln1")
             keys, values = state.keys[i], state.values[i]
-            keys[:, :, t : t + 1] = _head_proj(p, f"dec{i}.self", "k", h1, c.heads)
-            values[:, :, t : t + 1] = _head_proj(p, f"dec{i}.self", "v", h1, c.heads)
-            qh = _head_proj(p, f"dec{i}.self", "q", h1, c.heads)
-            x = x + _attn_out(
-                p, f"dec{i}.self", qh, keys[:, :, : t + 1], values[:, :, : t + 1], key_bias
-            )
+            keys[:, :, t : t + 1] = proj(h1, sa, "k")
+            values[:, :, t : t + 1] = proj(h1, sa, "v")
+            qh = proj(h1, sa, "q")
+            x = x + attend(sa, qh, keys[:, :, : t + 1], values[:, :, : t + 1], key_bias)
             h2, _ = _ln_fwd(x, p, f"dec{i}.ln2")
-            qh = _head_proj(p, f"dec{i}.cross", "q", h2, c.heads)
-            x = x + _attn_out(p, f"dec{i}.cross", qh, *state.cross[i], state.src_bias)
+            x = x + attend(ca, proj(h2, ca, "q"), *state.cross[i], state.src_bias)
             h3, _ = _ln_fwd(x, p, f"dec{i}.ln3")
             x = x + _ff_fwd(p, f"dec{i}.ff", h3)[0]
         out, _ = _ln_fwd(x, p, "dec.ln")
-        return out[:, 0, :] @ p["out.w"] + p["out.b"]
+        return out @ p["out.w"] + p["out.b"]

@@ -315,6 +315,14 @@ def test_eval_bleu_cli(tmp_path, capsys):
     assert "BLEU = 100.0" in capsys.readouterr().out
 
 
+def test_eval_bleu_line_count_mismatch_names_files_exit_2(tmp_path, capsys):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("a b\nc d\ne f\n", encoding="utf-8")
+    ref.write_text("a b\nc d\n", encoding="utf-8")
+    assert main(["eval", "bleu", "--hypotheses", str(hyp), "--references", str(ref)]) == 2
+    assert capsys.readouterr().err == f"error: {hyp} has 3 lines, {ref} has 2\n"
+
+
 def test_tags_extract_stub_backend(tmp_path, capsys):
     out = tmp_path / "tagsets.tsv"
     code = main(

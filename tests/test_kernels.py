@@ -48,6 +48,17 @@ def reference_adam(p, g, m, v, lr, beta1, beta2, eps, t):
         p[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
 
 
+def six_temporary_adam(p, g, m, v, lr, beta1, beta2, eps, t):
+    """The whole-vector form of adam_update, six temporaries of its size, in place."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    mhat = m / (1.0 - beta1**t)
+    vhat = v / (1.0 - beta2**t)
+    p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
 def reference_scatter_add(out, ids, rows):
     """Element-by-element out[ids[i]] += rows[i], in place."""
     for i in range(ids.shape[0]):
@@ -64,6 +75,16 @@ def test_xent_numpy_matches_reference(smoothing):
     assert got[1] == want[1]
     assert np.isclose(got[0], want[0], rtol=1e-12)
     assert np.allclose(got[2], want[2], atol=1e-12)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 37])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_xent_loss_equals_loss_of_xent_loss_grad(v, smoothing):
+    logits, gold = _random_logits(np.random.default_rng(v), v=v)
+    assert (gold == 0).any()
+    assert kernels.xent_loss(logits, gold, 0, smoothing) == kernels.xent_loss_grad(
+        logits, gold, 0, smoothing
+    )[:2]
 
 
 def test_xent_tiny_vocab_disables_smoothing():
@@ -119,6 +140,18 @@ def test_adam_matches_reference():
         assert np.allclose(p1, p2, rtol=0, atol=1e-12)
         assert np.allclose(m1, m2, rtol=0, atol=1e-12)
         assert np.allclose(v1, v2, rtol=0, atol=1e-12)
+
+
+def test_adam_blocks_equal_whole_vector_form():
+    n = 2 * kernels.ADAM_BLOCK + 1234  # a partial last block
+    rng = np.random.default_rng(4)
+    p1, m1, v1 = rng.normal(size=n), np.zeros(n), np.zeros(n)
+    p2, m2, v2 = p1.copy(), m1.copy(), v1.copy()
+    for t in range(1, 6):
+        g = rng.normal(size=n)
+        kernels.adam_update(p1, g, m1, v1, 2e-3, 0.9, 0.98, 1e-9, t)
+        six_temporary_adam(p2, g, m2, v2, 2e-3, 0.9, 0.98, 1e-9, t)
+        assert (p1 == p2).all() and (m1 == m2).all() and (v1 == v2).all()
 
 
 def test_adam_moves_against_gradient():

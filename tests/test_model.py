@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ MICRO = ModelConfig(
 )
 
 
-def micro_model(seed=42, vocab_size=13):
-    return Transformer(MICRO, vocab_size, pad_id=0, rng=np.random.default_rng(seed))
+def micro_model(seed=42, vocab_size=13, model_dim=16):
+    config = replace(MICRO, model_dim=model_dim)
+    return Transformer(config, vocab_size, pad_id=0, rng=np.random.default_rng(seed))
 
 
 def micro_batch():
@@ -100,12 +103,24 @@ def full_prefix_logits(model, src, tgt_in):
     return dec_out @ model.params["out.w"] + model.params["out.b"]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decode_step_matches_full_prefix_decoder(seed):
-    model = micro_model(seed)
-    src = micro_batch()[0]
-    # pad_id (0) inside row 1's prefix must stay a masked key at every later step
-    tgt = np.array([[1, 8, 9, 10, 3, 4, 5, 6], [1, 11, 0, 7, 0, 12, 9, 2]])
+# Sources and prefixes of up to three rows. pad_id (0) inside row 1's prefix
+# must stay a masked key at every later step.
+STEP_SRC = np.array([[5, 6, 7, 2, 0], [4, 4, 2, 0, 0], [9, 3, 12, 8, 2]])
+STEP_TGT = np.array(
+    [[1, 8, 9, 10, 3, 4, 5, 6], [1, 11, 0, 7, 0, 12, 9, 2], [1, 3, 3, 4, 9, 8, 7, 6]]
+)
+
+
+# the micro model at two rows under three seeds, then 1-3 rows at d=32 and d=128
+DECODE_CASES = [pytest.param(seed, 16, 2, id=str(seed)) for seed in (0, 1, 2)] + [
+    pytest.param(0, d, rows, id=f"d{d}-rows{rows}") for d in (32, 128) for rows in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("seed, model_dim, rows", DECODE_CASES)
+def test_decode_step_matches_full_prefix_decoder(seed, model_dim, rows):
+    model = micro_model(seed, model_dim=model_dim)
+    src, tgt = STEP_SRC[:rows], STEP_TGT[:rows]
     state = model.start_decode(src)
     for t in range(tgt.shape[1]):
         step = model.decode_step(tgt[:, t], state)
@@ -113,6 +128,18 @@ def test_decode_step_matches_full_prefix_decoder(seed):
         np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
     with pytest.raises(ValueError, match="max_len"):
         model.decode_step(tgt[:, -1], state)
+
+
+@pytest.mark.parametrize("model_dim", [16, 128])
+def test_decode_step_alone_equals_in_batch(model_dim):
+    # Batching changes the GEMMs' row count, and with it the last bits of
+    # their rows, so a sentence's logits alone and in a batch are only close.
+    model = micro_model(4, model_dim=model_dim)
+    alone, batch = model.start_decode(STEP_SRC[:1]), model.start_decode(STEP_SRC)
+    for t in range(STEP_TGT.shape[1]):
+        one = model.decode_step(STEP_TGT[:1, t], alone)
+        three = model.decode_step(STEP_TGT[:, t], batch)
+        np.testing.assert_allclose(one[0], three[0], rtol=0, atol=1e-12)
 
 
 def test_decode_step_after_beam_reorder():
