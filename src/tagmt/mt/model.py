@@ -13,6 +13,18 @@ training holds the parameters the same way, so clipping and Adam act on one
 vector per step. A model built from a plain name -> array dict (a loaded
 checkpoint) uses it as is, with no copy.
 
+Training and validation run every row-wise layer (embedding, linear layers,
+layer norm, dropout, residual adds, feed-forward, output projection and
+cross entropy) on the non-pad positions only, packed as one (N, d) matrix
+(`_Rows`); attention alone works in the padded (B, T) layout, into which the
+packed queries, keys and values are scattered. A masked key weighs exactly 0
+whatever its value, so the loss equals that of a pass over every position,
+bit for bit wherever a GEMM gives a row the same bits at any row count
+(OpenBLAS does at widths that are multiples of 8, such as the default
+shape's). The weight gradients, sums over the rows, may differ in the last
+bits, since BLAS blocks a sum over fewer rows differently. Loss traces and
+checkpoints stay bitwise reproducible from run to run.
+
 Decoding is incremental: `Transformer.start_decode` encodes a source batch
 and computes each decoder layer's cross-attention keys and values once, and
 `Transformer.decode_step` feeds one token per row, appends its self-attention
@@ -270,10 +282,13 @@ def _softmax_bwd(da, a):
     return (da - (da * a).sum(axis=-1, keepdims=True)) * a
 
 
-def _dropout_fwd(x, p, rng):
+def _dropout_fwd(x, p, rng, rows):
+    """The mask is drawn for the padded (B, T, d) layout and then gathered, so
+    the draws do not depend on which positions `rows` keeps."""
     if rng is None or p <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= p).astype(DTYPE) / (1.0 - p)
+    keep = rows.gather(rng.random(rows.shape + x.shape[-1:]) >= p)
+    mask = keep.astype(DTYPE) / (1.0 - p)
     return x * mask, mask
 
 
@@ -303,29 +318,34 @@ def _head_proj(params, prefix, name, x, heads):
     return _split_heads(_linear_fwd(x, params, prefix, name)[0], heads)
 
 
-def _attn_fwd(params, prefix, xq, xkv, bias, heads):
+def _attn_fwd(params, prefix, xq, xkv, bias, heads, q_rows, kv_rows):
+    """Attention of queries xq over keys/values xkv, each in the layout of its rows.
+
+    The projections run on the rows; the heads are split, and the scores taken,
+    in the padded (B, T, d) layout, where a position that is not kept is zero.
+    """
     q, cq = _linear_fwd(xq, params, prefix, "q")
     k, ck = _linear_fwd(xkv, params, prefix, "k")
     v, cv = _linear_fwd(xkv, params, prefix, "v")
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
+    qh = _split_heads(q_rows.scatter(q), heads)
+    kh = _split_heads(kv_rows.scatter(k), heads)
+    vh = _split_heads(kv_rows.scatter(v), heads)
     attn, scale, ctx = _attention(qh, kh, vh, bias)
-    out, co = _linear_fwd(ctx, params, prefix, "o")
-    return out, (cq, ck, cv, co, qh, kh, vh, attn, scale)
+    out, co = _linear_fwd(q_rows.gather(ctx), params, prefix, "o")
+    return out, (cq, ck, cv, co, qh, kh, vh, attn, scale, q_rows, kv_rows)
 
 
 def _attn_bwd(dout, cache, grads, heads):
-    cq, ck, cv, co, qh, kh, vh, attn, scale = cache
-    dctx_h = _split_heads(_linear_bwd(dout, co, grads), heads)
+    cq, ck, cv, co, qh, kh, vh, attn, scale, q_rows, kv_rows = cache
+    dctx_h = _split_heads(q_rows.scatter(_linear_bwd(dout, co, grads)), heads)
     dattn = dctx_h @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
     dscores = _softmax_bwd(dattn, attn) * scale
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dxq = _linear_bwd(_merge_heads(dqh), cq, grads)
-    dxk = _linear_bwd(_merge_heads(dkh), ck, grads)
-    dxv = _linear_bwd(_merge_heads(dvh), cv, grads)
+    dxq = _linear_bwd(q_rows.gather(_merge_heads(dqh)), cq, grads)
+    dxk = _linear_bwd(kv_rows.gather(_merge_heads(dkh)), ck, grads)
+    dxv = _linear_bwd(kv_rows.gather(_merge_heads(dvh)), cv, grads)
     return dxq, dxk + dxv
 
 
@@ -340,6 +360,36 @@ def _ff_bwd(dy, cache, grads):
     c1, c2, h = cache
     dh = _linear_bwd(dy, c2, grads) * (h > 0.0)
     return _linear_bwd(dh, c1, grads)
+
+
+class _Rows:
+    """The positions of a (B, T) batch that the row-wise layers run on: the
+    True cells of the (B, T) mask `keep`.
+
+    Activations are (N, d) matrices with one row per kept position, in
+    row-major order. Attention needs the padded (B, T, d) layout: `scatter`
+    puts the rows into it, with zeros at the positions not kept, and `gather`
+    takes them back out.
+    """
+
+    def __init__(self, keep):
+        self.shape = keep.shape
+        self.index = np.flatnonzero(keep)
+
+    def gather(self, x):
+        """The kept rows of a (B, T, ...) array."""
+        return x.reshape((-1,) + x.shape[2:])[self.index]
+
+    def scatter(self, x):
+        """The (B, T, d) array with the rows of x at the kept positions."""
+        d = x.shape[-1]
+        out = np.zeros(self.shape + (d,), dtype=x.dtype)
+        out.reshape(-1, d)[self.index] = x.reshape(-1, d)
+        return out
+
+    def positions(self):
+        """The position in its sentence of every row."""
+        return self.index % self.shape[1]
 
 
 class DecodeState:
@@ -429,39 +479,40 @@ class Transformer:
         allowed = causal[None, None, :, :] & nonpad[:, None, None, :]
         return np.where(allowed, 0.0, NEG)
 
-    def _embed_fwd(self, ids, start=0):
+    def _embed_fwd(self, ids, positions):
+        """Scaled token embeddings of ids plus the codes of their positions (broadcastable)."""
         scale = math.sqrt(self.config.model_dim)
-        positions = self.pos[start : start + ids.shape[1]]
-        return self.params["embed"][ids] * scale + positions[None, :, :]
+        return self.params["embed"][ids] * scale + self.pos[positions]
 
-    def _embed_bwd(self, grads, ids, dx):
+    def _embed_bwd(self, grads, ids, dx, rows):
         scale = math.sqrt(self.config.model_dim)
-        rows = (dx * scale).reshape(-1, dx.shape[-1])
-        kernels.scatter_add_rows(grads["embed"], ids.ravel().astype(np.int64), rows)
+        kernels.scatter_add_rows(grads["embed"], rows.gather(ids).astype(np.int64), dx * scale)
 
     # -- encoder / decoder stacks --------------------------------------------
+    #
+    # Each pass holds its activations as one row per position its `_Rows` keeps.
 
-    def _encoder_fwd(self, src, rng):
+    def _encoder_fwd(self, src, rng, rows):
         p, c = self.params, self.config
         bias = self._src_bias(src)
-        x = self._embed_fwd(src)
-        x, drop0 = _dropout_fwd(x, c.dropout, rng)
+        x = self._embed_fwd(rows.gather(src), rows.positions())
+        x, drop0 = _dropout_fwd(x, c.dropout, rng, rows)
         layer_caches = []
         for i in range(c.layers):
             h1, cln1 = _ln_fwd(x, p, f"enc{i}.ln1")
-            a, cattn = _attn_fwd(p, f"enc{i}.attn", h1, h1, bias, c.heads)
-            a, cd1 = _dropout_fwd(a, c.dropout, rng)
+            a, cattn = _attn_fwd(p, f"enc{i}.attn", h1, h1, bias, c.heads, rows, rows)
+            a, cd1 = _dropout_fwd(a, c.dropout, rng, rows)
             x = x + a
             h2, cln2 = _ln_fwd(x, p, f"enc{i}.ln2")
             ff, cff = _ff_fwd(p, f"enc{i}.ff", h2)
-            ff, cd2 = _dropout_fwd(ff, c.dropout, rng)
+            ff, cd2 = _dropout_fwd(ff, c.dropout, rng, rows)
             x = x + ff
             layer_caches.append((cln1, cattn, cd1, cln2, cff, cd2))
         memory, cln_final = _ln_fwd(x, p, "enc.ln")
         cache = (drop0, layer_caches, cln_final)
         return memory, bias, cache
 
-    def _encoder_bwd(self, dmemory, src, cache, grads):
+    def _encoder_bwd(self, dmemory, src, rows, cache, grads):
         drop0, layer_caches, cln_final = cache
         dx = _ln_bwd(dmemory, cln_final, grads)
         for i in reversed(range(self.config.layers)):
@@ -471,33 +522,37 @@ class Transformer:
             dq, dkv = _attn_bwd(_dropout_bwd(dx, cd1), cattn, grads, self.config.heads)
             dx = dx + _ln_bwd(dq + dkv, cln1, grads)
         dx = _dropout_bwd(dx, drop0)
-        self._embed_bwd(grads, src, dx)
+        self._embed_bwd(grads, src, dx, rows)
 
-    def _decoder_fwd(self, tgt_in, memory, src_bias, rng):
+    def _decoder_fwd(self, tgt_in, memory, src_bias, rng, rows, src_rows):
+        """The decoder over the positions of tgt_in that `rows` keeps; memory holds one
+        row per source position that `src_rows` keeps."""
         p, c = self.params, self.config
         self_bias = self._tgt_bias(tgt_in)
-        x = self._embed_fwd(tgt_in)
-        x, drop0 = _dropout_fwd(x, c.dropout, rng)
+        x = self._embed_fwd(rows.gather(tgt_in), rows.positions())
+        x, drop0 = _dropout_fwd(x, c.dropout, rng, rows)
         layer_caches = []
         for i in range(c.layers):
             h1, cln1 = _ln_fwd(x, p, f"dec{i}.ln1")
-            a, cself = _attn_fwd(p, f"dec{i}.self", h1, h1, self_bias, c.heads)
-            a, cd1 = _dropout_fwd(a, c.dropout, rng)
+            a, cself = _attn_fwd(p, f"dec{i}.self", h1, h1, self_bias, c.heads, rows, rows)
+            a, cd1 = _dropout_fwd(a, c.dropout, rng, rows)
             x = x + a
             h2, cln2 = _ln_fwd(x, p, f"dec{i}.ln2")
-            a, ccross = _attn_fwd(p, f"dec{i}.cross", h2, memory, src_bias, c.heads)
-            a, cd2 = _dropout_fwd(a, c.dropout, rng)
+            a, ccross = _attn_fwd(
+                p, f"dec{i}.cross", h2, memory, src_bias, c.heads, rows, src_rows
+            )
+            a, cd2 = _dropout_fwd(a, c.dropout, rng, rows)
             x = x + a
             h3, cln3 = _ln_fwd(x, p, f"dec{i}.ln3")
             ff, cff = _ff_fwd(p, f"dec{i}.ff", h3)
-            ff, cd3 = _dropout_fwd(ff, c.dropout, rng)
+            ff, cd3 = _dropout_fwd(ff, c.dropout, rng, rows)
             x = x + ff
             layer_caches.append((cln1, cself, cd1, cln2, ccross, cd2, cln3, cff, cd3))
         out, cln_final = _ln_fwd(x, p, "dec.ln")
         cache = (drop0, layer_caches, cln_final)
         return out, cache
 
-    def _decoder_bwd(self, dout, tgt_in, cache, grads):
+    def _decoder_bwd(self, dout, tgt_in, rows, cache, grads):
         """Returns the gradient flowing into the encoder memory."""
         heads = self.config.heads
         drop0, layer_caches, cln_final = cache
@@ -513,8 +568,38 @@ class Transformer:
             dq, dkv = _attn_bwd(_dropout_bwd(dx, cd1), cself, grads, heads)
             dx = dx + _ln_bwd(dq + dkv, cln1, grads)
         dx = _dropout_bwd(dx, drop0)
-        self._embed_bwd(grads, tgt_in, dx)
+        self._embed_bwd(grads, tgt_in, dx, rows)
         return dmemory
+
+    def _forward(self, src, tgt_in, tgt_out, rng, pack=True):
+        """The pass training and validation share: (logits, gold ids, cache).
+
+        With pack, the row-wise layers run on the non-pad positions only: the
+        source's, and the target's where tgt_in or tgt_out is not pad. logits
+        then has one row per such target position and gold holds their tgt_out
+        ids. Without pack, every position is kept.
+        """
+        pad = self.pad_id
+        if pack:
+            src_rows, rows = _Rows(src != pad), _Rows((tgt_in != pad) | (tgt_out != pad))
+        else:
+            src_rows = _Rows(np.ones_like(src, dtype=bool))
+            rows = _Rows(np.ones_like(tgt_in, dtype=bool))
+        memory, src_bias, enc_cache = self._encoder_fwd(src, rng, src_rows)
+        dec_out, dec_cache = self._decoder_fwd(tgt_in, memory, src_bias, rng, rows, src_rows)
+        logits, clogits = _linear_fwd(dec_out, self.params, "out")
+        gold = rows.gather(tgt_out).astype(np.int64)
+        cache = (src, tgt_in, src_rows, rows, enc_cache, dec_cache, clogits)
+        return logits, gold, cache
+
+    def _backward(self, dlogits, cache):
+        """The parameter gradients, from the gradient of `_forward`'s logits."""
+        src, tgt_in, src_rows, rows, enc_cache, dec_cache, clogits = cache
+        grads = FlatViews(self.layout)
+        ddec = _linear_bwd(dlogits, clogits, grads)
+        dmemory = self._decoder_bwd(ddec, tgt_in, rows, dec_cache, grads)
+        self._encoder_bwd(dmemory, src, src_rows, enc_cache, grads)
+        return grads
 
     # -- public entry points ---------------------------------------------------
 
@@ -526,42 +611,26 @@ class Transformer:
         non-pad target positions. The gradients are a `FlatViews` of a new
         flat vector: one view per parameter name, every one written.
         """
-        p, c = self.params, self.config
-        memory, src_bias, enc_cache = self._encoder_fwd(src, rng)
-        dec_out, dec_cache = self._decoder_fwd(tgt_in, memory, src_bias, rng)
-        logits, clogits = _linear_fwd(dec_out, p, "out")
-        flat_logits = np.ascontiguousarray(logits.reshape(-1, self.vocab_size))
-        loss_sum, count, dflat = kernels.xent_loss_grad(
-            flat_logits,
-            tgt_out.ravel().astype(np.int64),
-            self.pad_id,
-            c.label_smoothing,
-        )
-        if count == 0:
+        if not (tgt_out != self.pad_id).any():
             raise ValueError("batch contains no non-pad target tokens")
-        loss = loss_sum / count
-        dlogits = (dflat / count).reshape(logits.shape)
-        grads = FlatViews(self.layout)
-        ddec = _linear_bwd(dlogits, clogits, grads)
-        dmemory = self._decoder_bwd(ddec, tgt_in, dec_cache, grads)
-        self._encoder_bwd(dmemory, src, enc_cache, grads)
-        return loss, count, grads
+        logits, gold, cache = self._forward(src, tgt_in, tgt_out, rng)
+        loss_sum, count, dlogits = kernels.xent_loss_grad(
+            logits, gold, self.pad_id, self.config.label_smoothing
+        )
+        dlogits /= count
+        return loss_sum / count, count, self._backward(dlogits, cache)
 
     def loss_on(self, src, tgt_in, tgt_out):
         """Evaluation loss (sum, token count) without dropout."""
-        p, c = self.params, self.config
-        memory, src_bias, _ = self._encoder_fwd(src, None)
-        dec_out, _ = self._decoder_fwd(tgt_in, memory, src_bias, None)
-        logits = dec_out @ p["out.w"] + p["out.b"]
-        flat = np.ascontiguousarray(logits.reshape(-1, self.vocab_size))
-        loss_sum, count = kernels.xent_loss(
-            flat, tgt_out.ravel().astype(np.int64), self.pad_id, c.label_smoothing
-        )
-        return loss_sum, count
+        logits, gold, _ = self._forward(src, tgt_in, tgt_out, None)
+        return kernels.xent_loss(logits, gold, self.pad_id, self.config.label_smoothing)
 
     def encode(self, src):
-        memory, src_bias, _ = self._encoder_fwd(src, None)
-        return memory, src_bias
+        """The encoder memory of a padded source batch, (B, S, d) with zero rows
+        at pad positions, and its attention bias."""
+        rows = _Rows(src != self.pad_id)
+        memory, src_bias, _ = self._encoder_fwd(src, None, rows)
+        return rows.scatter(memory), src_bias
 
     def start_decode(self, src):
         """Encode a padded source batch and return an empty `DecodeState`.
@@ -609,7 +678,7 @@ class Transformer:
             return _linear_fwd(ctx, p, prefix, "o")[0]
 
         # the step's activations stay (rows, d) from the embedding to the logits
-        x = self._embed_fwd(ids[:, None], start=t)[:, 0]
+        x = self._embed_fwd(ids, t)
         for i in range(c.layers):
             sa, ca = f"dec{i}.self", f"dec{i}.cross"
             h1, _ = _ln_fwd(x, p, f"dec{i}.ln1")

@@ -7,7 +7,7 @@ laid out by `model.param_layout` (`model.FlatViews`), so a step is one norm
 reduction, at most one in-place scale and one `kernels.adam_update` call. A
 single numpy Generator seeded from the config drives init, batch shuffling
 and dropout, so the whole loss trace is reproducible bit for bit given
-(seed, config, data). A checkpoint file still stores one `param:<name>`
+(seed, config, data) and the BLAS thread count. A checkpoint file still stores one `param:<name>`
 array per parameter.
 """
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tagmt.errors import ConfigError
-from tagmt.mt.model import ModelConfig, Transformer, masked_softmax, sinusoid_positions
+from tagmt.mt.model import ModelConfig, Transformer, _Rows, masked_softmax, sinusoid_positions
 
 MICRO = ModelConfig(
     layers=2,
@@ -99,8 +99,9 @@ def test_model_output_distributions_normalized():
 def full_prefix_logits(model, src, tgt_in):
     """Oracle: the training decoder over the whole prefix, (B, T, V) logits."""
     memory, src_bias = model.encode(src)
-    dec_out, _ = model._decoder_fwd(tgt_in, memory, src_bias, None)
-    return dec_out @ model.params["out.w"] + model.params["out.b"]
+    every, src_every = _Rows(np.ones_like(tgt_in, dtype=bool)), _Rows(np.ones_like(src, dtype=bool))
+    dec_out, _ = model._decoder_fwd(tgt_in, memory, src_bias, None, every, src_every)
+    return every.scatter(dec_out @ model.params["out.w"] + model.params["out.b"])
 
 
 # Sources and prefixes of up to three rows. pad_id (0) inside row 1's prefix
@@ -168,6 +169,24 @@ def test_forward_deterministic_without_dropout():
     a = model.forward_backward(*micro_batch())
     b = model.forward_backward(*micro_batch())
     assert a[0] == b[0]
+
+
+@pytest.mark.parametrize("tgt_in_pad", [False, True], ids=["bos-only", "all-pad"])
+def test_all_pad_target_rejected_before_any_layer(monkeypatch, tgt_in_pad):
+    from tagmt.mt import model as model_module
+
+    def layer(*args):
+        raise AssertionError("a layer ran")
+
+    model = micro_model()
+    src, tgt_in, tgt_out = micro_batch()
+    monkeypatch.setattr(model, "_embed_fwd", layer)
+    monkeypatch.setattr(model_module, "_ln_fwd", layer)
+    monkeypatch.setattr(model_module, "_linear_fwd", layer)
+    if tgt_in_pad:
+        tgt_in = np.zeros_like(tgt_in)
+    with pytest.raises(ValueError, match="^batch contains no non-pad target tokens$"):
+        model.forward_backward(src, tgt_in, np.zeros_like(tgt_out))
 
 
 def test_dropout_draws_change_loss_but_are_seed_deterministic():

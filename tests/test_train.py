@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -32,6 +33,54 @@ def test_same_seed_bitwise_identical_traces():
     assert a.training_meta["val_loss_trace"] == b.training_meta["val_loss_trace"]
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
+
+
+# Trains a copy task and prints its loss traces and a digest of its parameters.
+DETERMINISM_SCRIPT = """
+import hashlib, json
+from tagmt.mt.model import ModelConfig
+from tagmt.mt.train import train
+from tagmt.toy import make_copy_task
+
+pairs = make_copy_task(300, seed=6, vocab_size=60, min_len=2, max_len=14)
+config = ModelConfig(
+    model_dim=64, ff_dim=128, heads=4, max_len=16, max_steps=24, validation_interval=8, seed=3
+)
+ckpt = train(config, pairs[:268], pairs[268:])
+digest = hashlib.sha256()
+for name in sorted(ckpt.params):
+    digest.update(ckpt.params[name].tobytes())
+meta = ckpt.training_meta
+print(json.dumps([meta["train_loss_trace"], meta["val_loss_trace"], digest.hexdigest()]))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_bitwise_reproducible_at_blas_threads(threads):
+    # Packing the batch gives the weight-gradient GEMMs other row counts from
+    # step to step, and OpenBLAS splits those sums by its thread count; a run
+    # must still repeat itself bit for bit at one thread count.
+    import os
+    import subprocess
+    import sys
+
+    import tagmt
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    src = os.path.dirname(os.path.dirname(tagmt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run():
+        proc = subprocess.run(
+            [sys.executable, "-c", DETERMINISM_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    first, second = run(), run()
+    train_trace, val_trace, _ = json.loads(first)
+    assert len(train_trace) == 24 and len(val_trace) == 3
+    assert first == second
 
 
 def test_clip_grads_scales_above_clip_and_keeps_below():
