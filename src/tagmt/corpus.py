@@ -108,8 +108,7 @@ def parse_vg_corpus(lines, split_label="unspecified"):
 def serialize_vg_corpus(corpus):
     """Render a corpus back to VG TSV lines (inverse of parse_vg_corpus).
 
-    Every record must carry an image_id and a region; bitext corpora are
-    written with write_bitext instead.
+    Every record must carry an image_id and a region.
     """
     lines = []
     for i, rec in enumerate(corpus.records):
@@ -179,11 +178,6 @@ def load_bitext(source_path, target_path, split_label="unspecified"):
 
 def write_vg_corpus(corpus, path):
     write_lines(serialize_vg_corpus(corpus), path)
-
-
-def write_bitext(corpus, source_path, target_path):
-    write_lines((rec.source_text for rec in corpus.records), source_path)
-    write_lines((rec.target_text for rec in corpus.records), target_path)
 
 
 def read_pairs_tsv(path):

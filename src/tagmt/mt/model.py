@@ -6,6 +6,12 @@ the softmax/cross-entropy head, embedding scatter-add and Adam update are
 the numpy kernels in kernels.py. Everything runs in float64 for
 reproducibility and gradient-check headroom.
 
+The encoder and the decoder are one pre-norm residual stack that differs
+only in its sublayers, each x + dropout(sublayer(layer_norm(x))):
+`_SUBLAYERS` lists each side's as (layer norm, kind, parameter prefix), kind
+being self attention, cross attention or feed-forward. That one table gives
+the parameter layout and drives `_stack_fwd` and `_stack_bwd`.
+
 `param_layout` defines the parameters, and `FlatViews` lays them out back to
 back in one flat vector with a named view per parameter. `forward_backward`
 writes every gradient through such views into one zeroed vector, and
@@ -136,14 +142,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data):
-        """The config `to_dict` gave, each value checked against the type that
-        `config.KEYS` parses its field as (the seed: the [experiment] seed's)."""
-        from ..config import KEYS  # tagmt.config imports this module
-
+        """The config `to_dict` gave, each value checked against the type of its
+        field's default, the type the config file parses it as."""
         if not isinstance(data, dict):
             raise ConfigError("config is not a JSON object")
-        kinds = {attr: kind for (sec, _), (attr, kind) in KEYS.items() if sec == "translator"}
-        kinds["seed"] = KEYS["experiment", "seed"][1]
+        kinds = {f.name: type(f.default) for f in fields(cls)}
         unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -161,6 +164,13 @@ def sinusoid_positions(max_len, dim):
     idx = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2.0 * (idx // 2)) / dim)
     return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+# (layer norm, kind, parameter prefix) of each sublayer of a layer; see the module docstring
+_SUBLAYERS = {
+    "enc": (("ln1", "self", "attn"), ("ln2", "ff", "ff")),
+    "dec": (("ln1", "self", "self"), ("ln2", "cross", "cross"), ("ln3", "ff", "ff")),
+}
 
 
 def param_layout(config, vocab_size):
@@ -185,20 +195,12 @@ def param_layout(config, vocab_size):
         layout.extend([(f"{prefix}.w1", (d, f), "xavier"), (f"{prefix}.b1", (f,), "zeros")])
         layout.extend([(f"{prefix}.w2", (f, d), "xavier"), (f"{prefix}.b2", (d,), "zeros")])
 
-    for i in range(config.layers):
-        ln(f"enc{i}.ln1")
-        attn(f"enc{i}.attn")
-        ln(f"enc{i}.ln2")
-        ff(f"enc{i}.ff")
-    ln("enc.ln")
-    for i in range(config.layers):
-        ln(f"dec{i}.ln1")
-        attn(f"dec{i}.self")
-        ln(f"dec{i}.ln2")
-        attn(f"dec{i}.cross")
-        ln(f"dec{i}.ln3")
-        ff(f"dec{i}.ff")
-    ln("dec.ln")
+    for side, sublayers in _SUBLAYERS.items():
+        for i in range(config.layers):
+            for norm, kind, name in sublayers:
+                ln(f"{side}{i}.{norm}")
+                (ff if kind == "ff" else attn)(f"{side}{i}.{name}")
+        ln(f"{side}.ln")
     layout.extend([("out.w", (d, v), "xavier"), ("out.b", (v,), "zeros")])
     return layout
 
@@ -224,10 +226,10 @@ class FlatViews(dict):
 
 # --- primitive layers: each fwd returns (out, cache), bwd consumes it -------
 #
-# A backward writes its parameters' gradients into `grads` (a FlatViews of
-# zeros, see forward_backward) and returns the gradient of its input. Every
-# parameter but the shared embedding feeds exactly one layer, so each
-# gradient view is written once.
+# A backward takes (N, d) rows, writes its parameters' gradients into `grads`
+# (a FlatViews of zeros, see forward_backward) and returns the gradient of
+# its input. Every parameter but the shared embedding feeds exactly one
+# layer, so each gradient view is written once.
 
 
 def _linear_fwd(x, params, prefix, suffix=""):
@@ -238,10 +240,8 @@ def _linear_fwd(x, params, prefix, suffix=""):
 
 def _linear_bwd(dy, cache, grads):
     x, w, prefix, suffix = cache
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_dy = dy.reshape(-1, dy.shape[-1])
-    np.matmul(flat_x.T, flat_dy, out=grads[f"{prefix}.w{suffix}"])
-    flat_dy.sum(axis=0, out=grads[f"{prefix}.b{suffix}"])
+    np.matmul(x.T, dy, out=grads[f"{prefix}.w{suffix}"])
+    dy.sum(axis=0, out=grads[f"{prefix}.b{suffix}"])
     return dy @ w.T
 
 
@@ -258,10 +258,8 @@ def _ln_fwd(x, params, prefix):
 
 def _ln_bwd(dy, cache, grads):
     xhat, inv, g, prefix = cache
-    flat_dy = dy.reshape(-1, dy.shape[-1])
-    flat_xhat = xhat.reshape(-1, xhat.shape[-1])
-    (flat_dy * flat_xhat).sum(axis=0, out=grads[f"{prefix}.g"])
-    flat_dy.sum(axis=0, out=grads[f"{prefix}.b"])
+    (dy * xhat).sum(axis=0, out=grads[f"{prefix}.g"])
+    dy.sum(axis=0, out=grads[f"{prefix}.b"])
     dxhat = dy * g
     return inv * (
         dxhat
@@ -492,83 +490,50 @@ class Transformer:
     #
     # Each pass holds its activations as one row per position its `_Rows` keeps.
 
-    def _encoder_fwd(self, src, rng, rows):
+    def _stack_fwd(
+        self, side, ids, rows, rng, self_bias, memory=None, src_bias=None, src_rows=None
+    ):
+        """The encoder ("enc") or decoder ("dec") of `_SUBLAYERS` over the positions
+        of ids that `rows` keeps: (output rows, cache). The decoder's memory
+        holds one row per source position that `src_rows` keeps."""
         p, c = self.params, self.config
-        bias = self._src_bias(src)
-        x = self._embed_fwd(rows.gather(src), rows.positions())
+        x = self._embed_fwd(rows.gather(ids), rows.positions())
         x, drop0 = _dropout_fwd(x, c.dropout, rng, rows)
-        layer_caches = []
+        caches = []
         for i in range(c.layers):
-            h1, cln1 = _ln_fwd(x, p, f"enc{i}.ln1")
-            a, cattn = _attn_fwd(p, f"enc{i}.attn", h1, h1, bias, c.heads, rows, rows)
-            a, cd1 = _dropout_fwd(a, c.dropout, rng, rows)
-            x = x + a
-            h2, cln2 = _ln_fwd(x, p, f"enc{i}.ln2")
-            ff, cff = _ff_fwd(p, f"enc{i}.ff", h2)
-            ff, cd2 = _dropout_fwd(ff, c.dropout, rng, rows)
-            x = x + ff
-            layer_caches.append((cln1, cattn, cd1, cln2, cff, cd2))
-        memory, cln_final = _ln_fwd(x, p, "enc.ln")
-        cache = (drop0, layer_caches, cln_final)
-        return memory, bias, cache
+            for norm, kind, name in _SUBLAYERS[side]:
+                h, cln = _ln_fwd(x, p, f"{side}{i}.{norm}")
+                prefix = f"{side}{i}.{name}"
+                if kind == "ff":
+                    y, csub = _ff_fwd(p, prefix, h)
+                elif kind == "self":
+                    y, csub = _attn_fwd(p, prefix, h, h, self_bias, c.heads, rows, rows)
+                else:
+                    y, csub = _attn_fwd(p, prefix, h, memory, src_bias, c.heads, rows, src_rows)
+                y, cdrop = _dropout_fwd(y, c.dropout, rng, rows)
+                x = x + y
+                caches.append((kind, cln, csub, cdrop))
+        out, cln_final = _ln_fwd(x, p, f"{side}.ln")
+        return out, (drop0, caches, cln_final)
 
-    def _encoder_bwd(self, dmemory, src, rows, cache, grads):
-        drop0, layer_caches, cln_final = cache
-        dx = _ln_bwd(dmemory, cln_final, grads)
-        for i in reversed(range(self.config.layers)):
-            cln1, cattn, cd1, cln2, cff, cd2 = layer_caches[i]
-            dh2 = _ff_bwd(_dropout_bwd(dx, cd2), cff, grads)
-            dx = dx + _ln_bwd(dh2, cln2, grads)
-            dq, dkv = _attn_bwd(_dropout_bwd(dx, cd1), cattn, grads, self.config.heads)
-            dx = dx + _ln_bwd(dq + dkv, cln1, grads)
-        dx = _dropout_bwd(dx, drop0)
-        self._embed_bwd(grads, src, dx, rows)
-
-    def _decoder_fwd(self, tgt_in, memory, src_bias, rng, rows, src_rows):
-        """The decoder over the positions of tgt_in that `rows` keeps; memory holds one
-        row per source position that `src_rows` keeps."""
-        p, c = self.params, self.config
-        self_bias = self._tgt_bias(tgt_in)
-        x = self._embed_fwd(rows.gather(tgt_in), rows.positions())
-        x, drop0 = _dropout_fwd(x, c.dropout, rng, rows)
-        layer_caches = []
-        for i in range(c.layers):
-            h1, cln1 = _ln_fwd(x, p, f"dec{i}.ln1")
-            a, cself = _attn_fwd(p, f"dec{i}.self", h1, h1, self_bias, c.heads, rows, rows)
-            a, cd1 = _dropout_fwd(a, c.dropout, rng, rows)
-            x = x + a
-            h2, cln2 = _ln_fwd(x, p, f"dec{i}.ln2")
-            a, ccross = _attn_fwd(
-                p, f"dec{i}.cross", h2, memory, src_bias, c.heads, rows, src_rows
-            )
-            a, cd2 = _dropout_fwd(a, c.dropout, rng, rows)
-            x = x + a
-            h3, cln3 = _ln_fwd(x, p, f"dec{i}.ln3")
-            ff, cff = _ff_fwd(p, f"dec{i}.ff", h3)
-            ff, cd3 = _dropout_fwd(ff, c.dropout, rng, rows)
-            x = x + ff
-            layer_caches.append((cln1, cself, cd1, cln2, ccross, cd2, cln3, cff, cd3))
-        out, cln_final = _ln_fwd(x, p, "dec.ln")
-        cache = (drop0, layer_caches, cln_final)
-        return out, cache
-
-    def _decoder_bwd(self, dout, tgt_in, rows, cache, grads):
-        """Returns the gradient flowing into the encoder memory."""
-        heads = self.config.heads
-        drop0, layer_caches, cln_final = cache
+    def _stack_bwd(self, dout, ids, rows, cache, grads):
+        """The backward of `_stack_fwd`: returns the gradient of the decoder's memory,
+        None for the encoder."""
+        drop0, caches, cln_final = cache
         dx = _ln_bwd(dout, cln_final, grads)
         dmemory = None
-        for i in reversed(range(self.config.layers)):
-            cln1, cself, cd1, cln2, ccross, cd2, cln3, cff, cd3 = layer_caches[i]
-            dh3 = _ff_bwd(_dropout_bwd(dx, cd3), cff, grads)
-            dx = dx + _ln_bwd(dh3, cln3, grads)
-            dq, dmem = _attn_bwd(_dropout_bwd(dx, cd2), ccross, grads, heads)
-            dmemory = dmem if dmemory is None else dmemory + dmem
-            dx = dx + _ln_bwd(dq, cln2, grads)
-            dq, dkv = _attn_bwd(_dropout_bwd(dx, cd1), cself, grads, heads)
-            dx = dx + _ln_bwd(dq + dkv, cln1, grads)
-        dx = _dropout_bwd(dx, drop0)
-        self._embed_bwd(grads, tgt_in, dx, rows)
+        for kind, cln, csub, cdrop in reversed(caches):
+            dy = _dropout_bwd(dx, cdrop)
+            if kind == "ff":
+                dh = _ff_bwd(dy, csub, grads)
+            else:
+                dh, dkv = _attn_bwd(dy, csub, grads, self.config.heads)
+                if kind == "self":
+                    dh = dh + dkv
+                else:
+                    dmemory = dkv if dmemory is None else dmemory + dkv
+            dx = dx + _ln_bwd(dh, cln, grads)
+        self._embed_bwd(grads, ids, _dropout_bwd(dx, drop0), rows)
         return dmemory
 
     def _forward(self, src, tgt_in, tgt_out, rng, pack=True):
@@ -577,7 +542,8 @@ class Transformer:
         With pack, the row-wise layers run on the non-pad positions only: the
         source's, and the target's where tgt_in or tgt_out is not pad. logits
         then has one row per such target position and gold holds their tgt_out
-        ids. Without pack, every position is kept.
+        ids. Without pack, every position is kept: tests use that pass as the
+        reference the packed one must match.
         """
         pad = self.pad_id
         if pack:
@@ -585,8 +551,11 @@ class Transformer:
         else:
             src_rows = _Rows(np.ones_like(src, dtype=bool))
             rows = _Rows(np.ones_like(tgt_in, dtype=bool))
-        memory, src_bias, enc_cache = self._encoder_fwd(src, rng, src_rows)
-        dec_out, dec_cache = self._decoder_fwd(tgt_in, memory, src_bias, rng, rows, src_rows)
+        src_bias = self._src_bias(src)
+        memory, enc_cache = self._stack_fwd("enc", src, src_rows, rng, src_bias)
+        dec_out, dec_cache = self._stack_fwd(
+            "dec", tgt_in, rows, rng, self._tgt_bias(tgt_in), memory, src_bias, src_rows
+        )
         logits, clogits = _linear_fwd(dec_out, self.params, "out")
         gold = rows.gather(tgt_out).astype(np.int64)
         cache = (src, tgt_in, src_rows, rows, enc_cache, dec_cache, clogits)
@@ -597,8 +566,8 @@ class Transformer:
         src, tgt_in, src_rows, rows, enc_cache, dec_cache, clogits = cache
         grads = FlatViews(self.layout)
         ddec = _linear_bwd(dlogits, clogits, grads)
-        dmemory = self._decoder_bwd(ddec, tgt_in, rows, dec_cache, grads)
-        self._encoder_bwd(dmemory, src, src_rows, enc_cache, grads)
+        dmemory = self._stack_bwd(ddec, tgt_in, rows, dec_cache, grads)
+        self._stack_bwd(dmemory, src, src_rows, enc_cache, grads)
         return grads
 
     # -- public entry points ---------------------------------------------------
@@ -628,8 +597,8 @@ class Transformer:
     def encode(self, src):
         """The encoder memory of a padded source batch, (B, S, d) with zero rows
         at pad positions, and its attention bias."""
-        rows = _Rows(src != self.pad_id)
-        memory, src_bias, _ = self._encoder_fwd(src, None, rows)
+        rows, src_bias = _Rows(src != self.pad_id), self._src_bias(src)
+        memory, _ = self._stack_fwd("enc", src, rows, None, src_bias)
         return rows.scatter(memory), src_bias
 
     def start_decode(self, src):

@@ -61,8 +61,9 @@ class Checkpoint:
         config, vocab_tokens and training_meta, when its format version is not
         this one, when a config value has the wrong type or is invalid, when
         vocab_tokens is not a valid vocabulary or training_meta not an
-        object, or when its parameter names and shapes are not those its
-        config and vocabulary imply."""
+        object, when its parameter names and shapes are not those its config
+        and vocabulary imply, or when a parameter is not float64 or holds a
+        NaN or infinity."""
 
         def invalid(problem):
             return ConfigError(f"checkpoint {path}: {problem}")
@@ -113,6 +114,10 @@ class Checkpoint:
                 problem = "is not a parameter of this model"
             elif params[name].shape != expected[name]:
                 problem = f"has shape {params[name].shape}, expected {expected[name]}"
+            elif params[name].dtype != DTYPE:
+                problem = f"has dtype {params[name].dtype}, expected {np.dtype(DTYPE)}"
+            elif not np.isfinite(params[name]).all():
+                problem = "has a value that is not finite"
             else:
                 continue
             raise invalid(f"parameter {name!r} {problem}")

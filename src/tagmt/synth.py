@@ -10,7 +10,7 @@ training data.
 from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, SeparatorCollision
-from .fileio import atomic_write, read_lines, tsv_rows
+from .fileio import read_lines, tsv_rows, write_lines
 from .mt.decode import translate_corpus
 from .mt.train import train
 from .tagging import TaggedSource, check_k, parse_tagged, split_labels
@@ -131,9 +131,8 @@ def enrich_corpus(bitext, checkpoint, k=10, vocabulary=None):
 
 
 def write_enriched_corpus(enriched, path):
-    with atomic_write(path) as out:
-        for (tagged, target), provenance in zip(enriched.pairs, enriched.provenance):
-            out.write(f"{tagged.rendered}\t{target}\t{provenance}\n")
+    rows = zip(enriched.pairs, enriched.provenance)
+    write_lines((f"{tagged.rendered}\t{target}\t{prov}" for (tagged, target), prov in rows), path)
 
 
 def read_enriched_corpus(path):

@@ -23,7 +23,7 @@ from .errors import (
     UnknownImage,
     UnknownLabel,
 )
-from .fileio import atomic_write, read_lines, tsv_rows, write_lines
+from .fileio import read_lines, tsv_rows, write_lines
 
 SEPARATOR = "##"
 DEFAULT_TOP_K = 10
@@ -178,10 +178,11 @@ def _parse_detections_file(lines, known_labels):
 
 def write_detections_file(by_image, path):
     """Write an image_id -> list[TagRecord] mapping in FileDetector format."""
-    with atomic_write(path) as out:
-        for image_id, detections in by_image.items():
-            entries = ", ".join(f"{d.label} {d.confidence:g}" for d in detections)
-            out.write(f"{image_id}\t{entries}\n")
+    write_lines(
+        (f"{image_id}\t" + ", ".join(f"{d.label} {d.confidence:g}" for d in detections)
+         for image_id, detections in by_image.items()),
+        path,
+    )
 
 
 def check_k(k):

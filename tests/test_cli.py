@@ -216,6 +216,41 @@ def test_checkpoint_bad_meta_exit_1(tmp_path, change, message):
     _assert_meta_rejected(tmp_path, change, message)
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("nan", "has a value that is not finite"),
+        ("inf", "has a value that is not finite"),
+        ("int64", "has dtype int64, expected float64"),
+        ("bool", "has dtype bool, expected float64"),
+    ],
+    ids=["nan", "inf", "int64", "bool"],
+)
+def test_checkpoint_bad_param_values_exit_1(tmp_path, kind, message):
+    from test_decode import random_checkpoint
+
+    checkpoint = random_checkpoint(0)
+    out_b = checkpoint.params["out.b"].copy()
+    if kind in ("nan", "inf"):
+        out_b[3] = float(kind)
+    else:
+        out_b = out_b.astype(kind)
+    checkpoint.params["out.b"] = out_b
+    ckpt = tmp_path / "bad-values.ckpt"
+    checkpoint.save(str(ckpt))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
+         "--input", str(sources)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"checkpoint {ckpt}: parameter 'out.b' {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _assert_meta_rejected(tmp_path, change, message):
     """Write a random checkpoint whose meta entries are replaced by `change`;
     `mt translate` on it must exit 1 with `message` and the path."""

@@ -5,6 +5,7 @@ import pytest
 
 from tagmt.errors import ConfigError
 from tagmt.mt.model import ModelConfig, Transformer, _Rows, masked_softmax, sinusoid_positions
+from tagmt.mt.model import param_layout
 
 MICRO = ModelConfig(
     layers=2,
@@ -73,6 +74,42 @@ def test_gradients_cover_every_parameter():
         assert np.isfinite(g).all(), name
 
 
+def test_param_layout_pinned():
+    # The layout order fixes the initializer's rng draws and the flat vector
+    # Adam updates, so reordering it would change every loss trace.
+    d, f, v = MICRO.model_dim, MICRO.ff_dim, 13
+
+    def ln(p):
+        return [(f"{p}.g", (d,), "ones"), (f"{p}.b", (d,), "zeros")]
+
+    def attn(p):
+        weights = [(f"{p}.w{x}", (d, d), "xavier") for x in "qkvo"]
+        return weights + [(f"{p}.b{x}", (d,), "zeros") for x in "qkvo"]
+
+    def ff(p):
+        return [(f"{p}.w1", (d, f), "xavier"), (f"{p}.b1", (f,), "zeros"),
+                (f"{p}.w2", (f, d), "xavier"), (f"{p}.b2", (d,), "zeros")]
+
+    expected = [("embed", (v, d), "normal")]
+    expected += ln("enc0.ln1") + attn("enc0.attn") + ln("enc0.ln2") + ff("enc0.ff")
+    expected += ln("enc1.ln1") + attn("enc1.attn") + ln("enc1.ln2") + ff("enc1.ff")
+    expected += ln("enc.ln")
+    expected += ln("dec0.ln1") + attn("dec0.self") + ln("dec0.ln2") + attn("dec0.cross")
+    expected += ln("dec0.ln3") + ff("dec0.ff")
+    expected += ln("dec1.ln1") + attn("dec1.self") + ln("dec1.ln2") + attn("dec1.cross")
+    expected += ln("dec1.ln3") + ff("dec1.ff")
+    expected += ln("dec.ln") + [("out.w", (d, v), "xavier"), ("out.b", (v,), "zeros")]
+    layout = param_layout(MICRO, v)
+    assert layout == expected and len(layout) == 91
+    names = [name for name, _, _ in layout]
+
+    def span(prefix):
+        at = [i for i, name in enumerate(names) if name.startswith(prefix)]
+        return min(at), max(at)
+
+    assert span("enc1.")[1] < span("enc.ln.")[0] <= span("enc.ln.")[1] < span("dec0.")[0]
+
+
 def test_masked_softmax_rows_normalized():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=(3, 2, 5, 7)) * 5
@@ -100,7 +137,9 @@ def full_prefix_logits(model, src, tgt_in):
     """Oracle: the training decoder over the whole prefix, (B, T, V) logits."""
     memory, src_bias = model.encode(src)
     every, src_every = _Rows(np.ones_like(tgt_in, dtype=bool)), _Rows(np.ones_like(src, dtype=bool))
-    dec_out, _ = model._decoder_fwd(tgt_in, memory, src_bias, None, every, src_every)
+    dec_out, _ = model._stack_fwd(
+        "dec", tgt_in, every, None, model._tgt_bias(tgt_in), memory, src_bias, src_every
+    )
     return every.scatter(dec_out @ model.params["out.w"] + model.params["out.b"])
 
 
