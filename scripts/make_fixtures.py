@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled fixtures deterministically.
+"""Regenerate the bundled fixture data deterministically.
+
+fixtures/toy.cfg is written by hand; this script makes the data files that
+config names, the copy task and the published WAT2022 score tables.
 
 Run from the repository root:  python3 scripts/make_fixtures.py
 """
@@ -10,7 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tagmt.corpus import write_pairs_tsv, write_vg_corpus
-from tagmt.fileio import atomic_write
+from tagmt.fileio import write_lines
 from tagmt.tagging import write_detections_file
 from tagmt.toy import (
     TAG_LABELS,
@@ -39,60 +42,6 @@ WAT2022_MULTIMODAL = [
     ("EN-BN C-Test", "28.7"),
 ]
 
-TOY_CFG = """\
-# End-to-end toy experiment; paths are relative to this file.
-[experiment]
-seed = 13
-task = toy-disambiguation
-corpus_name = toy
-
-[paths]
-train_corpus = disambig/train.tsv
-valid_corpus = disambig/valid.tsv
-test_corpus = disambig/test.tsv
-bitext_source = disambig/extra.src
-bitext_target = disambig/extra.tgt
-detections = disambig/detections.tsv
-tag_vocabulary = disambig/tag_vocab.txt
-output_dir = out
-
-[tagging]
-backend = file
-k = 10
-
-[translator]
-layers = 2
-heads = 2
-model_dim = 32
-ff_dim = 64
-dropout = 0.0
-label_smoothing = 0.1
-max_steps = 250
-validation_interval = 50
-learning_rate = 3e-3
-warmup_steps = 25
-batch_size = 32
-max_len = 48
-
-[synthesizer]
-layers = 2
-heads = 2
-model_dim = 32
-ff_dim = 64
-dropout = 0.0
-label_smoothing = 0.1
-max_steps = 250
-validation_interval = 50
-learning_rate = 3e-3
-warmup_steps = 25
-batch_size = 32
-max_len = 48
-
-[decode]
-method = greedy
-max_len = 48
-"""
-
 
 def main():
     copy_dir = os.path.join(FIXTURES, "copy_task")
@@ -114,22 +63,14 @@ def main():
     for examples in (train, valid, test):
         detections.update(examples_to_detections(examples))
     write_detections_file(detections, os.path.join(dis_dir, "detections.tsv"))
-    with atomic_write(os.path.join(dis_dir, "tag_vocab.txt")) as out:
-        for label in TAG_LABELS:
-            out.write(label + "\n")
-    with atomic_write(os.path.join(dis_dir, "extra.src")) as out:
-        for ex in extra:
-            out.write(ex.source + "\n")
-    with atomic_write(os.path.join(dis_dir, "extra.tgt")) as out:
-        for ex in extra:
-            out.write(ex.target + "\n")
+    write_lines(TAG_LABELS, os.path.join(dis_dir, "tag_vocab.txt"))
+    write_lines((ex.source for ex in extra), os.path.join(dis_dir, "extra.src"))
+    write_lines((ex.target for ex in extra), os.path.join(dis_dir, "extra.tgt"))
     print(f"disambiguation world: 200/50/100 VG records + 100 bitext lines in {dis_dir}")
 
     write_pairs_tsv(WAT2022_TEXT_ONLY, os.path.join(FIXTURES, "wat2022_text_only.tsv"))
     write_pairs_tsv(WAT2022_MULTIMODAL, os.path.join(FIXTURES, "wat2022_multimodal.tsv"))
-    with atomic_write(os.path.join(FIXTURES, "toy.cfg")) as out:
-        out.write(TOY_CFG)
-    print(f"config + published scores in {FIXTURES}")
+    print(f"published scores in {FIXTURES}")
 
 
 if __name__ == "__main__":

@@ -45,9 +45,6 @@ class Corpus:
     def __len__(self):
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -133,6 +130,21 @@ def serialize_vg_corpus(corpus):
     return lines
 
 
+def _sentences(lines, side):
+    """The trimmed non-blank lines of one bitext side. A tab inside a
+    sentence raises MalformedLine naming the side and its 1-based line,
+    counted over all lines; a tab would break every TSV the sentence goes
+    into."""
+    sentences = []
+    for line_number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if "\t" in text:
+            raise MalformedLine(line_number, f"{side} sentence contains a tab character")
+        if text:
+            sentences.append(text)
+    return sentences
+
+
 def parse_bitext(source_lines, target_lines, split_label="unspecified"):
     """Pair up two aligned streams of sentences into a text-only Corpus.
 
@@ -140,10 +152,8 @@ def parse_bitext(source_lines, target_lines, split_label="unspecified"):
     after that raises LengthMismatch.
     """
     _check_split(split_label)
-    src = [s.strip() for s in source_lines]
-    tgt = [t.strip() for t in target_lines]
-    src = [s for s in src if s]
-    tgt = [t for t in tgt if t]
+    src = _sentences(source_lines, "source")
+    tgt = _sentences(target_lines, "target")
     if len(src) != len(tgt):
         raise LengthMismatch(len(src), len(tgt))
     records = [

@@ -1,7 +1,7 @@
 """Corpus BLEU and side-by-side comparison reports.
 
 BLEU here is the plain corpus metric: clipped n-gram precisions up to
-max_order aggregated over the corpus, geometric mean, brevity penalty
+order 4 aggregated over the corpus, geometric mean, brevity penalty
 exp(1 - ref_len / hyp_len) when the hypothesis side is shorter. One
 reference per hypothesis. No smoothing by default; an optional add-one
 variant exists for tiny corpora (numerator and denominator of orders >= 2
@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, LengthMismatch, MalformedLine, MissingBaseline
 from .fileio import atomic_write, tsv_rows
+
+MAX_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ def _ngram_counts(tokens, order):
     return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
-def corpus_bleu(hypotheses, references, max_order=4, smooth="none"):
+def corpus_bleu(hypotheses, references, smooth="none"):
     """Corpus-level BLEU over aligned token-sequence lists.
 
     Returns 0 when any counted order has zero matches (or zero hypothesis
@@ -50,8 +52,8 @@ def corpus_bleu(hypotheses, references, max_order=4, smooth="none"):
         raise LengthMismatch(len(hypotheses), len(references))
     if not hypotheses:
         raise EmptyCorpus("cannot score an empty corpus")
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * MAX_ORDER
+    totals = [0] * MAX_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -59,7 +61,7 @@ def corpus_bleu(hypotheses, references, max_order=4, smooth="none"):
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_order + 1):
+        for n in range(1, MAX_ORDER + 1):
             hyp_counts = _ngram_counts(hyp, n)
             if not hyp_counts:
                 continue
@@ -69,7 +71,7 @@ def corpus_bleu(hypotheses, references, max_order=4, smooth="none"):
                 matches[n - 1] += min(count, ref_counts.get(gram, 0))
 
     precisions = []
-    for n in range(max_order):
+    for n in range(MAX_ORDER):
         m, t = matches[n], totals[n]
         if smooth == "add1" and n >= 1:
             m, t = m + 1, t + 1
@@ -85,7 +87,7 @@ def corpus_bleu(hypotheses, references, max_order=4, smooth="none"):
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        log_mean = sum(math.log(p) for p in precisions) / max_order
+        log_mean = sum(math.log(p) for p in precisions) / MAX_ORDER
         score = 100.0 * bp * math.exp(log_mean)
     return BleuScore(
         score=score,
@@ -96,12 +98,11 @@ def corpus_bleu(hypotheses, references, max_order=4, smooth="none"):
     )
 
 
-def bleu_from_texts(hypothesis_lines, reference_lines, max_order=4, smooth="none"):
+def bleu_from_texts(hypothesis_lines, reference_lines, smooth="none"):
     """BLEU over raw text lines, whitespace-tokenized."""
     return corpus_bleu(
         [line.split() for line in hypothesis_lines],
         [line.split() for line in reference_lines],
-        max_order=max_order,
         smooth=smooth,
     )
 
@@ -110,8 +111,8 @@ def bleu_from_texts(hypothesis_lines, reference_lines, max_order=4, smooth="none
 class ReportRow:
     task: str
     system_score: float
-    baseline_score: float | None = None
-    delta: float | None = None
+    baseline_score: float
+    delta: float
 
 
 @dataclass
@@ -150,21 +151,13 @@ def report_delta(text_only, multimodal, corpus_name="", split="", timestamp=None
     return EvalReport(rows=rows, metadata=metadata)
 
 
-def _fmt(value):
-    return "" if value is None else f"{value:.1f}"
-
-
-def _fmt_delta(value):
-    return "" if value is None else f"{value:+.1f}"
+def _cells(row):
+    return (row.task, f"{row.system_score:.1f}", f"{row.baseline_score:.1f}", f"{row.delta:+.1f}")
 
 
 def render_report_tsv(report):
     lines = ["task\tsystem\tbaseline\tdelta"]
-    for row in report.rows:
-        lines.append(
-            f"{row.task}\t{_fmt(row.system_score)}\t"
-            f"{_fmt(row.baseline_score)}\t{_fmt_delta(row.delta)}"
-        )
+    lines.extend("\t".join(_cells(row)) for row in report.rows)
     for key in sorted(report.metadata):
         lines.append(f"# {key}: {report.metadata[key]}")
     return "\n".join(lines) + "\n"
@@ -172,10 +165,7 @@ def render_report_tsv(report):
 
 def render_report_table(report):
     header = ("Task", "System", "Baseline", "Delta")
-    body = [
-        (row.task, _fmt(row.system_score), _fmt(row.baseline_score), _fmt_delta(row.delta))
-        for row in report.rows
-    ]
+    body = [_cells(row) for row in report.rows]
     widths = [
         max(len(header[col]), *(len(line[col]) for line in body)) if body else len(header[col])
         for col in range(4)

@@ -1,26 +1,33 @@
 """Small file helpers: atomic writes, strict UTF-8 line files and TSV rows."""
 
 import os
-import tempfile
 from contextlib import contextmanager
 
 from .errors import MalformedLine
 
 
 @contextmanager
-def atomic_write(path, mode="w", encoding="utf-8"):
+def atomic_write(path, mode="w"):
     """Write to a temp file in the target directory, then rename into place.
 
     The target never exists half-written; on error the temp file is removed.
+    Text is UTF-8 with ``\n`` line ends. The file gets the mode a plain
+    ``open`` would give it: 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    while True:
+        tmp_path = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         if "b" in mode:
             handle = os.fdopen(fd, mode)
         else:
-            handle = os.fdopen(fd, mode, encoding=encoding, newline="\n")
+            handle = os.fdopen(fd, mode, encoding="utf-8", newline="\n")
         with handle:
             yield handle
         os.replace(tmp_path, path)

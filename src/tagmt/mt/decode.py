@@ -25,6 +25,8 @@ No length normalization is applied.
 
 import numpy as np
 
+from ..errors import TagmtError
+
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
 
@@ -45,7 +47,9 @@ def _encode_source(vocab, source_text, max_len):
 def beam_search(model, src, vocab, max_len, width):
     """Beam search for every row of a padded source batch; width 1 is greedy.
 
-    Returns one list of output ids, without bos/eos, per source row.
+    Returns one list of output ids, without bos/eos, per source row. Raises
+    TagmtError when a sentence ends with no hypothesis of finite score, as
+    when the model's scores overflow to NaN.
     """
     eos = vocab.eos_id
     state = model.start_decode(src)
@@ -80,6 +84,8 @@ def beam_search(model, src, vocab, max_len, width):
     for row, score in enumerate(scores.ravel()):
         if score > -np.inf:
             pools[sentence[row // width]].append((float(score), ys[row, 1:].tolist()))
+    if not all(pools):
+        raise TagmtError("beam search found no hypothesis: the model's scores were not finite")
     return [min(pool, key=lambda c: (-c[0], len(c[1]), c[1]))[1] for pool in pools]
 
 

@@ -87,35 +87,29 @@ class Vocab:
         return detokenize(self.decode_tokens(ids))
 
 
-def build_vocab(token_streams, min_count=1, reserved=RESERVED_TOKENS):
-    """Count tokens across streams and keep those with frequency >= min_count.
+def build_vocab(token_streams):
+    """Count tokens across streams and keep every token seen.
 
-    Ordering is deterministic: reserved tokens first (in their given order),
-    then by frequency descending, token ascending.
+    Ordering is deterministic: reserved tokens first, then by frequency
+    descending, token ascending.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    reserved = tuple(reserved)
-    for tok in RESERVED_TOKENS:
-        if tok not in reserved:
-            raise ValueError(f"reserved set must include {tok!r}")
     counts = {}
     for stream in token_streams:
         for tok in stream:
             counts[tok] = counts.get(tok, 0) + 1
-    reserved_set = set(reserved)
+    reserved_set = set(RESERVED_TOKENS)
     kept = [
         tok
-        for tok, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        if n >= min_count and tok not in reserved_set
+        for tok, _ in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        if tok not in reserved_set
     ]
-    return Vocab(tokens=reserved + tuple(kept))
+    return Vocab(tokens=RESERVED_TOKENS + tuple(kept))
 
 
-def vocab_from_pairs(pairs, min_count=1):
+def vocab_from_pairs(pairs):
     """Build a shared vocabulary over both sides of (source, target) pairs."""
     streams = []
     for src, tgt in pairs:
         streams.append(tokenize(src))
         streams.append(tokenize(tgt))
-    return build_vocab(streams, min_count=min_count)
+    return build_vocab(streams)

@@ -16,6 +16,8 @@ from .mt.train import train
 from .tagging import TaggedSource, check_k, parse_tagged, split_labels
 
 SEP_TOKEN = "<sep>"
+# share of the synthesizer pairs held out for validation and the fit check
+HELDOUT_FRACTION = 0.05
 
 
 @dataclass
@@ -53,10 +55,10 @@ def build_synth_pairs(tagged_corpus):
     ]
 
 
-def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
+def train_synthesizer(pairs, config, log=None):
     """Train the tag synthesizer and measure held-out exact-match fit.
 
-    The tail heldout_fraction of the pairs is split off before training and
+    The tail HELDOUT_FRACTION of the pairs is split off before training and
     used both as the validation set and for an exact-match check of decoded
     tag sets. The measured fit is stored in training_meta["synth_fit"]; a
     value below config.synth_fit_threshold is reported through log but not
@@ -64,7 +66,7 @@ def train_synthesizer(pairs, config, heldout_fraction=0.05, log=None):
     """
     if not pairs:
         raise EmptyCorpus("no synthesizer training pairs")
-    n_held = max(1, round(len(pairs) * heldout_fraction)) if len(pairs) > 1 else 0
+    n_held = max(1, round(len(pairs) * HELDOUT_FRACTION)) if len(pairs) > 1 else 0
     held = pairs[len(pairs) - n_held :]
     used = pairs[: len(pairs) - n_held]
     if not used:

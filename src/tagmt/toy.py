@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, ParallelRecord, Region
-from .tagging import TagRecord, TaggedSource
+from .tagging import TagRecord
 
 OBJECT_WORDS = ("dog", "cat", "horse", "car", "bench", "tree", "ball", "bird", "boat", "chair")
 PERSON_WORDS = ("man", "woman", "boy", "girl")
@@ -79,11 +79,11 @@ def make_disambiguation_examples(
     n,
     seed=13,
     nouns=None,
-    ambiguous_rate=0.5,
     id_prefix="img",
     id_start=0,
 ):
-    """Generate n examples; senses of ambiguous sentences alternate exactly.
+    """Generate n examples, half of them ambiguous in expectation; senses of
+    ambiguous sentences alternate exactly.
 
     ``nouns`` restricts the unambiguous noun pool (useful for building a
     corpus with deliberate coverage gaps); the default pool is all object
@@ -99,7 +99,7 @@ def make_disambiguation_examples(
         chosen = list(rng.choice(len(pool), size=slots, replace=False))
         words = [pool[j] for j in chosen]
         sense = None
-        if rng.random() < ambiguous_rate:
+        if rng.random() < 0.5:
             sense = SENSE_ANIMAL if sense_counter % 2 == 0 else SENSE_CLUB
             sense_counter += 1
             words[int(rng.integers(0, slots))] = AMBIGUOUS_WORD
@@ -150,35 +150,6 @@ def examples_to_detections(examples):
             TagRecord(label=label, confidence=TAG_CONFIDENCE[label]) for label in ex.tags
         ]
     return by_image
-
-
-def examples_to_tagged(examples):
-    return [
-        (TaggedSource(text=ex.source, tags=ex.tags), ex.target) for ex in examples
-    ]
-
-
-def examples_to_text_pairs(examples):
-    return [(ex.source, ex.target) for ex in examples]
-
-
-def ambiguous_accuracy(examples, hypotheses):
-    """Fraction of ambiguous examples whose hypothesis contains the correct
-    sense translation and not the wrong one."""
-    total = 0
-    correct = 0
-    for ex, hyp in zip(examples, hypotheses):
-        if ex.sense is None:
-            continue
-        total += 1
-        want = SENSE_TARGET[ex.sense]
-        other = SENSE_TARGET[SENSE_CLUB if ex.sense == SENSE_ANIMAL else SENSE_ANIMAL]
-        words = hyp.split()
-        if want in words and other not in words:
-            correct += 1
-    if total == 0:
-        raise ValueError("no ambiguous examples to score")
-    return correct / total
 
 
 def make_copy_task(n, seed=7, vocab_size=30, min_len=3, max_len=8):

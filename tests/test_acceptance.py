@@ -26,12 +26,10 @@ from tagmt.toy import (
     OBJECT_WORDS,
     PERSON_WORDS,
     TAG_LABELS,
-    ambiguous_accuracy,
-    examples_to_tagged,
-    examples_to_text_pairs,
     make_disambiguation_examples,
     true_tags,
 )
+from toy_helpers import ambiguous_accuracy, examples_to_tagged, examples_to_text_pairs
 
 pytestmark = pytest.mark.acceptance
 

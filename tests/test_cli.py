@@ -106,6 +106,15 @@ def test_corpus_validate_bad_line_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_corpus_validate_bitext_tab_exit_2(tmp_path, capsys):
+    src = tmp_path / "extra.src"
+    tgt = tmp_path / "extra.tgt"
+    src.write_text("aa bb\nx\ty\n", encoding="utf-8")
+    tgt.write_text("cc dd\nee ff\n", encoding="utf-8")
+    assert main(["corpus", "validate", "--source", str(src), "--target", str(tgt)]) == 2
+    assert "error: line 2: source sentence contains a tab character" in capsys.readouterr().err
+
+
 def test_corpus_validate_needs_input(capsys):
     assert main(["corpus", "validate"]) == 1
 
@@ -248,6 +257,28 @@ def test_checkpoint_bad_param_values_exit_1(tmp_path, kind, message):
     )
     assert proc.returncode == 1, proc.stderr
     assert f"checkpoint {ckpt}: parameter 'out.b' {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("decode", ["greedy", "beam"])
+def test_translate_non_finite_scores_exit_1(tmp_path, decode):
+    # finite weights that overflow: every logit is inf, every score NaN
+    from test_decode import random_checkpoint
+
+    checkpoint = random_checkpoint(0)
+    checkpoint.params["out.w"][...] = 1e308
+    ckpt = tmp_path / "overflow.ckpt"
+    checkpoint.save(str(ckpt))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
+         "--input", str(sources), "--decode", decode],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error: beam search found no hypothesis: the model's scores were not finite" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -430,6 +461,29 @@ def test_synth_enrich_k_below_one_exit_1(tmp_path, capsys, k):
                  "--target", str(tgt), "--k", k, "--output", str(out)])
     assert code == 1
     assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_enrich_bitext_tab_exit_2_before_decoding(tmp_path, monkeypatch, capsys):
+    from test_decode import random_checkpoint
+
+    from tagmt import synth
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a bitext that holds a tab")
+
+    monkeypatch.setattr(synth, "translate_corpus", no_decode)
+    ckpt = tmp_path / "synth.ckpt"
+    random_checkpoint(0).save(str(ckpt))
+    src = tmp_path / "extra.src"
+    tgt = tmp_path / "extra.tgt"
+    src.write_text("aa bb\n", encoding="utf-8")
+    tgt.write_text("\ncc\tdd\n", encoding="utf-8")
+    out = tmp_path / "enriched.tsv"
+    code = main(["synth", "enrich", "--checkpoint", str(ckpt), "--source", str(src),
+                 "--target", str(tgt), "--output", str(out)])
+    assert code == 2
+    assert "error: line 2: target sentence contains a tab character" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,13 @@
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
 from conftest import fixture_path
-from tagmt.config import load_experiment_config
+from tagmt.config import KEYS, MODEL_SECTIONS, PATH, ExperimentConfig, load_experiment_config
 from tagmt.errors import ConfigError
+from tagmt.mt.model import ModelConfig
 
 
 def test_load_toy_config():
@@ -119,3 +122,26 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
     path = write_cfg(tmp_path, "[paths]\ntrain_corpus = data/x.tsv\n")
     config = load_experiment_config(path)
     assert config.paths["train_corpus"] == str(tmp_path / "data" / "x.tsv")
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        rows = re.findall(r"^\| ((?:`\[\w+\]` ?)+) \| `(\w+)` \| ([^|]+) \|", handle.read(), re.M)
+    listed = {
+        (section, key): default.strip()
+        for sections, key, default in rows
+        for section in re.findall(r"\[(\w+)\]", sections)
+    }
+    assert sorted(listed) == sorted(KEYS)
+    experiment_defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    model_defaults = {f.name: f.default for f in fields(ModelConfig)}
+    for (section, key), (attribute, kind) in KEYS.items():
+        if kind is PATH:
+            continue
+        defaults = model_defaults if section in MODEL_SECTIONS else experiment_defaults
+        value = re.fullmatch(r"`([^`]*)`", listed[section, key])
+        if defaults[attribute] in (None, ""):
+            assert value is None, (section, key)
+        else:
+            assert value is not None and kind(value[1]) == defaults[attribute], (section, key)

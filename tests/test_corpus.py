@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from tagmt.corpus import (
     write_pairs_tsv,
 )
 from tagmt.errors import EmptyText, LengthMismatch, MalformedLine
-from tagmt.fileio import read_lines, tsv_rows
+from tagmt.fileio import atomic_write, read_lines, tsv_rows, write_lines
 
 
 def test_parse_vg_single_line():
@@ -107,6 +108,14 @@ def test_parse_bitext_length_mismatch():
     assert (err.value.n_source, err.value.n_target) == (2, 3)
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_parse_bitext_rejects_tab_inside_sentence(side):
+    lines = {"source": ["a", "", "b"], "target": ["x", "", "y"]}
+    lines[side][2] = "b\tc"
+    with pytest.raises(MalformedLine, match=rf"^line 3: {side} sentence contains a tab character$"):
+        parse_bitext(lines["source"], lines["target"])
+
+
 def test_parse_bitext_empty():
     assert len(parse_bitext([], [])) == 0
 
@@ -187,3 +196,17 @@ def test_tsv_rows_counts_blank_lines_and_fields():
     assert rows == [(1, ["a", "b"]), (4, ["c", "d"])]
     with pytest.raises(MalformedLine, match=r"^line 2: expected 2 tab-separated fields, got 3$"):
         list(tsv_rows(["a\tb", "a\tb\tc"], 2))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_honours_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_lines(["a"], tmp_path / "text.txt")
+        with atomic_write(tmp_path / "blob.bin", "wb") as out:
+            out.write(b"\x00")
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == ["blob.bin", "text.txt"]
+    for name in ("text.txt", "blob.bin"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == mode

@@ -28,14 +28,6 @@ def test_tokenize_detokenize_plain_text():
     assert detokenize(tokenize(text)) == text
 
 
-def test_build_vocab_min_count():
-    vocab = build_vocab([["a", "a", "b"]], min_count=2)
-    assert "a" in vocab.token_to_id
-    assert "b" not in vocab.token_to_id
-    for tok in RESERVED_TOKENS:
-        assert tok in vocab.token_to_id
-
-
 def test_build_vocab_deterministic():
     streams = [["z", "b", "b"], ["a", "z", "q"]]
     v1 = build_vocab([list(s) for s in streams])
@@ -49,11 +41,6 @@ def test_build_vocab_deterministic():
 def test_build_vocab_empty_stream():
     vocab = build_vocab([])
     assert vocab.tokens == RESERVED_TOKENS
-
-
-def test_build_vocab_rejects_bad_min_count():
-    with pytest.raises(ValueError):
-        build_vocab([], min_count=0)
 
 
 def test_reserved_ids_distinct_and_pad_zero():
