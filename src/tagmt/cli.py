@@ -7,6 +7,8 @@ offending line or record named), 3 training divergence.
 import argparse
 import sys
 
+import numpy as np
+
 from .config import ExperimentConfig, load_experiment_config, validate_model
 from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
 from .errors import ConfigError, DataError, Divergence, TagmtError
@@ -396,7 +398,9 @@ def main(argv=None):
         parser.print_help(file=sys.stderr)
         return 1
     try:
-        return args.func(args) or 0
+        # a non-finite value shows as the command's own error, not as numpy's warning text
+        with np.errstate(all="ignore"):
+            return args.func(args) or 0
     except Divergence as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -31,6 +31,26 @@ shape's). The weight gradients, sums over the rows, may differ in the last
 bits, since BLAS blocks a sum over fewer rows differently. Loss traces and
 checkpoints stay bitwise reproducible from run to run.
 
+From model_dim SHARD_MIN_DIM (128) up, when numpy's BLAS runs one thread, a
+training step splits a batch of two or more sentences into two contiguous
+sentence shards: synchronous data parallelism inside the step. Each shard
+runs that packed pass over its own columns into a gradient vector of its
+own, and the vectors are added in shard order. The second shard runs on a
+second thread when the process may use two CPUs (`os.sched_getaffinity`),
+else after the first, on the same thread; each shard's arithmetic is the
+same either way, so the bits depend on the BLAS thread count, as they did,
+but not on the CPU count. Against one shard, the loss and the gradients
+differ by rounding only. Every other step keeps one shard, the exact pass
+it ran before sharding existed. Two shards run every layer's Python code
+twice, which pays only where the GEMMs dominate a step and a second CPU
+is free. On 2 vCPUs at one BLAS thread, two shards made a d=32 training 8%
+slower and a d=64 one 9% faster alone, but a d=64 `pipeline run`, whose
+two trainings already fill both CPUs, 11% slower; a d=128 `pipeline run`
+was 10% faster. With more BLAS threads, two Python threads contend for
+OpenBLAS's, and half-batch GEMMs use them worse even one after another:
+at 2 BLAS threads a d=64 copy-task training took 67 s threaded and 47 s
+in turn, against 40 s unsharded.
+
 Decoding is incremental: `Transformer.start_decode` encodes a source batch
 and computes each decoder layer's cross-attention keys and values once, and
 `Transformer.decode_step` feeds one token per row, appends its self-attention
@@ -39,7 +59,11 @@ next-token logits, so a step costs the same at every position. A step holds
 its activations as one (rows, d) matrix: each projection is one GEMM.
 """
 
+import contextvars
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -50,6 +74,8 @@ from . import kernels
 DTYPE = np.float64
 NEG = -1e9
 LN_EPS = 1e-5
+# the smallest model_dim at which a training step splits its batch into two shards
+SHARD_MIN_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -157,6 +183,17 @@ class ModelConfig:
                     f"config field {name!r} expects {kinds[name].__name__}, got {value!r}"
                 )
         return cls(**data).validate(min_steps=0)
+
+
+def _blas_threads():
+    """The thread count of the OpenBLAS numpy loaded, or None when its BLAS
+    does not export scipy_openblas_get_num_threads64_ (numpy 2's wheels do)."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 def sinusoid_positions(max_len, dim):
@@ -280,18 +317,30 @@ def _softmax_bwd(da, a):
     return (da - (da * a).sum(axis=-1, keepdims=True)) * a
 
 
-def _dropout_fwd(x, p, rng, rows):
-    """The mask is drawn for the padded (B, T, d) layout and then gathered, so
-    the draws do not depend on which positions `rows` keeps."""
-    if rng is None or p <= 0.0:
+def _dropout_fwd(x, p, keep, rows):
+    """Dropout with `keep`, a (B, T, d) mask of the padded layout drawn by
+    `Transformer._dropout_masks` (None: no dropout), gathered at the kept rows.
+
+    The cache holds the gathered boolean mask and the scale, an eighth of the
+    float mask's size; the backward multiplies by the same values.
+    """
+    if keep is None:
         return x, None
-    keep = rows.gather(rng.random(rows.shape + x.shape[-1:]) >= p)
-    mask = keep.astype(DTYPE) / (1.0 - p)
-    return x * mask, mask
+    keep, scale = rows.gather(keep), 1.0 / (1.0 - p)
+    return x * (keep * scale), (keep, scale)
 
 
-def _dropout_bwd(dy, mask):
-    return dy if mask is None else dy * mask
+def _width(keep):
+    """One past the last column of a (B, T) mask that holds a True; at least 1."""
+    columns = np.flatnonzero(keep.any(axis=0))
+    return int(columns[-1]) + 1 if len(columns) else 1
+
+
+def _dropout_bwd(dy, cache):
+    if cache is None:
+        return dy
+    keep, scale = cache
+    return dy * (keep * scale)
 
 
 def _split_heads(x, heads):
@@ -349,14 +398,14 @@ def _attn_bwd(dout, cache, grads, heads):
 
 def _ff_fwd(params, prefix, x):
     h, c1 = _linear_fwd(x, params, prefix, "1")
-    r = np.maximum(h, 0.0)
+    r = np.maximum(h, 0.0, out=h)
     y, c2 = _linear_fwd(r, params, prefix, "2")
-    return y, (c1, c2, h)
+    return y, (c1, c2, r)
 
 
 def _ff_bwd(dy, cache, grads):
-    c1, c2, h = cache
-    dh = _linear_bwd(dy, c2, grads) * (h > 0.0)
+    c1, c2, r = cache
+    dh = _linear_bwd(dy, c2, grads) * (r > 0.0)
     return _linear_bwd(dh, c1, grads)
 
 
@@ -491,14 +540,16 @@ class Transformer:
     # Each pass holds its activations as one row per position its `_Rows` keeps.
 
     def _stack_fwd(
-        self, side, ids, rows, rng, self_bias, memory=None, src_bias=None, src_rows=None
+        self, side, ids, rows, masks, self_bias, memory=None, src_bias=None, src_rows=None
     ):
         """The encoder ("enc") or decoder ("dec") of `_SUBLAYERS` over the positions
-        of ids that `rows` keeps: (output rows, cache). The decoder's memory
-        holds one row per source position that `src_rows` keeps."""
+        of ids that `rows` keeps: (output rows, cache). masks holds the side's
+        dropout masks in the order they apply (None: no dropout). The decoder's
+        memory holds one row per source position that `src_rows` keeps."""
         p, c = self.params, self.config
+        keeps = iter(masks or ())
         x = self._embed_fwd(rows.gather(ids), rows.positions())
-        x, drop0 = _dropout_fwd(x, c.dropout, rng, rows)
+        x, drop0 = _dropout_fwd(x, c.dropout, next(keeps, None), rows)
         caches = []
         for i in range(c.layers):
             for norm, kind, name in _SUBLAYERS[side]:
@@ -510,7 +561,7 @@ class Transformer:
                     y, csub = _attn_fwd(p, prefix, h, h, self_bias, c.heads, rows, rows)
                 else:
                     y, csub = _attn_fwd(p, prefix, h, memory, src_bias, c.heads, rows, src_rows)
-                y, cdrop = _dropout_fwd(y, c.dropout, rng, rows)
+                y, cdrop = _dropout_fwd(y, c.dropout, next(keeps, None), rows)
                 x = x + y
                 caches.append((kind, cln, csub, cdrop))
         out, cln_final = _ln_fwd(x, p, f"{side}.ln")
@@ -536,13 +587,32 @@ class Transformer:
         self._embed_bwd(grads, ids, _dropout_bwd(dx, drop0), rows)
         return dmemory
 
-    def _forward(self, src, tgt_in, tgt_out, rng, pack=True):
+    def _dropout_masks(self, rng, src_shape, tgt_shape):
+        """Every dropout keep mask of one training pass, or None without rng or
+        dropout: (the encoder's, the decoder's), each a list in the order the
+        stack applies them, at the padded (B, S, d) and (B, T, d) shapes.
+
+        They are drawn in that order, encoder first, so a batch takes the same
+        draws from rng however `_forward_backward` shards it.
+        """
+        c = self.config
+        if rng is None or c.dropout <= 0.0:
+            return None
+
+        def draw(side, shape):
+            count = 1 + c.layers * len(_SUBLAYERS[side])
+            return [rng.random(shape + (c.model_dim,)) >= c.dropout for _ in range(count)]
+
+        return draw("enc", src_shape), draw("dec", tgt_shape)
+
+    def _forward(self, src, tgt_in, tgt_out, masks, pack=True):
         """The pass training and validation share: (logits, gold ids, cache).
 
-        With pack, the row-wise layers run on the non-pad positions only: the
-        source's, and the target's where tgt_in or tgt_out is not pad. logits
-        then has one row per such target position and gold holds their tgt_out
-        ids. Without pack, every position is kept: tests use that pass as the
+        masks are `_dropout_masks` for these shapes, or None. With pack, the
+        row-wise layers run on the non-pad positions only: the source's, and
+        the target's where tgt_in or tgt_out is not pad. logits then has one
+        row per such target position and gold holds their tgt_out ids.
+        Without pack, every position is kept: tests use that pass as the
         reference the packed one must match.
         """
         pad = self.pad_id
@@ -551,10 +621,11 @@ class Transformer:
         else:
             src_rows = _Rows(np.ones_like(src, dtype=bool))
             rows = _Rows(np.ones_like(tgt_in, dtype=bool))
+        enc_masks, dec_masks = masks or (None, None)
         src_bias = self._src_bias(src)
-        memory, enc_cache = self._stack_fwd("enc", src, src_rows, rng, src_bias)
+        memory, enc_cache = self._stack_fwd("enc", src, src_rows, enc_masks, src_bias)
         dec_out, dec_cache = self._stack_fwd(
-            "dec", tgt_in, rows, rng, self._tgt_bias(tgt_in), memory, src_bias, src_rows
+            "dec", tgt_in, rows, dec_masks, self._tgt_bias(tgt_in), memory, src_bias, src_rows
         )
         logits, clogits = _linear_fwd(dec_out, self.params, "out")
         gold = rows.gather(tgt_out).astype(np.int64)
@@ -579,15 +650,85 @@ class Transformer:
         evaluation pass. Loss is the mean label-smoothed cross entropy over
         non-pad target positions. The gradients are a `FlatViews` of a new
         flat vector: one view per parameter name, every one written.
+
+        From model_dim SHARD_MIN_DIM up, when numpy's BLAS runs one thread, a
+        batch of two or more sentences is split into two shards that run on
+        two threads where two CPUs are available (see `_forward_backward`).
         """
-        if not (tgt_out != self.pad_id).any():
+        wide = self.config.model_dim >= SHARD_MIN_DIM and len(src) >= 2
+        shards = 2 if wide and _blas_threads() == 1 else 1
+        return self._forward_backward(src, tgt_in, tgt_out, rng, shards)
+
+    def _forward_backward(self, src, tgt_in, tgt_out, rng, shards):
+        """`forward_backward` over `shards` contiguous sentence shards of the batch.
+
+        Every dropout mask is drawn first, at the whole batch's shapes, and
+        sliced per shard. Each shard drops its trailing all-pad columns and
+        runs `_forward` and `_backward` into a gradient vector of its own,
+        with its logits' gradient divided by the whole batch's token count;
+        the vectors and the loss sums are then added in shard order. shards
+        is 1 or 2. Shard 0 runs on the calling thread; shard 1 runs on a
+        thread started and joined here when the calling thread may use two
+        CPUs (numpy releases the GIL in GEMMs, ufunc loops and `take`), else
+        after shard 0. Either way each shard's arithmetic is the same, so the
+        result does not depend on the CPU count; it does on the BLAS thread
+        count, as every GEMM does. One shard is the whole batch as is, since
+        a batch `make_batch` pads has no all-pad column.
+        """
+        pad = self.pad_id
+        count = int(np.count_nonzero(tgt_out != pad))
+        if not count:
             raise ValueError("batch contains no non-pad target tokens")
-        logits, gold, cache = self._forward(src, tgt_in, tgt_out, rng)
-        loss_sum, count, dlogits = kernels.xent_loss_grad(
-            logits, gold, self.pad_id, self.config.label_smoothing
-        )
-        dlogits /= count
-        return loss_sum / count, count, self._backward(dlogits, cache)
+        masks = self._dropout_masks(rng, src.shape, tgt_in.shape)
+        bounds = [len(src) * k // shards for k in range(shards + 1)]
+
+        def shard(k):
+            lo, hi = bounds[k], bounds[k + 1]
+            s = _width(src[lo:hi] != pad)
+            t = _width((tgt_in[lo:hi] != pad) | (tgt_out[lo:hi] != pad))
+            if masks is not None:
+                enc, dec = masks
+                part = [m[lo:hi, :s] for m in enc], [m[lo:hi, :t] for m in dec]
+            else:
+                part = None
+            logits, gold, cache = self._forward(
+                src[lo:hi, :s], tgt_in[lo:hi, :t], tgt_out[lo:hi, :t], part
+            )
+            loss_sum, _, dlogits = kernels.xent_loss_grad(
+                logits, gold, pad, self.config.label_smoothing
+            )
+            del logits  # freed before the backward allocates the gradient vector
+            dlogits /= count
+            return loss_sum, self._backward(dlogits, cache)
+
+        parts = [None] * shards
+
+        def run(k):
+            try:
+                parts[k] = shard(k)
+            except BaseException as err:  # re-raised on the calling thread
+                parts[k] = err
+
+        worker = None
+        if shards == 2 and len(os.sched_getaffinity(0)) >= 2:
+            # a copied context carries the caller's np.errstate into the thread
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
+            worker.start()
+        try:
+            run(0)
+        finally:
+            if worker is not None:
+                worker.join()
+        if shards == 2 and worker is None:
+            run(1)
+        for part in parts:
+            if isinstance(part, BaseException):
+                raise part
+        loss_sum, grads = parts[0]
+        for part_sum, part_grads in parts[1:]:
+            loss_sum += part_sum
+            grads.vector += part_grads.vector
+        return loss_sum / count, count, grads
 
     def loss_on(self, src, tgt_in, tgt_out):
         """Evaluation loss (sum, token count) without dropout."""

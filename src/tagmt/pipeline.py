@@ -13,33 +13,20 @@ child logs nothing, and the artifacts and the error raised are those of the
 serial order.
 """
 
-import ctypes
 import os
 import pickle
 import signal
 from contextlib import contextmanager
-
-import numpy as np
 
 from .corpus import load_bitext, load_vg_corpus, write_pairs_tsv
 from .errors import TrainingError
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
 from .mt.decode import translate_corpus
+from .mt.model import _blas_threads
 from .mt.train import Checkpoint, train
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
-
-
-def _blas_threads():
-    """The thread count of the OpenBLAS numpy loaded, or None when its BLAS
-    does not export scipy_openblas_get_num_threads64_ (numpy 2's wheels do)."""
-    try:
-        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
 
 
 @contextmanager
@@ -124,6 +111,9 @@ def run_pipeline(config, log=print):
     valid_corpus = None
     if "valid_corpus" in config.paths:
         valid_corpus = load_vg_corpus(config.paths["valid_corpus"], "dtest")
+    bitext = None
+    if "bitext_source" in config.paths and "bitext_target" in config.paths:
+        bitext = load_bitext(config.paths["bitext_source"], config.paths["bitext_target"])
 
     tagged_train = tag_corpus(train_corpus, detector, k=config.top_k)
     tagged_test = tag_corpus(test_corpus, detector, k=config.top_k)
@@ -148,8 +138,7 @@ def run_pipeline(config, log=print):
 
         log("[4/7] enrich text-only bitext with synthetic tags")
         mm_train = [(tagged.rendered, target) for tagged, target in tagged_train]
-        if "bitext_source" in config.paths and "bitext_target" in config.paths:
-            bitext = load_bitext(config.paths["bitext_source"], config.paths["bitext_target"])
+        if bitext is not None:
             enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
             write_enriched_corpus(enriched, artifact("enriched.tsv"))
             mm_train += [(tagged.rendered, target) for tagged, target in enriched.pairs]

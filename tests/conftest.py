@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -28,6 +29,16 @@ TINY_CONFIG = ModelConfig(
     max_len=16,
     seed=5,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread running: training joins every thread it starts."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [thread for thread in threading.enumerate() if thread not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 @pytest.fixture(scope="session")

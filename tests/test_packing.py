@@ -30,7 +30,8 @@ BOS, EOS = 1, 2
 
 
 def every_position_forward_backward(model, src, tgt_in, tgt_out, rng):
-    logits, gold, cache = model._forward(src, tgt_in, tgt_out, rng, pack=False)
+    masks = model._dropout_masks(rng, src.shape, tgt_in.shape)
+    logits, gold, cache = model._forward(src, tgt_in, tgt_out, masks, pack=False)
     loss_sum, count, dlogits = kernels.xent_loss_grad(
         logits, gold, model.pad_id, model.config.label_smoothing
     )

@@ -83,6 +83,40 @@ def test_training_bitwise_reproducible_at_blas_threads(threads):
     assert first == second
 
 
+# The same training at model_dim 128, where a step at one BLAS thread runs
+# two shards, on the first CPUS of the CPUs the process may use.
+SHARDED_SCRIPT = """
+import os
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(os.environ["CPUS"])])
+""" + DETERMINISM_SCRIPT.replace("model_dim=64, ff_dim=128", "model_dim=128, ff_dim=256")
+
+
+def test_sharded_training_bitwise_reproducible_on_one_and_two_cpus():
+    import os
+    import subprocess
+    import sys
+
+    import tagmt
+
+    assert "model_dim=128" in SHARDED_SCRIPT
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(tagmt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(cpus):
+        proc = subprocess.run(
+            [sys.executable, "-c", SHARDED_SCRIPT],
+            env=dict(env, CPUS=str(cpus)), capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    first = run(2)
+    train_trace, val_trace, _ = json.loads(first)
+    assert len(train_trace) == 24 and len(val_trace) == 3
+    assert run(2) == first
+    assert run(1) == first
+
+
 def test_clip_grads_scales_above_clip_and_keeps_below():
     grad = 3.0 * np.random.default_rng(0).normal(size=1000)
     norm = float(np.linalg.norm(grad))
