@@ -21,14 +21,33 @@ deterministic and width 1 takes the lowest-id most likely token. A hypothesis
 that picks eos is finished. The result is the best of the finished and still
 open hypotheses: score descending, then shorter, then the smaller id list.
 No length normalization is applied.
+
+Decoding is bound by small numpy calls that hold the GIL, so a second thread
+gains nothing; `translate_corpus` uses a second process instead. When the
+CPUs hold two processes' BLAS threads (`forking.can_fork`: two CPUs with
+`OPENBLAS_NUM_THREADS=1`; not unpinned BLAS, whose 2 threads on 2 CPUs keep
+decoding in one process) and the work is at least FORK_MIN_WORK decoder
+row-positions, a forked child decodes the first half of the sources while
+this process decodes the second, each half in batches as before. A call made
+inside `forking.alongside`'s block or child, as the pipeline's synthesizer
+decodes are, runs in place. On 2 vCPUs at d=128 (scripts/fork_break_even.py)
+the fork's cost, tens of milliseconds, outweighed the half it saves at most
+shapes of 128 row-positions, and the fork won at most of 256 and at all from
+512 up. The hypotheses are those of the in-place
+path wherever a GEMM row's bits do not depend on the row count (OpenBLAS at
+output widths that are multiples of 8), the same condition as batching.
 """
 
 import numpy as np
 
-from ..errors import TagmtError
+from ..errors import ConfigError, TagmtError
+from ..forking import alongside, can_fork
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
+# fewest decoder row-positions (sources x width x max_len) that translate_corpus
+# splits between two processes: the fork's measured break-even at d=128
+FORK_MIN_WORK = 256
 
 
 def _log_softmax(logits):
@@ -94,25 +113,38 @@ def translate_corpus(checkpoint, source_texts, decode="greedy", beam_width=4, ma
 
     Sources are decoded BATCH_ROWS // width at a time (at least one).
     max_len caps source and hypothesis lengths at the checkpoint's max_len;
-    None means the checkpoint's own.
+    None means the checkpoint's own. A bad decode mode, width or max_len
+    raises ConfigError. From FORK_MIN_WORK decoder row-positions (sources x
+    width x max_len) up, when `forking.can_fork()`, a forked child decodes
+    the first half of the sources while this process decodes the second.
     """
     if decode not in ("greedy", "beam"):
-        raise ValueError(f"decode must be 'greedy' or 'beam', got {decode!r}")
+        raise ConfigError(f"decode must be 'greedy' or 'beam', got {decode!r}")
     width = 1 if decode == "greedy" else beam_width
     if width < 1:
-        raise ValueError(f"beam width must be >= 1, got {width}")
+        raise ConfigError(f"beam width must be >= 1, got {width}")
     if max_len is not None and max_len < 2:
-        raise ValueError(f"max_len must be >= 2, got {max_len}")
+        raise ConfigError(f"max_len must be >= 2, got {max_len}")
     vocab = checkpoint.vocab
     model = checkpoint.build_model()
     limit = checkpoint.config.max_len
     max_len = limit if max_len is None else min(max_len, limit)
     chunk = max(1, BATCH_ROWS // width)
-    results = []
-    for start in range(0, len(source_texts), chunk):
-        encoded = [_encode_source(vocab, t, max_len) for t in source_texts[start : start + chunk]]
-        src = np.full((len(encoded), max(map(len, encoded))), vocab.pad_id, dtype=np.int64)
-        for row, ids in enumerate(encoded):
-            src[row, : len(ids)] = ids
-        results.extend(vocab.decode(ids) for ids in beam_search(model, src, vocab, max_len, width))
-    return results
+
+    def translate(texts):
+        results = []
+        for start in range(0, len(texts), chunk):
+            encoded = [_encode_source(vocab, t, max_len) for t in texts[start : start + chunk]]
+            src = np.full((len(encoded), max(map(len, encoded))), vocab.pad_id, dtype=np.int64)
+            for row, ids in enumerate(encoded):
+                src[row, : len(ids)] = ids
+            results.extend(vocab.decode(ids) for ids in beam_search(model, src, vocab, max_len, width))
+        return results
+
+    n = len(source_texts)
+    if n < 2 or n * width * max_len < FORK_MIN_WORK or not can_fork():
+        return translate(source_texts)
+    half = n // 2
+    with alongside(lambda: translate(source_texts[:half])) as first:
+        second = translate(source_texts[half:])
+    return first.value + second

@@ -60,7 +60,6 @@ its activations as one (rows, d) matrix: each projection is one GEMM.
 """
 
 import contextvars
-import ctypes
 import math
 import os
 import threading
@@ -69,6 +68,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ..errors import ConfigError
+from ..forking import _blas_threads
 from . import kernels
 
 DTYPE = np.float64
@@ -183,17 +183,6 @@ class ModelConfig:
                     f"config field {name!r} expects {kinds[name].__name__}, got {value!r}"
                 )
         return cls(**data).validate(min_steps=0)
-
-
-def _blas_threads():
-    """The thread count of the OpenBLAS numpy loaded, or None when its BLAS
-    does not export scipy_openblas_get_num_threads64_ (numpy 2's wheels do)."""
-    try:
-        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
 
 
 def sinusoid_positions(max_len, dim):

@@ -8,85 +8,23 @@ byte-identical.
 
 The text-only translator reads nothing the synthesizer chain produces, so
 when the CPUs hold two processes' BLAS threads it trains in a forked child
-while the parent runs the synthesizer, enrichment and multimodal stages. The
-child logs nothing, and the artifacts and the error raised are those of the
-serial order.
+(`forking.alongside`) while the parent runs the synthesizer, enrichment and
+multimodal stages, whose decodes therefore stay in the parent. The child
+logs nothing, and the artifacts and the error raised are those of the serial
+order. Step 6's two decodes may each fork a child of their own
+(`translate_corpus`).
 """
 
 import os
-import pickle
-import signal
-from contextlib import contextmanager
 
 from .corpus import load_bitext, load_vg_corpus, write_pairs_tsv
-from .errors import TrainingError
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
+from .forking import alongside
 from .mt.decode import translate_corpus
-from .mt.model import _blas_threads
 from .mt.train import Checkpoint, train
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
-
-
-@contextmanager
-def _alongside(work):
-    """Run work() while the with-block runs: in a forked child when the CPUs
-    available hold two processes of numpy's BLAS threads, else first, here.
-
-    Both processes keep the BLAS thread count: OpenBLAS sums some matrix
-    products in an order that depends on it, so a changed count would change
-    checkpoints, and with fewer CPUs the two processes' threads would contend
-    for them. Leaving waits for the child, so none outlives the block, and
-    re-raises the exception the child sent through a pipe. That exception
-    wins over one from the block, because the serial order would have raised
-    it first.
-    """
-    threads = _blas_threads()
-    if threads is None or len(os.sched_getaffinity(0)) < 2 * threads:
-        work()
-        yield
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 0
-        try:
-            os.close(read_fd)
-            work()
-        except BaseException as err:
-            status = 1
-            try:
-                payload = pickle.dumps(err)
-            except Exception:
-                payload = pickle.dumps(TrainingError(f"{type(err).__name__}: {err}"))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            # no atexit handlers, no flush of buffers the parent also holds
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        yield
-    finally:
-        try:
-            with os.fdopen(read_fd, "rb") as pipe:
-                payload = pipe.read()
-        except BaseException:  # interrupted while waiting
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if payload:
-            raise pickle.loads(payload)
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise TrainingError(f"text-only training process ended with exit code {code}")
 
 
 def run_pipeline(config, log=print):
@@ -126,7 +64,7 @@ def run_pipeline(config, log=print):
 
     log("[2/7] text-only translator")
     text_path = artifact("translator_text.ckpt")
-    with _alongside(lambda: train(config.translator, text_train, text_valid).save(text_path)):
+    with alongside(lambda: train(config.translator, text_train, text_valid).save(text_path)):
         log("[3/7] tag synthesizer")
         synth_pairs = build_synth_pairs(tagged_train)
         write_pairs_tsv(synth_pairs, artifact("synth_pairs.tsv"))

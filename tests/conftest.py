@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from tagmt import forking
 from tagmt.mt.model import ModelConfig
 from tagmt.mt.train import train
 from tagmt.toy import make_copy_task
@@ -39,6 +40,33 @@ def no_leaked_threads():
     leaked = [thread for thread in threading.enumerate() if thread not in before]
     if leaked:
         pytest.fail(f"threads left running: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process: every fork is reaped before its call returns."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process outlived the test" + (f" (reaped pid {pid})" if pid else ""))
+
+
+def counting_forks(patch, cpus, blas_threads):
+    """Make `forking` see `cpus` CPUs and `blas_threads` BLAS threads (BLAS
+    itself keeps its count); returns the list each os.fork call appends to."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    patch.setattr(os, "fork", counting_fork)
+    patch.setattr(forking, "_blas_threads", lambda: blas_threads)
+    return forks
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixture_path
-from tagmt import pipeline
+from conftest import counting_forks, fixture_path
+from tagmt import forking, pipeline
 from tagmt.cli import main
 from tagmt.corpus import load_vg_corpus
 from tagmt.fileio import read_lines
+from test_decode import random_checkpoint
 
 DISAMBIG = fixture_path("disambig")
 
@@ -132,8 +139,6 @@ def test_usage_error_exit_1():
 
 @pytest.mark.parametrize("max_len", ["0", "1", "-3"])
 def test_translate_max_len_below_two_exit_1(tmp_path, capsys, max_len):
-    from test_decode import random_checkpoint
-
     ckpt = tmp_path / "random.ckpt"
     random_checkpoint(0).save(str(ckpt))
     sources = tmp_path / "sources.txt"
@@ -150,10 +155,6 @@ def test_translate_max_len_below_two_exit_1(tmp_path, capsys, max_len):
 
 def _write_corrupt_checkpoint(path, kind):
     import json
-
-    import numpy as np
-
-    from test_decode import random_checkpoint
 
     checkpoint = random_checkpoint(0)
     if kind == "truncated":
@@ -203,8 +204,6 @@ def test_corrupt_checkpoint_exit_1(tmp_path, kind):
     ids=["str-int", "float-int", "bool-int", "str-float", "unknown", "invalid", "not-object"],
 )
 def test_checkpoint_bad_config_exit_1(tmp_path, change, message):
-    from test_decode import random_checkpoint
-
     config = random_checkpoint(0).config.to_dict()
     _assert_meta_rejected(
         tmp_path, {"config": [config] if change is None else {**config, **change}}, message
@@ -236,8 +235,6 @@ def test_checkpoint_bad_meta_exit_1(tmp_path, change, message):
     ids=["nan", "inf", "int64", "bool"],
 )
 def test_checkpoint_bad_param_values_exit_1(tmp_path, kind, message):
-    from test_decode import random_checkpoint
-
     checkpoint = random_checkpoint(0)
     out_b = checkpoint.params["out.b"].copy()
     if kind in ("nan", "inf"):
@@ -260,26 +257,86 @@ def test_checkpoint_bad_param_values_exit_1(tmp_path, kind, message):
     assert "Traceback" not in proc.stderr
 
 
+def _damaged(param, damage, index):
+    """param damaged one way, and the problem `Checkpoint.load` names for it."""
+    if damage in ("int64", "bool", "float32"):
+        return param.astype(damage), f"has dtype {damage}, expected float64"
+    if damage in ("nan", "inf", "-inf"):
+        param = param.copy()
+        param.flat[index % param.size] = float(damage)
+        return param, "has a value that is not finite"
+    shape = param.shape[:-1] + (param.shape[-1] + (1 if damage == "wider" else -1),)
+    return np.zeros(shape), f"has shape {shape}, expected {param.shape}"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name_index=st.integers(0, 1000),
+    damage=st.sampled_from(["int64", "bool", "float32", "nan", "inf", "-inf", "wider", "narrower"]),
+    index=st.integers(0, 10_000),
+)
+def test_translate_rejects_any_damaged_parameter_exit_1(name_index, damage, index):
+    checkpoint = random_checkpoint(0)
+    names = sorted(checkpoint.params)
+    name = names[name_index % len(names)]
+    if damage == "narrower" and checkpoint.params[name].shape[-1] == 1:
+        damage = "wider"
+    checkpoint.params[name], problem = _damaged(checkpoint.params[name], damage, index)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "damaged.ckpt")
+        checkpoint.save(ckpt)
+        sources = os.path.join(tmp, "sources.txt")
+        with open(sources, "w", encoding="utf-8") as out:
+            out.write("aa bb\ncc\n")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["mt", "translate", "--checkpoint", ckpt, "--input", sources])
+    assert code == 1
+    assert err.getvalue() == f"error: checkpoint {ckpt}: parameter {name!r} {problem}\n"
+
+
+# `mt translate` as if two CPUs and one BLAS thread were there; prints the fork count last
+FORCED_FORK_CLI = """
+import os
+import sys
+from tagmt import forking
+from tagmt.cli import main
+
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+forking._blas_threads = lambda: 1
+code = main(sys.argv[1:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
 @pytest.mark.parametrize("decode", ["greedy", "beam"])
 def test_translate_non_finite_scores_exit_1(tmp_path, decode):
     # finite weights that overflow: every logit is inf, every score NaN
-    from test_decode import random_checkpoint
+    from tagmt.mt.decode import FORK_MIN_WORK
 
     checkpoint = random_checkpoint(0)
     checkpoint.params["out.w"][...] = 1e308
     ckpt = tmp_path / "overflow.ckpt"
     checkpoint.save(str(ckpt))
-    sources = tmp_path / "sources.txt"
-    sources.write_text("aa bb\n", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
-         "--input", str(sources), "--decode", decode],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1, proc.stderr
-    # numpy's overflow warnings, which quote the program's source, do not reach the user
-    assert proc.stderr == "error: beam search found no hypothesis: the model's scores were not finite\n"
+    # one line decodes here; enough lines to pass FORK_MIN_WORK decode half in a forked child
+    width = 1 if decode == "greedy" else 4
+    many = max(2, -(-FORK_MIN_WORK // (width * checkpoint.config.max_len)))
+    for lines, launcher, forks in [(1, ["-m", "tagmt.cli"], ""), (many, ["-c", FORCED_FORK_CLI], "1\n")]:
+        sources = tmp_path / "sources.txt"
+        sources.write_text("aa bb\n" * lines, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, *launcher, "mt", "translate", "--checkpoint", str(ckpt),
+             "--input", str(sources), "--decode", decode],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        # numpy's overflow warnings, which quote the program's source, do not reach the user
+        assert proc.stderr == "error: beam search found no hypothesis: the model's scores were not finite\n"
+        assert proc.stdout == forks
 
 
 def _assert_meta_rejected(tmp_path, change, message):
@@ -288,8 +345,6 @@ def _assert_meta_rejected(tmp_path, change, message):
     import json
 
     import numpy as np
-
-    from test_decode import random_checkpoint
 
     checkpoint = random_checkpoint(0)
     meta = {
@@ -448,8 +503,6 @@ def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_synth_enrich_k_below_one_exit_1(tmp_path, capsys, k):
-    from test_decode import random_checkpoint
-
     ckpt = tmp_path / "synth.ckpt"
     random_checkpoint(0).save(str(ckpt))
     src = tmp_path / "extra.src"
@@ -465,8 +518,6 @@ def test_synth_enrich_k_below_one_exit_1(tmp_path, capsys, k):
 
 
 def test_synth_enrich_bitext_tab_exit_2_before_decoding(tmp_path, monkeypatch, capsys):
-    from test_decode import random_checkpoint
-
     from tagmt import synth
 
     def no_decode(*args, **kwargs):
@@ -688,28 +739,12 @@ PIPELINE_ARTIFACTS = [
 ]
 
 
-def _counting_forks(patch, cpus, blas_threads):
-    """Make `pipeline` see `cpus` CPUs and `blas_threads` BLAS threads (BLAS
-    itself keeps its count); returns the list each os.fork call appends to."""
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    patch.setattr(os, "fork", counting_fork)
-    patch.setattr(pipeline, "_blas_threads", lambda: blas_threads)
-    return forks
-
-
 def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
     """`pipeline run` as if `cpus` CPUs and one BLAS thread were available;
     returns the exit code, the stderr and how many times the pipeline forked."""
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        forks = _counting_forks(patch, cpus, 1)
+        forks = counting_forks(patch, cpus, 1)
         code = main(["pipeline", "run", "--config", cfg, "--output-dir", str(out_dir)])
     return code, capsys.readouterr().err, len(forks)
 
@@ -721,8 +756,8 @@ def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
 def test_text_training_forks_only_when_cpus_hold_both(tmp_path, monkeypatch, cpus, blas_threads, forks):
     done = tmp_path / "done"
     with monkeypatch.context() as patch:
-        calls = _counting_forks(patch, cpus, blas_threads)
-        with pipeline._alongside(lambda: done.write_text("trained")):
+        calls = counting_forks(patch, cpus, blas_threads)
+        with forking.alongside(lambda: done.write_text("trained")):
             pass
     assert len(calls) == forks
     assert done.read_text() == "trained"
@@ -734,7 +769,7 @@ def test_blas_threads_reads_numpys_blas(pinned):
     if pinned:
         env["OPENBLAS_NUM_THREADS"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", "from tagmt.pipeline import _blas_threads; print(_blas_threads())"],
+        [sys.executable, "-c", "from tagmt.forking import _blas_threads; print(_blas_threads())"],
         capture_output=True,
         text=True,
         env=env,
@@ -764,7 +799,8 @@ def test_pipeline_concurrent_equals_serial(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"cpus{cpus}"
         code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), out, cpus)
         assert code == 0, err
-        assert forks == (cpus - 1)
+        # the text-only training, then each of step 6's two decodes
+        assert forks == 3 * (cpus - 1)
         assert sorted(os.listdir(out)) == sorted(PIPELINE_ARTIFACTS)
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PIPELINE_ARTIFACTS}
         runs[cpus] = digests, err

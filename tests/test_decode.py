@@ -1,3 +1,4 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counting_forks
+from tagmt import forking
+from tagmt.errors import ConfigError
+from tagmt.mt import decode as decode_module
 from tagmt.mt.decode import _encode_source, _log_softmax, beam_search, translate_corpus
 from tagmt.mt.model import ModelConfig
 from tagmt.mt.train import Checkpoint, train
@@ -203,10 +208,12 @@ def test_overlong_source_truncated_not_crashing(copy_checkpoint):
 
 
 def test_bad_decode_mode(copy_checkpoint):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         translate_corpus(copy_checkpoint, ["t01"], decode="sampling")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         translate_corpus(copy_checkpoint, ["t01"], decode="beam", beam_width=0)
+    with pytest.raises(ConfigError):
+        translate_corpus(copy_checkpoint, ["t01"], max_len=1)
 
 
 def greedy_reference(model, src, vocab, max_len):
@@ -256,3 +263,87 @@ def test_batched_search_properties(seed, sources, width, max_len):
     greedy = greedy_reference(model, src, vocab, max_len)
     assert beam_search(model, src, vocab, max_len, 1) == greedy
     assert translate_corpus(ckpt, sources, max_len=max_len) == [vocab.decode(g) for g in greedy]
+
+
+def random_wide_checkpoint(model_dim):
+    """An untrained model at model_dim over a 32-token vocabulary, and 60
+    copy-task sources. OpenBLAS gives a GEMM row the same bits at any row
+    count where the output width is a multiple of 8, so at d=32 and d=128
+    with V=32 a hypothesis does not depend on the batch it is decoded in."""
+    pairs = make_copy_task(60, seed=4, vocab_size=25, min_len=2, max_len=9)
+    vocab = vocab_from_pairs(pairs)
+    assert len(vocab) == 32
+    config = ModelConfig(
+        layers=1, heads=2, model_dim=model_dim, ff_dim=2 * model_dim, dropout=0.0,
+        max_len=10, max_steps=1, validation_interval=1, seed=model_dim,
+    )
+    from tagmt.mt.model import Transformer
+
+    model = Transformer(config, len(vocab), rng=np.random.default_rng(model_dim))
+    return Checkpoint(config=config, params=model.params, vocab=vocab), [src for src, _ in pairs]
+
+
+@pytest.mark.parametrize("model_dim", [32, 128])
+@pytest.mark.parametrize("decode", ["greedy", "beam"])
+def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
+    ckpt, sources = random_wide_checkpoint(model_dim)
+    monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
+    for n in (2, 3, 35, 36):  # beam width 4 decodes 16 sources a batch: 35 and 36 take two a half
+        with monkeypatch.context() as patch:
+            forks = counting_forks(patch, 1, 1)
+            in_place = translate_corpus(ckpt, sources[:n], decode=decode, beam_width=4)
+            assert not forks
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            forked = translate_corpus(ckpt, sources[:n], decode=decode, beam_width=4)
+            assert len(forks) == 1
+        assert forked == in_place, n
+
+
+@pytest.mark.parametrize(
+    "n, decode, max_len, forks",
+    [
+        (3, "beam", None, 0),  # 3 x 2 x 12 = 72 row-positions
+        (4, "beam", None, 1),  # 4 x 2 x 12 = 96
+        (4, "beam", 6, 0),  # the max_len asked for counts
+        (4, "beam", 100, 1),  # capped at the checkpoint's 12
+        (8, "greedy", None, 1),  # 8 x 1 x 12 = 96
+        (1, "beam", None, 0),  # one source is never split, whatever its work
+    ],
+)
+def test_decode_forks_from_fork_min_work(monkeypatch, n, decode, max_len, forks):
+    calls = counting_forks(monkeypatch, 2, 1)
+    monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 96)
+    width = 2 if n > 1 else 8
+    translate_corpus(random_checkpoint(0), ["aa bb"] * n, decode=decode, beam_width=width, max_len=max_len)
+    assert len(calls) == forks
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(decode="sampling"), dict(decode="beam", beam_width=0), dict(max_len=1)],
+    ids=["mode", "width", "max-len"],
+)
+def test_bad_decode_arguments_raise_before_forking(monkeypatch, kwargs):
+    forks = counting_forks(monkeypatch, 2, 1)
+    monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
+    with pytest.raises(ConfigError):
+        translate_corpus(random_checkpoint(0), ["aa bb"] * 4, **kwargs)
+    assert not forks
+
+
+def test_decode_inside_alongside_does_not_fork(monkeypatch):
+    ckpt, sources = random_wide_checkpoint(32)
+    forks = counting_forks(monkeypatch, 2, 1)
+    monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
+    want = translate_corpus(ckpt, sources)
+    assert len(forks) == 1
+
+    def in_child():
+        # the child's copy of forks holds the parent's two calls; a fork here would add one
+        return translate_corpus(ckpt, sources), len(forks)
+
+    with forking.alongside(in_child) as child:
+        here = translate_corpus(ckpt, sources)  # while the child runs
+    assert len(forks) == 2
+    assert child.value == (want, 2)
+    assert here == want

@@ -155,11 +155,11 @@ def test_sharded_train_leaves_no_thread(monkeypatch):
     assert len(started) == 3
 
 
-# A sharded train in the parent, then one in the child `_alongside` forks.
+# A sharded train in the parent, then one in the child `forking.alongside` forks.
 FORKED_TRAIN_SCRIPT = """
 import os
 import threading
-from tagmt import pipeline
+from tagmt import forking
 from tagmt.mt import model
 from tagmt.mt.model import ModelConfig
 from tagmt.mt.train import train
@@ -169,7 +169,7 @@ os.sched_getaffinity = lambda pid: {0, 1}
 threads = []
 real_start = threading.Thread.start
 threading.Thread.start = lambda self: threads.append(1) or real_start(self)
-pipeline._blas_threads = model._blas_threads = lambda: 1
+forking._blas_threads = model._blas_threads = lambda: 1
 forks = []
 real_fork = os.fork
 os.fork = lambda: forks.append(1) or real_fork()
@@ -185,7 +185,7 @@ def child():
 
 
 train(config, pairs[:64], pairs[64:])
-with pipeline._alongside(child):
+with forking.alongside(child):
     train(config, pairs[:64], pairs[64:])
 with open(os.environ["CKPT"] + ".threads") as child_threads:
     print(len(forks), len(threads), child_threads.read())
