@@ -1,7 +1,8 @@
 """tagmt command line: each subcommand is one box or arrow of the pipeline.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error (with the
-offending line or record named), 3 training divergence.
+offending line or record named), 3 training divergence. Any other exception
+is a bug and propagates with its traceback.
 """
 
 import argparse
@@ -9,23 +10,26 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_experiment_config, validate_model
-from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
+from .config import ExperimentConfig, in_section, load_experiment_config
+from .corpus import (
+    SPLIT_LABELS, corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
+)
 from .errors import ConfigError, DataError, Divergence, TagmtError
 from .evaluation import (
+    REPORT_FORMATS,
     bleu_from_texts,
     read_scores_tsv,
-    render_report_table,
-    render_report_tsv,
+    render_report,
     report_delta,
     write_report,
 )
 from .fileio import read_lines, write_lines
-from .mt.decode import translate_corpus
+from .mt.decode import DECODE_METHODS, translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import (
+    BACKENDS,
     inject_tags,
     load_tag_vocabulary,
     make_detector,
@@ -62,7 +66,7 @@ def _model_config(args, section):
     model = getattr(_load_config(args), section)
     if getattr(args, "max_steps", None) is not None:
         model = model.override(max_steps=args.max_steps)
-    return validate_model(section, model)
+    return in_section(section, model.validate)
 
 
 def _kv_lines(pairs, fmt):
@@ -249,14 +253,11 @@ def cmd_eval_report(args):
         split=args.split,
         timestamp=args.timestamp,
     )
-    rendered = (
-        render_report_tsv(report) if args.format == "tsv" else render_report_table(report)
-    )
     if args.output:
         write_report(report, args.output, fmt=args.format)
         print(f"wrote report to {args.output}")
     else:
-        print(rendered, end="")
+        print(render_report(report, args.format), end="")
     return 0
 
 
@@ -305,14 +306,14 @@ def build_parser():
     corpus = parser_group(groups, "corpus", "corpus parsing, validation, statistics")
     p = sub(corpus, "stats", cmd_corpus_stats, "sentence and token counts")
     _add_corpus_inputs(p)
-    p.add_argument("--format", choices=("tsv", "table"), default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p = sub(corpus, "validate", cmd_corpus_validate, "strict structural validation")
     _add_corpus_inputs(p)
 
     tags = parser_group(groups, "tags", "object-tag extraction and fusion")
     p = sub(tags, "extract", cmd_tags_extract, "detect and select top-k tags per image")
     p.add_argument("--corpus", required=True, help="VG TSV corpus")
-    p.add_argument("--backend", choices=("stub", "file"), default="stub")
+    p.add_argument("--backend", choices=BACKENDS, default="stub")
     p.add_argument("--detections", default=None, help="precomputed detections TSV (file backend)")
     p.add_argument("--tag-vocabulary", default=None, help="tag vocabulary file (default: COCO-80)")
     p.add_argument("--k", type=int, default=10)
@@ -354,7 +355,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--decode", choices=("greedy", "beam"), default="greedy")
+    p.add_argument("--decode", choices=DECODE_METHODS, default="greedy")
     p.add_argument("--beam-width", type=int, default=4)
     p.add_argument("--max-len", type=int, default=None)
 
@@ -363,12 +364,12 @@ def build_parser():
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--smooth", action="store_true", help="add-one smoothing for orders >= 2")
-    p.add_argument("--format", choices=("tsv", "table"), default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p = sub(ev, "report", cmd_eval_report, "text-only vs multimodal delta table")
     p.add_argument("--text-only", required=True, help="TSV of (task, score)")
     p.add_argument("--multimodal", required=True, help="TSV of (task, score)")
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("tsv", "table"), default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.add_argument("--corpus-name", default="")
     p.add_argument("--split", default="")
     p.add_argument("--timestamp", default=None)
@@ -388,7 +389,7 @@ def _add_corpus_inputs(p):
     p.add_argument("--vg", default=None, help="VG TSV corpus file")
     p.add_argument("--source", default=None, help="bitext source file")
     p.add_argument("--target", default=None, help="bitext target file")
-    p.add_argument("--split", choices=("train", "dtest", "etest", "ctest", "unspecified"), default="unspecified")
+    p.add_argument("--split", choices=SPLIT_LABELS, default="unspecified")
 
 
 def main(argv=None):
@@ -407,7 +408,8 @@ def main(argv=None):
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (TagmtError, ValueError, OSError) as err:
+    except (TagmtError, OSError, UnicodeEncodeError) as err:
+        # UnicodeEncodeError: stdout cannot encode the output (PYTHONIOENCODING=ascii)
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,10 @@ attribute it sets and the type its value is parsed as. [experiment],
 (`PATH_KEYS`) fill `paths`, and [translator]/[synthesizer] keys set the
 ModelConfig fields of the same name, typed by the field defaults. One loop
 parses every section, so every bad value is reported the same way:
-``[section] key expects int, got 'x'``; validation errors also start with
-``[section] key``, and a file that cannot be parsed is named with its line.
+``[section] key expects int, got 'x'``, and a file that cannot be parsed is
+named with its line. Each value is checked by the module that uses it
+(`tagging`, `mt.decode`, `ModelConfig`), whose ConfigError starts with the
+key; `in_section` prefixes the ``[section]``.
 
 Relative paths are resolved against the config file's directory, so a config
 can travel with its fixtures. A single [experiment] seed governs every
@@ -19,7 +21,9 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .mt.decode import check_decode
 from .mt.model import ModelConfig
+from .tagging import check_backend, check_k
 
 PATH_KEYS = (
     "train_corpus",
@@ -58,10 +62,10 @@ KEYS = {
 SECTIONS = {section for section, _ in KEYS}
 
 
-def validate_model(section, model):
-    """Validate the ModelConfig of [translator] or [synthesizer]; an error names the section."""
+def in_section(section, check, *args):
+    """Run an owner's `check(*args)`; its ConfigError gets the ``[section] `` prefix."""
     try:
-        return model.validate()
+        return check(*args)
     except ConfigError as err:
         raise ConfigError(f"[{section}] {err}") from None
 
@@ -81,27 +85,14 @@ class ExperimentConfig:
     decode_max_len: int | None = None
 
     def validate(self):
-        if self.tagging_backend not in ("stub", "file"):
-            raise ConfigError(
-                f"[tagging] backend must be 'stub' or 'file', got {self.tagging_backend!r}"
-            )
-        if self.top_k < 1:
-            raise ConfigError(f"[tagging] k must be >= 1, got {self.top_k}")
-        if self.decode_method not in ("greedy", "beam"):
-            raise ConfigError(
-                f"[decode] method must be 'greedy' or 'beam', got {self.decode_method!r}"
-            )
-        if self.beam_width < 1:
-            raise ConfigError(f"[decode] beam_width must be >= 1, got {self.beam_width}")
-        if self.decode_max_len is not None and self.decode_max_len < 2:
-            raise ConfigError(f"[decode] max_len must be >= 2, got {self.decode_max_len}")
-        if self.tagging_backend == "file" and "detections" not in self.paths:
-            raise ConfigError("[tagging] backend 'file' needs a [paths] detections file")
+        in_section("tagging", check_backend, self.tagging_backend, self.paths.get("detections"))
+        in_section("tagging", check_k, self.top_k)
+        in_section("decode", check_decode, self.decode_method, self.beam_width, self.decode_max_len)
         for key, path in self.paths.items():
             if key != "output_dir" and not os.path.exists(path):
                 raise ConfigError(f"[paths] {key} does not exist: {path}")
         for section in MODEL_SECTIONS:
-            validate_model(section, getattr(self, section))
+            in_section(section, getattr(self, section).validate)
         return self
 
     def with_seed(self, seed):

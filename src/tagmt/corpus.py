@@ -11,7 +11,7 @@ Parsing preserves record order exactly; order is the alignment identity.
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyText, LengthMismatch, MalformedLine
+from .errors import DataError, EmptyText, LengthMismatch, MalformedLine, check_choice
 from .fileio import read_lines, tsv_rows, write_lines
 
 SPLIT_LABELS = ("train", "dtest", "etest", "ctest", "unspecified")
@@ -53,13 +53,6 @@ class CorpusStats:
     target_token_count: int
 
 
-def _check_split(split_label):
-    if split_label not in SPLIT_LABELS:
-        raise ValueError(
-            f"unknown split label {split_label!r}; expected one of {SPLIT_LABELS}"
-        )
-
-
 def parse_vg_corpus(lines, split_label="unspecified"):
     """Parse VG-style TSV lines into a Corpus.
 
@@ -69,7 +62,7 @@ def parse_vg_corpus(lines, split_label="unspecified"):
     Raises MalformedLine on wrong field count or bad geometry, EmptyText when
     either text field is blank after trimming.
     """
-    _check_split(split_label)
+    check_choice("split", split_label, SPLIT_LABELS)
     records = []
     for line_number, fields in tsv_rows(lines, 7):
         image_id = fields[0].strip()
@@ -110,23 +103,10 @@ def serialize_vg_corpus(corpus):
     lines = []
     for i, rec in enumerate(corpus.records):
         if rec.region is None or not rec.image_id:
-            raise ValueError(
-                f"record {i} lacks image_id or region; not representable as VG TSV"
-            )
+            raise DataError(f"record {i} lacks image_id or region; not representable as VG TSV")
         r = rec.region
-        lines.append(
-            "\t".join(
-                (
-                    rec.image_id,
-                    str(r.x),
-                    str(r.y),
-                    str(r.width),
-                    str(r.height),
-                    rec.source_text,
-                    rec.target_text,
-                )
-            )
-        )
+        fields = (rec.image_id, r.x, r.y, r.width, r.height, rec.source_text, rec.target_text)
+        lines.append("\t".join(map(str, fields)))
     return lines
 
 
@@ -151,28 +131,21 @@ def parse_bitext(source_lines, target_lines, split_label="unspecified"):
     Blank lines are dropped on each side before pairing; a count mismatch
     after that raises LengthMismatch.
     """
-    _check_split(split_label)
+    check_choice("split", split_label, SPLIT_LABELS)
     src = _sentences(source_lines, "source")
     tgt = _sentences(target_lines, "target")
     if len(src) != len(tgt):
         raise LengthMismatch(len(src), len(tgt))
-    records = [
-        ParallelRecord(source_text=s, target_text=t) for s, t in zip(src, tgt)
-    ]
+    records = [ParallelRecord(source_text=s, target_text=t) for s, t in zip(src, tgt)]
     return Corpus(records=records, split_label=split_label)
 
 
 def corpus_stats(corpus):
     """Sentence and whitespace-token counts for both sides of a corpus."""
-    src_tokens = 0
-    tgt_tokens = 0
-    for rec in corpus.records:
-        src_tokens += len(rec.source_text.split())
-        tgt_tokens += len(rec.target_text.split())
     return CorpusStats(
         sentence_count=len(corpus.records),
-        source_token_count=src_tokens,
-        target_token_count=tgt_tokens,
+        source_token_count=sum(len(rec.source_text.split()) for rec in corpus.records),
+        target_token_count=sum(len(rec.target_text.split()) for rec in corpus.records),
     )
 
 
@@ -181,9 +154,7 @@ def load_vg_corpus(path, split_label="unspecified"):
 
 
 def load_bitext(source_path, target_path, split_label="unspecified"):
-    return parse_bitext(
-        read_lines(source_path), read_lines(target_path), split_label
-    )
+    return parse_bitext(read_lines(source_path), read_lines(target_path), split_label)
 
 
 def write_vg_corpus(corpus, path):

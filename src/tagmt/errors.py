@@ -20,6 +20,13 @@ class ConfigError(TagmtError):
     """Invalid configuration value or combination."""
 
 
+def check_choice(key, value, choices):
+    """Raise ConfigError, its message led by key, unless value is one of choices."""
+    if value not in choices:
+        *rest, last = map(repr, choices)
+        raise ConfigError(f"{key} must be {', '.join(rest)} or {last}, got {value!r}")
+
+
 class DataError(TagmtError):
     """Malformed or inconsistent input data."""
 
@@ -81,9 +88,11 @@ class EmptyCorpus(DataError):
 
 
 class MissingBaseline(DataError):
-    def __init__(self, task: str):
+    def __init__(self, task: str, line_number: int | None = None):
         self.task = task
-        super().__init__(f"no text-only baseline score for task {task!r}")
+        self.line_number = line_number
+        at = f"line {line_number}: " if line_number is not None else ""
+        super().__init__(f"{at}no text-only baseline score for task {task!r}")
 
 
 class TrainingError(TagmtError):

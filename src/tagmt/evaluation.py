@@ -13,10 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, LengthMismatch, MalformedLine, MissingBaseline
+from .errors import EmptyCorpus, LengthMismatch, MalformedLine, MissingBaseline, check_choice
 from .fileio import atomic_write, tsv_rows
 
 MAX_ORDER = 4
+SMOOTHING = ("none", "add1")
+REPORT_FORMATS = ("tsv", "table")
 
 
 @dataclass(frozen=True)
@@ -46,16 +48,13 @@ def corpus_bleu(hypotheses, references, smooth="none"):
     Returns 0 when any counted order has zero matches (or zero hypothesis
     n-grams) unless add-one smoothing is enabled for orders >= 2.
     """
-    if smooth not in ("none", "add1"):
-        raise ValueError(f"smooth must be 'none' or 'add1', got {smooth!r}")
+    check_choice("smooth", smooth, SMOOTHING)
     if len(hypotheses) != len(references):
         raise LengthMismatch(len(hypotheses), len(references))
     if not hypotheses:
         raise EmptyCorpus("cannot score an empty corpus")
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    hyp_len = ref_len = 0
     for hyp, ref in zip(hypotheses, references):
         hyp = list(hyp)
         ref = list(ref)
@@ -77,12 +76,7 @@ def corpus_bleu(hypotheses, references, smooth="none"):
             m, t = m + 1, t + 1
         precisions.append(m / t if t > 0 else 0.0)
 
-    if hyp_len == 0:
-        bp = 1.0
-    elif hyp_len < ref_len:
-        bp = math.exp(1.0 - ref_len / hyp_len)
-    else:
-        bp = 1.0
+    bp = math.exp(1.0 - ref_len / hyp_len) if 0 < hyp_len < ref_len else 1.0
 
     if any(p == 0.0 for p in precisions):
         score = 0.0
@@ -126,21 +120,15 @@ def report_delta(text_only, multimodal, corpus_name="", split="", timestamp=None
 
     Deltas are exact subtractions (multimodal minus text-only); rendering
     rounds to one decimal place but never re-rounds previously rounded
-    inputs. Every multimodal task needs a text-only baseline.
+    inputs. Every multimodal task needs a text-only baseline; a missing one
+    is named with its line when multimodal was read by `read_scores_tsv`.
     """
     rows = []
     for task, mm_score in multimodal.items():
         if task not in text_only:
-            raise MissingBaseline(task)
-        base = text_only[task]
-        rows.append(
-            ReportRow(
-                task=task,
-                system_score=float(mm_score),
-                baseline_score=float(base),
-                delta=float(mm_score) - float(base),
-            )
-        )
+            raise MissingBaseline(task, getattr(multimodal, "line_numbers", {}).get(task))
+        system, baseline = float(mm_score), float(text_only[task])
+        rows.append(ReportRow(task, system, baseline, system - baseline))
     metadata = {"bleu_tokenization": "whitespace"}
     if corpus_name:
         metadata["corpus"] = corpus_name
@@ -180,21 +168,33 @@ def render_report_table(report):
     return "\n".join(lines) + "\n"
 
 
+def render_report(report, fmt):
+    """The report in one of REPORT_FORMATS: "tsv" or the aligned "table"."""
+    check_choice("fmt", fmt, REPORT_FORMATS)
+    return render_report_tsv(report) if fmt == "tsv" else render_report_table(report)
+
+
 def write_report(report, path, fmt="tsv"):
-    if fmt not in ("tsv", "table"):
-        raise ValueError(f"fmt must be 'tsv' or 'table', got {fmt!r}")
-    rendered = render_report_tsv(report) if fmt == "tsv" else render_report_table(report)
+    rendered = render_report(report, fmt)
     with atomic_write(path) as out:
         out.write(rendered)
 
 
+class Scores(dict):
+    """An ordered task -> score map; `line_numbers` maps each task to its line."""
+
+    def __init__(self):
+        super().__init__()
+        self.line_numbers = {}
+
+
 def read_scores_tsv(lines):
-    """Parse (task, score) TSV lines into an ordered task -> score map.
+    """Parse (task, score) TSV lines into a `Scores` map.
 
     ``#`` comment lines are skipped like blank ones. Scores must be finite
     and tasks unique.
     """
-    scores = {}
+    scores = Scores()
     uncommented = ("" if line.lstrip().startswith("#") else line for line in lines)
     for line_number, (task, score) in tsv_rows(uncommented, 2):
         task = task.strip()
@@ -207,4 +207,5 @@ def read_scores_tsv(lines):
         if task in scores:
             raise MalformedLine(line_number, f"repeated task {task!r}")
         scores[task] = value
+        scores.line_numbers[task] = line_number
     return scores

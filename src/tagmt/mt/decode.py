@@ -40,8 +40,10 @@ output widths that are multiples of 8), the same condition as batching.
 
 import numpy as np
 
-from ..errors import ConfigError, TagmtError
+from ..errors import ConfigError, TagmtError, check_choice
 from ..forking import alongside, can_fork
+
+DECODE_METHODS = ("greedy", "beam")
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
@@ -108,23 +110,30 @@ def beam_search(model, src, vocab, max_len, width):
     return [min(pool, key=lambda c: (-c[0], len(c[1]), c[1]))[1] for pool in pools]
 
 
+def check_decode(method, beam_width, max_len):
+    """The one check of the [decode] settings and `translate_corpus`'s arguments:
+    ConfigError, led by the key, unless method is one of DECODE_METHODS,
+    beam_width >= 1 (under greedy too) and max_len is None or >= 2."""
+    check_choice("method", method, DECODE_METHODS)
+    if beam_width < 1:
+        raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
+    if max_len is not None and max_len < 2:
+        raise ConfigError(f"max_len must be >= 2, got {max_len}")
+
+
 def translate_corpus(checkpoint, source_texts, decode="greedy", beam_width=4, max_len=None):
     """Translate a list of sources by batched beam search; greedy is width 1.
 
     Sources are decoded BATCH_ROWS // width at a time (at least one).
     max_len caps source and hypothesis lengths at the checkpoint's max_len;
     None means the checkpoint's own. A bad decode mode, width or max_len
-    raises ConfigError. From FORK_MIN_WORK decoder row-positions (sources x
-    width x max_len) up, when `forking.can_fork()`, a forked child decodes
-    the first half of the sources while this process decodes the second.
+    raises ConfigError (`check_decode`). From FORK_MIN_WORK decoder
+    row-positions (sources x width x max_len) up, when `forking.can_fork()`,
+    a forked child decodes the first half of the sources while this process
+    decodes the second.
     """
-    if decode not in ("greedy", "beam"):
-        raise ConfigError(f"decode must be 'greedy' or 'beam', got {decode!r}")
+    check_decode(decode, beam_width, max_len)
     width = 1 if decode == "greedy" else beam_width
-    if width < 1:
-        raise ConfigError(f"beam width must be >= 1, got {width}")
-    if max_len is not None and max_len < 2:
-        raise ConfigError(f"max_len must be >= 2, got {max_len}")
     vocab = checkpoint.vocab
     model = checkpoint.build_model()
     limit = checkpoint.config.max_len

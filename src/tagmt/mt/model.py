@@ -10,7 +10,7 @@ The encoder and the decoder are one pre-norm residual stack that differs
 only in its sublayers, each x + dropout(sublayer(layer_norm(x))):
 `_SUBLAYERS` lists each side's as (layer norm, kind, parameter prefix), kind
 being self attention, cross attention or feed-forward. That one table gives
-the parameter layout and drives `_stack_fwd` and `_stack_bwd`.
+the parameter layout and drives `_stack_fwd`, `_stack_bwd` and `decode_step`.
 
 `param_layout` defines the parameters, and `FlatViews` lays them out back to
 back in one flat vector with a named view per parameter. `forward_backward`
@@ -148,6 +148,8 @@ class ModelConfig:
             raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.synth_fit_threshold <= 1.0:
             raise ConfigError(
                 f"synth_fit_threshold must be in (0, 1], got {self.synth_fit_threshold}"
@@ -779,16 +781,20 @@ class Transformer:
         # the step's activations stay (rows, d) from the embedding to the logits
         x = self._embed_fwd(ids, t)
         for i in range(c.layers):
-            sa, ca = f"dec{i}.self", f"dec{i}.cross"
-            h1, _ = _ln_fwd(x, p, f"dec{i}.ln1")
-            keys, values = state.keys[i], state.values[i]
-            keys[:, :, t : t + 1] = proj(h1, sa, "k")
-            values[:, :, t : t + 1] = proj(h1, sa, "v")
-            qh = proj(h1, sa, "q")
-            x = x + attend(sa, qh, keys[:, :, : t + 1], values[:, :, : t + 1], key_bias)
-            h2, _ = _ln_fwd(x, p, f"dec{i}.ln2")
-            x = x + attend(ca, proj(h2, ca, "q"), *state.cross[i], state.src_bias)
-            h3, _ = _ln_fwd(x, p, f"dec{i}.ln3")
-            x = x + _ff_fwd(p, f"dec{i}.ff", h3)[0]
+            for norm, kind, name in _SUBLAYERS["dec"]:
+                h, _ = _ln_fwd(x, p, f"dec{i}.{norm}")
+                prefix = f"dec{i}.{name}"
+                if kind == "ff":
+                    y = _ff_fwd(p, prefix, h)[0]
+                elif kind == "self":
+                    # this position's keys and values join the cache before its query
+                    keys, values = state.keys[i], state.values[i]
+                    keys[:, :, t : t + 1] = proj(h, prefix, "k")
+                    values[:, :, t : t + 1] = proj(h, prefix, "v")
+                    kv = keys[:, :, : t + 1], values[:, :, : t + 1]
+                    y = attend(prefix, proj(h, prefix, "q"), *kv, key_bias)
+                else:
+                    y = attend(prefix, proj(h, prefix, "q"), *state.cross[i], state.src_bias)
+                x = x + y
         out, _ = _ln_fwd(x, p, "dec.ln")
         return out @ p["out.w"] + p["out.b"]

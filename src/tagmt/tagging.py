@@ -17,16 +17,19 @@ from importlib import resources
 
 from .errors import (
     ConfigError,
+    DataError,
     InvalidConfidence,
     MalformedLine,
     SeparatorCollision,
     UnknownImage,
     UnknownLabel,
+    check_choice,
 )
 from .fileio import read_lines, tsv_rows, write_lines
 
 SEPARATOR = "##"
 DEFAULT_TOP_K = 10
+BACKENDS = ("stub", "file")
 
 
 @dataclass(frozen=True)
@@ -138,15 +141,21 @@ class FileDetector:
             raise UnknownImage(image_id) from None
 
 
-def make_detector(backend, vocabulary=None, seed=0, detections=None):
-    """Build the 'stub' or 'file' detection backend.
+def check_backend(backend, detections):
+    """ConfigError, led by the key, unless backend is one of BACKENDS and the
+    'file' backend has a detections file."""
+    check_choice("backend", backend, BACKENDS)
+    if backend == "file" and not detections:
+        raise ConfigError("backend 'file' needs a detections file")
 
-    The file backend reads the detections TSV at ``detections``; without one
-    it is a configuration error.
+
+def make_detector(backend, vocabulary=None, seed=0, detections=None):
+    """Build the 'stub' or 'file' detection backend (`check_backend`).
+
+    The file backend reads the detections TSV at ``detections``.
     """
+    check_backend(backend, detections)
     if backend == "file":
-        if not detections:
-            raise ConfigError("tagging backend 'file' needs a detections file")
         return FileDetector(detections, vocabulary=vocabulary)
     return StubDetector(vocabulary=vocabulary, seed=seed)
 
@@ -186,9 +195,9 @@ def write_detections_file(by_image, path):
 
 
 def check_k(k):
-    """Raise ValueError unless the top-k tag count k is at least 1."""
+    """Raise ConfigError unless the top-k tag count k is at least 1."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
 
 
 def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
@@ -218,11 +227,11 @@ def render_tagged(text, labels):
     """Fuse a sentence with a list of labels under the separator protocol.
 
     Raises SeparatorCollision if the sentence already contains a standalone
-    ``##`` token, ValueError if it contains a tab (which would break TSV
+    ``##`` token, DataError if it contains a tab (which would break TSV
     output).
     """
     if "\t" in text:
-        raise ValueError(f"text contains a tab character: {text!r}")
+        raise DataError(f"text contains a tab character: {text!r}")
     if _has_standalone_separator(text):
         raise SeparatorCollision(SEPARATOR, text)
     if not labels:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tagmt.errors import EmptyCorpus, LengthMismatch
+from tagmt.errors import ConfigError, EmptyCorpus, LengthMismatch
 from tagmt.evaluation import bleu_from_texts, corpus_bleu
 
 
@@ -117,7 +117,7 @@ def test_errors():
         corpus_bleu([["a"]], [])
     with pytest.raises(EmptyCorpus):
         corpus_bleu([], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         corpus_bleu([["a"]], [["a"]], smooth="bad")
 
 

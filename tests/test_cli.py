@@ -427,6 +427,60 @@ def test_eval_report_cli_matches_published_numbers(capsys):
     assert "42.0" in line and "36.2" in line and "+5.8" in line
 
 
+def test_eval_report_missing_baseline_names_line_exit_2(tmp_path, capsys):
+    text_only = tmp_path / "text.tsv"
+    text_only.write_text("EN-HI E-Test\t36.2\n", encoding="utf-8")
+    multimodal = tmp_path / "mm.tsv"
+    multimodal.write_text("# scores\nEN-HI E-Test\t42.0\n\nEN-HI C-Test\t39.1\n", encoding="utf-8")
+    code = main(["eval", "report", "--text-only", str(text_only), "--multimodal", str(multimodal)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: line 4: no text-only baseline score for task 'EN-HI C-Test'" in err
+
+
+def test_eval_report_unencodable_stdout_exit_1(tmp_path):
+    text_only = tmp_path / "text.tsv"
+    text_only.write_text("café\t36.2\n", encoding="utf-8")
+    multimodal = tmp_path / "mm.tsv"
+    multimodal.write_text("café\t42.0\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "eval", "report", "--text-only", str(text_only),
+         "--multimodal", str(multimodal)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error: 'ascii' codec can't encode" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unanticipated_value_error_propagates(monkeypatch, tmp_path):
+    """A ValueError inside a command is a bug: main lets it propagate with its
+    traceback rather than report it as a usage error."""
+    from tagmt import cli
+
+    def broken(corpus):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(cli, "corpus_stats", broken)
+    src, tgt = tmp_path / "a.src", tmp_path / "a.tgt"
+    src.write_text("aa bb\n", encoding="utf-8")
+    tgt.write_text("cc dd\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^programming error$"):
+        main(["corpus", "stats", "--source", str(src), "--target", str(tgt)])
+
+
+@pytest.mark.parametrize("command", [["mt", "train", "--train"], ["synth", "train", "--pairs"]])
+def test_negative_seed_exit_1(tmp_path, capsys, command):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    assert main([*command, str(pairs), "--seed", "-1", "--output", str(out)]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_bleu_cli(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

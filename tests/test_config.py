@@ -7,7 +7,9 @@ import pytest
 from conftest import fixture_path
 from tagmt.config import KEYS, MODEL_SECTIONS, PATH, ExperimentConfig, load_experiment_config
 from tagmt.errors import ConfigError
+from tagmt.mt.decode import DECODE_METHODS, translate_corpus
 from tagmt.mt.model import ModelConfig
+from tagmt.tagging import BACKENDS, make_detector, select_tags
 
 
 def test_load_toy_config():
@@ -79,22 +81,34 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
 
 
 @pytest.mark.parametrize(
-    "body, message",
+    "body, message, owner",
     [
-        ("[tagging]\nbackend = foo\n", r"\[tagging\] backend must be 'stub' or 'file', got 'foo'"),
-        ("[tagging]\nk = 0\n", r"\[tagging\] k must be >= 1, got 0"),
-        ("[decode]\nmethod = x\n", r"\[decode\] method must be 'greedy' or 'beam', got 'x'"),
-        ("[decode]\nbeam_width = 0\n", r"\[decode\] beam_width must be >= 1, got 0"),
-        ("[translator]\nlayers = 0\n", r"\[translator\] layers must be >= 1, got 0"),
-        ("[synthesizer]\nbatch_size = 0\n", r"\[synthesizer\] batch_size must be >= 1, got 0"),
+        ("[tagging]\nbackend = foo\n", r"\[tagging\] backend must be 'stub' or 'file', got 'foo'",
+         lambda: make_detector("foo")),
+        ("[tagging]\nbackend = file\n", r"\[tagging\] backend 'file' needs a detections file",
+         lambda: make_detector("file")),
+        ("[tagging]\nk = 0\n", r"\[tagging\] k must be >= 1, got 0", lambda: select_tags([], k=0)),
+        ("[decode]\nmethod = x\n", r"\[decode\] method must be 'greedy' or 'beam', got 'x'",
+         lambda: translate_corpus(None, ["a"], decode="x")),
+        ("[decode]\nbeam_width = 0\n", r"\[decode\] beam_width must be >= 1, got 0",
+         lambda: translate_corpus(None, ["a"], decode="greedy", beam_width=0)),
+        ("[decode]\nmax_len = 1\n", r"\[decode\] max_len must be >= 2, got 1",
+         lambda: translate_corpus(None, ["a"], max_len=1)),
+        ("[translator]\nlayers = 0\n", r"\[translator\] layers must be >= 1, got 0",
+         lambda: ModelConfig(layers=0).validate()),
+        ("[synthesizer]\nbatch_size = 0\n", r"\[synthesizer\] batch_size must be >= 1, got 0",
+         lambda: ModelConfig(batch_size=0).validate()),
     ],
-    ids=["tagging-backend", "tagging-k", "decode-method", "decode-beam_width",
-         "translator-layers", "synthesizer-batch_size"],
+    ids=["tagging-backend", "tagging-backend-file", "tagging-k", "decode-method",
+         "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size"],
 )
-def test_validation_error_names_section_and_key(tmp_path, body, message):
+def test_validation_error_names_section_and_key(tmp_path, body, message, owner):
+    """The config reports the owning module's check, prefixed with its section."""
     config = load_experiment_config(write_cfg(tmp_path, body))
     with pytest.raises(ConfigError, match=rf"^{message}$"):
         config.validate()
+    with pytest.raises(ConfigError, match=rf"^{message.split(' ', 1)[1]}$"):
+        owner()
 
 
 def test_missing_file():
@@ -145,3 +159,15 @@ def test_readme_lists_every_config_key_with_its_default():
             assert value is None, (section, key)
         else:
             assert value is not None and kind(value[1]) == defaults[attribute], (section, key)
+
+
+@pytest.mark.parametrize(
+    "row, choices", [("`[tagging]` | `backend`", BACKENDS), ("`[decode]` | `method`", DECODE_METHODS)]
+)
+def test_readme_key_table_names_the_owners_choices(row, choices):
+    """The choices README's key table gives are the owning module's constant.
+    (That the table names exactly the keys of KEYS is checked above.)"""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        meaning = re.search(rf"^\| {re.escape(row)} \| [^|]+ \| ([^|]+) \|", handle.read(), re.M)[1]
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == choices

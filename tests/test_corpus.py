@@ -14,7 +14,7 @@ from tagmt.corpus import (
     serialize_vg_corpus,
     write_pairs_tsv,
 )
-from tagmt.errors import EmptyText, LengthMismatch, MalformedLine
+from tagmt.errors import DataError, EmptyText, LengthMismatch, MalformedLine
 from tagmt.fileio import atomic_write, read_lines, tsv_rows, write_lines
 
 
@@ -89,7 +89,7 @@ def test_parse_serialize_round_trip_random():
 
 def test_serialize_requires_region():
     corpus = Corpus(records=[ParallelRecord(source_text="a", target_text="b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         serialize_vg_corpus(corpus)
 
 

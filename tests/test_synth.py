@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tagmt.corpus import parse_bitext
-from tagmt.errors import EmptyCorpus, SeparatorCollision
+from tagmt.errors import ConfigError, EmptyCorpus, SeparatorCollision
 from tagmt.mt.model import ModelConfig
 from tagmt.corpus import read_pairs_tsv, write_pairs_tsv
 from tagmt.synth import build_synth_pairs, enrich_corpus, tags_from_decoded, train_synthesizer
@@ -61,7 +61,7 @@ def test_tags_from_decoded_empty():
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_tags_from_decoded_rejects_k_below_one(k):
-    with pytest.raises(ValueError, match=rf"k must be >= 1, got {k}"):
+    with pytest.raises(ConfigError, match=rf"k must be >= 1, got {k}"):
         tags_from_decoded("dog,car", k=k, vocabulary=VOCAB)
 
 
@@ -133,7 +133,7 @@ def test_enrich_corpus_rejects_k_below_one_before_decoding(monkeypatch, k):
 
     monkeypatch.setattr("tagmt.synth.translate_corpus", no_decode)
     bitext = parse_bitext(["a dog runs"], ["EIN HUND"])
-    with pytest.raises(ValueError, match=rf"k must be >= 1, got {k}"):
+    with pytest.raises(ConfigError, match=rf"k must be >= 1, got {k}"):
         enrich_corpus(bitext, checkpoint=None, k=k, vocabulary=VOCAB)
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from tagmt.corpus import parse_bitext, parse_vg_corpus
 from tagmt.errors import (
+    ConfigError,
+    DataError,
     InvalidConfidence,
     MalformedLine,
     SeparatorCollision,
@@ -16,6 +18,7 @@ from tagmt.tagging import (
     TagRecord,
     TagSet,
     load_tag_vocabulary,
+    make_detector,
     parse_tagged,
     render_tagged,
     select_corpus_tags,
@@ -93,7 +96,7 @@ def test_select_rejects_bad_confidence():
 
 
 def test_select_rejects_bad_k():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         select_tags([], k=0)
 
 
@@ -121,7 +124,7 @@ def test_render_allows_hash_inside_words():
 
 
 def test_render_rejects_tabs():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         render_tagged("a\tb", ["dog"])
 
 
@@ -184,6 +187,12 @@ def test_stub_detector_ranges():
             assert d.label in vocab
     assert min(sizes) >= 0 and max(sizes) <= 12
     assert len(sizes) > 3
+
+
+@pytest.mark.parametrize("backend", ["File", "", "files"])
+def test_make_detector_rejects_unknown_backend(backend):
+    with pytest.raises(ConfigError, match=rf"^backend must be 'stub' or 'file', got {backend!r}$"):
+        make_detector(backend)
 
 
 def test_file_detector_reads_and_errors(tmp_path):
