@@ -24,12 +24,14 @@ from .evaluation import (
     write_report,
 )
 from .fileio import read_lines, write_lines
-from .mt.decode import DECODE_METHODS, translate_corpus
+from .mt.decode import DECODE_METHODS, DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import (
     BACKENDS,
+    DEFAULT_BACKEND,
+    DEFAULT_TOP_K,
     inject_tags,
     load_tag_vocabulary,
     make_detector,
@@ -51,20 +53,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args):
-    if args.config:
-        config = load_experiment_config(args.config)
-    else:
-        config = ExperimentConfig()
+    """The --config file's experiment (the defaults without one), --seed applied."""
+    config = load_experiment_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         config.with_seed(args.seed)
-    if args.output_dir:
-        config.paths["output_dir"] = args.output_dir
     return config
 
 
 def _model_config(args, section):
     model = getattr(_load_config(args), section)
-    if getattr(args, "max_steps", None) is not None:
+    if args.max_steps is not None:
         model = model.override(max_steps=args.max_steps)
     return in_section(section, model.validate)
 
@@ -79,16 +77,16 @@ def _kv_lines(pairs, fmt):
 # -- corpus ------------------------------------------------------------------
 
 
-def _load_corpus_args(args):
+def _load_corpus_args(args, *split):
     if args.vg:
-        return load_vg_corpus(args.vg, args.split)
+        return load_vg_corpus(args.vg, *split)
     if args.source and args.target:
-        return load_bitext(args.source, args.target, args.split)
+        return load_bitext(args.source, args.target, *split)
     raise ConfigError("need --vg or both --source and --target")
 
 
 def cmd_corpus_stats(args):
-    corpus = _load_corpus_args(args)
+    corpus = _load_corpus_args(args, args.split)
     stats = corpus_stats(corpus)
     print(
         _kv_lines(
@@ -115,10 +113,9 @@ def cmd_corpus_validate(args):
 
 
 def cmd_tags_extract(args):
-    config = _load_config(args)
     corpus = load_vg_corpus(args.corpus)
     vocabulary = load_tag_vocabulary(args.tag_vocabulary)
-    detector = make_detector(args.backend, vocabulary, seed=config.seed, detections=args.detections)
+    detector = make_detector(args.backend, vocabulary, seed=args.seed, detections=args.detections)
     tagsets = select_corpus_tags(corpus, detector, k=args.k)
     write_tagsets_file(tagsets, args.output)
     print(f"wrote {len(tagsets)} tag sets to {args.output}")
@@ -265,9 +262,9 @@ def cmd_eval_report(args):
 
 
 def cmd_pipeline_run(args):
-    if not args.config:
-        raise ConfigError("pipeline run needs --config")
     config = _load_config(args)
+    if args.output_dir:
+        config.paths["output_dir"] = args.output_dir
     run_pipeline(config, log=_log)
     return 0
 
@@ -279,33 +276,25 @@ def _log(message):
 # -- parser ------------------------------------------------------------------
 
 
-def _add_global_flags(parser, leaf):
-    # Leaf parsers use SUPPRESS so an unset flag never clobbers a value given
-    # before the subcommand; the flags work in either position.
-    default = argparse.SUPPRESS if leaf else None
-    parser.add_argument(
-        "--seed", type=int, default=default, help="override the experiment seed"
-    )
-    parser.add_argument("--config", default=default, help="experiment config file (INI)")
-    parser.add_argument(
-        "--output-dir", default=default, help="override the configured output directory"
-    )
+def _add_config_flags(p, required=False):
+    """--config and --seed, for the commands that read the experiment config."""
+    p.add_argument("--config", required=required, help="experiment config file (INI)")
+    p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
 
 
 def build_parser():
     parser = _Parser(prog="tagmt", description=__doc__)
-    _add_global_flags(parser, leaf=False)
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
 
     def sub(group_parser, name, func, help_text):
         p = group_parser.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        _add_global_flags(p, leaf=True)
         return p
 
     corpus = parser_group(groups, "corpus", "corpus parsing, validation, statistics")
     p = sub(corpus, "stats", cmd_corpus_stats, "sentence and token counts")
     _add_corpus_inputs(p)
+    p.add_argument("--split", choices=SPLIT_LABELS, default="unspecified")
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p = sub(corpus, "validate", cmd_corpus_validate, "strict structural validation")
     _add_corpus_inputs(p)
@@ -313,10 +302,11 @@ def build_parser():
     tags = parser_group(groups, "tags", "object-tag extraction and fusion")
     p = sub(tags, "extract", cmd_tags_extract, "detect and select top-k tags per image")
     p.add_argument("--corpus", required=True, help="VG TSV corpus")
-    p.add_argument("--backend", choices=BACKENDS, default="stub")
+    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     p.add_argument("--detections", default=None, help="precomputed detections TSV (file backend)")
     p.add_argument("--tag-vocabulary", default=None, help="tag vocabulary file (default: COCO-80)")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="seed of the stub backend")
     p.add_argument("--output", required=True)
     p = sub(tags, "inject", cmd_tags_inject, "fuse selected tags with source sentences")
     p.add_argument("--corpus", required=True, help="VG TSV corpus")
@@ -328,6 +318,7 @@ def build_parser():
     p.add_argument("--tagged", required=True, help="tagged corpus TSV")
     p.add_argument("--output", required=True)
     p = sub(synth, "train", cmd_synth_train, "train the tag synthesizer")
+    _add_config_flags(p)
     p.add_argument("--pairs", required=True, help="synthesizer pairs TSV")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--output", required=True)
@@ -336,11 +327,12 @@ def build_parser():
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--tag-vocabulary", default=None)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--output", required=True)
 
     mt = parser_group(groups, "mt", "translator training and decoding")
     p = sub(mt, "train", cmd_mt_train, "train a translator from scratch")
+    _add_config_flags(p)
     p.add_argument("--train", required=True, help="training pairs TSV (source, target)")
     p.add_argument("--valid", default=None, help="validation pairs TSV")
     p.add_argument("--max-steps", type=int, default=None)
@@ -350,13 +342,14 @@ def build_parser():
     p.add_argument("--train", required=True)
     p.add_argument("--valid", default=None)
     p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="override the base checkpoint's seed")
     p.add_argument("--output", required=True)
     p = sub(mt, "translate", cmd_mt_translate, "translate a file of sentences")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--decode", choices=DECODE_METHODS, default="greedy")
-    p.add_argument("--beam-width", type=int, default=4)
+    p.add_argument("--decode", choices=DECODE_METHODS, default=DEFAULT_DECODE)
+    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--max-len", type=int, default=None)
 
     ev = parser_group(groups, "eval", "BLEU scoring and comparison reports")
@@ -375,7 +368,9 @@ def build_parser():
     p.add_argument("--timestamp", default=None)
 
     pipe = parser_group(groups, "pipeline", "end-to-end experiment")
-    sub(pipe, "run", cmd_pipeline_run, "run the full multimodal experiment from --config")
+    p = sub(pipe, "run", cmd_pipeline_run, "run the full multimodal experiment from --config")
+    _add_config_flags(p, required=True)
+    p.add_argument("--output-dir", default=None, help="override the configured output directory")
 
     return parser
 
@@ -389,7 +384,6 @@ def _add_corpus_inputs(p):
     p.add_argument("--vg", default=None, help="VG TSV corpus file")
     p.add_argument("--source", default=None, help="bitext source file")
     p.add_argument("--target", default=None, help="bitext target file")
-    p.add_argument("--split", choices=SPLIT_LABELS, default="unspecified")
 
 
 def main(argv=None):

@@ -13,7 +13,9 @@ key; `in_section` prefixes the ``[section]``.
 
 Relative paths are resolved against the config file's directory, so a config
 can travel with its fixtures. A single [experiment] seed governs every
-stochastic stage; per-model seed keys are rejected to keep that guarantee.
+stochastic stage: an ExperimentConfig applies it to both model configs when
+it is built, and per-model seed keys are rejected. The [tagging] and
+[decode] defaults are the constants of `tagging` and `mt.decode`.
 """
 
 import configparser
@@ -21,9 +23,9 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .mt.decode import check_decode
+from .mt.decode import DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, check_decode
 from .mt.model import ModelConfig
-from .tagging import check_backend, check_k
+from .tagging import DEFAULT_BACKEND, DEFAULT_TOP_K, check_backend, check_k
 
 PATH_KEYS = (
     "train_corpus",
@@ -55,7 +57,8 @@ KEYS = {
         (section, f.name): (f.name, type(f.default))
         for section in MODEL_SECTIONS
         for f in fields(ModelConfig)
-        if f.name != "seed"
+        # the [experiment] seed seeds both models; only the synthesizer checks its fit
+        if f.name != "seed" and (section, f.name) != ("translator", "synth_fit_threshold")
     },
 }
 
@@ -76,18 +79,24 @@ class ExperimentConfig:
     task_label: str = "toy"
     corpus_name: str = ""
     paths: dict = field(default_factory=dict)
-    tagging_backend: str = "stub"
-    top_k: int = 10
+    tagging_backend: str = DEFAULT_BACKEND
+    top_k: int = DEFAULT_TOP_K
     translator: ModelConfig = field(default_factory=ModelConfig)
     synthesizer: ModelConfig = field(default_factory=ModelConfig)
-    decode_method: str = "greedy"
-    beam_width: int = 4
+    decode_method: str = DEFAULT_DECODE
+    beam_width: int = DEFAULT_BEAM_WIDTH
     decode_max_len: int | None = None
+
+    def __post_init__(self):
+        self.with_seed(self.seed)
 
     def validate(self):
         in_section("tagging", check_backend, self.tagging_backend, self.paths.get("detections"))
         in_section("tagging", check_k, self.top_k)
         in_section("decode", check_decode, self.decode_method, self.beam_width, self.decode_max_len)
+        for given, needed in (("bitext_source", "bitext_target"), ("bitext_target", "bitext_source")):
+            if given in self.paths and needed not in self.paths:
+                raise ConfigError(f"[paths] {needed} is needed with {given}")
         for key, path in self.paths.items():
             if key != "output_dir" and not os.path.exists(path):
                 raise ConfigError(f"[paths] {key} does not exist: {path}")
@@ -160,5 +169,4 @@ def load_experiment_config(path):
     models = {section: ModelConfig(**values.pop(section)) for section in MODEL_SECTIONS}
     paths = values.pop("paths")
     scalars = {attr: value for group in values.values() for attr, value in group.items()}
-    config = ExperimentConfig(paths=paths, **models, **scalars)
-    return config.with_seed(config.seed)
+    return ExperimentConfig(paths=paths, **models, **scalars)

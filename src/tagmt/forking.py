@@ -30,7 +30,7 @@ from .errors import TagmtError
 _busy = False
 
 
-def _blas_threads():
+def blas_threads():
     """The thread count of the OpenBLAS numpy loaded, or None when its BLAS
     does not export scipy_openblas_get_num_threads64_ (numpy 2's wheels do)."""
     try:
@@ -45,7 +45,7 @@ def can_fork():
     """Whether `alongside` would run its work in a forked child now."""
     if _busy:
         return False
-    threads = _blas_threads()
+    threads = blas_threads()
     return threads is not None and len(os.sched_getaffinity(0)) >= 2 * threads
 
 

@@ -44,6 +44,8 @@ from ..errors import ConfigError, TagmtError, check_choice
 from ..forking import alongside, can_fork
 
 DECODE_METHODS = ("greedy", "beam")
+# the defaults of translate_corpus, of the [decode] section and of `mt translate`
+DEFAULT_DECODE, DEFAULT_BEAM_WIDTH = "greedy", 4
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
@@ -121,20 +123,27 @@ def check_decode(method, beam_width, max_len):
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
 
-def translate_corpus(checkpoint, source_texts, decode="greedy", beam_width=4, max_len=None):
+def translate_corpus(
+    checkpoint, source_texts, decode=DEFAULT_DECODE, beam_width=DEFAULT_BEAM_WIDTH, max_len=None
+):
     """Translate a list of sources by batched beam search; greedy is width 1.
 
     Sources are decoded BATCH_ROWS // width at a time (at least one).
     max_len caps source and hypothesis lengths at the checkpoint's max_len;
     None means the checkpoint's own. A bad decode mode, width or max_len
-    raises ConfigError (`check_decode`). From FORK_MIN_WORK decoder
-    row-positions (sources x width x max_len) up, when `forking.can_fork()`,
-    a forked child decodes the first half of the sources while this process
-    decodes the second.
+    raises ConfigError (`check_decode`), and so does a beam search wider
+    than the checkpoint's vocabulary, before anything is allocated. From
+    FORK_MIN_WORK decoder row-positions (sources x width x max_len) up, when
+    `forking.can_fork()`, a forked child decodes the first half of the
+    sources while this process decodes the second.
     """
     check_decode(decode, beam_width, max_len)
     width = 1 if decode == "greedy" else beam_width
     vocab = checkpoint.vocab
+    if width > len(vocab):
+        raise ConfigError(
+            f"beam_width must be <= the checkpoint's vocabulary size {len(vocab)}, got {width}"
+        )
     model = checkpoint.build_model()
     limit = checkpoint.config.max_len
     max_len = limit if max_len is None else min(max_len, limit)

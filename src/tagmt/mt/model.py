@@ -67,8 +67,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .. import forking
 from ..errors import ConfigError
-from ..forking import _blas_threads
 from . import kernels
 
 DTYPE = np.float64
@@ -647,7 +647,7 @@ class Transformer:
         two threads where two CPUs are available (see `_forward_backward`).
         """
         wide = self.config.model_dim >= SHARD_MIN_DIM and len(src) >= 2
-        shards = 2 if wide and _blas_threads() == 1 else 1
+        shards = 2 if wide and forking.blas_threads() == 1 else 1
         return self._forward_backward(src, tgt_in, tgt_out, rng, shards)
 
     def _forward_backward(self, src, tgt_in, tgt_out, rng, shards):

@@ -50,7 +50,7 @@ def run_pipeline(config, log=print):
     if "valid_corpus" in config.paths:
         valid_corpus = load_vg_corpus(config.paths["valid_corpus"], "dtest")
     bitext = None
-    if "bitext_source" in config.paths and "bitext_target" in config.paths:
+    if "bitext_source" in config.paths:  # and so bitext_target (config.validate)
         bitext = load_bitext(config.paths["bitext_source"], config.paths["bitext_target"])
 
     tagged_train = tag_corpus(train_corpus, detector, k=config.top_k)

@@ -13,7 +13,7 @@ from .errors import EmptyCorpus, SeparatorCollision
 from .fileio import read_lines, tsv_rows, write_lines
 from .mt.decode import translate_corpus
 from .mt.train import train
-from .tagging import TaggedSource, check_k, parse_tagged, split_labels
+from .tagging import DEFAULT_TOP_K, TaggedSource, check_k, parse_tagged, split_labels
 
 SEP_TOKEN = "<sep>"
 # share of the synthesizer pairs held out for validation and the fit check
@@ -92,7 +92,7 @@ def train_synthesizer(pairs, config, log=None):
     return checkpoint
 
 
-def tags_from_decoded(decoded, k=10, vocabulary=None):
+def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
     """Turn a raw decoded string into a tuple of at most k labels (total on
     any string; k must be >= 1, as in select_tags).
 
@@ -112,7 +112,7 @@ def tags_from_decoded(decoded, k=10, vocabulary=None):
     return tuple(labels)
 
 
-def enrich_corpus(bitext, checkpoint, k=10, vocabulary=None):
+def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
     """Decode synthetic tags for every record of a text-only corpus.
 
     Output order and target texts match the input exactly; every pair is

@@ -28,8 +28,9 @@ from .errors import (
 from .fileio import read_lines, tsv_rows, write_lines
 
 SEPARATOR = "##"
-DEFAULT_TOP_K = 10
 BACKENDS = ("stub", "file")
+# the defaults of [tagging] and `tags extract`; DEFAULT_TOP_K is every k argument's too
+DEFAULT_BACKEND, DEFAULT_TOP_K = "stub", 10
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def counting_forks(patch, cpus, blas_threads):
 
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     patch.setattr(os, "fork", counting_fork)
-    patch.setattr(forking, "_blas_threads", lambda: blas_threads)
+    patch.setattr(forking, "blas_threads", lambda: blas_threads)
     return forks
 
 

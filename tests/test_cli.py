@@ -305,7 +305,7 @@ forks = []
 real_fork = os.fork
 os.fork = lambda: forks.append(1) or real_fork()
 os.sched_getaffinity = lambda pid: {0, 1}
-forking._blas_threads = lambda: 1
+forking.blas_threads = lambda: 1
 code = main(sys.argv[1:])
 print(len(forks))
 sys.exit(code)
@@ -823,7 +823,7 @@ def test_blas_threads_reads_numpys_blas(pinned):
     if pinned:
         env["OPENBLAS_NUM_THREADS"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", "from tagmt.forking import _blas_threads; print(_blas_threads())"],
+        [sys.executable, "-c", "from tagmt.forking import blas_threads; print(blas_threads())"],
         capture_output=True,
         text=True,
         env=env,
@@ -1017,3 +1017,139 @@ def test_synth_build_pairs_separator_names_record_exit_2(tmp_path, capsys):
     err = _data_error(capsys, ["synth", "build-pairs", "--tagged", str(tagged),
                                "--output", str(tmp_path / "pairs.tsv")])
     assert err == "error: text contains the reserved separator '<sep>': 'record 1: the <sep> bat'\n"
+
+
+# Every leaf command with a value for each flag it takes ("OUT" is replaced by
+# a path under the test's directory). A command takes only the flags it reads.
+LEAF_FLAGS = {
+    ("corpus", "stats"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt",
+                          "--split": "train", "--format": "tsv"},
+    ("corpus", "validate"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt"},
+    ("tags", "extract"): {"--corpus": "x.tsv", "--backend": "file", "--detections": "d.tsv",
+                          "--tag-vocabulary": "v.txt", "--k": "3", "--seed": "5", "--output": "OUT"},
+    ("tags", "inject"): {"--corpus": "x.tsv", "--tagsets": "t.tsv", "--output": "OUT"},
+    ("synth", "build-pairs"): {"--tagged": "t.tsv", "--output": "OUT"},
+    ("synth", "train"): {"--config": "c.cfg", "--seed": "5", "--pairs": "p.tsv", "--max-steps": "3",
+                         "--output": "OUT"},
+    ("synth", "enrich"): {"--checkpoint": "m.ckpt", "--source": "x.src", "--target": "x.tgt",
+                          "--tag-vocabulary": "v.txt", "--k": "3", "--output": "OUT"},
+    ("mt", "train"): {"--config": "c.cfg", "--seed": "5", "--train": "p.tsv", "--valid": "v.tsv",
+                      "--max-steps": "3", "--output": "OUT"},
+    ("mt", "finetune"): {"--base": "m.ckpt", "--train": "p.tsv", "--valid": "v.tsv",
+                         "--max-steps": "3", "--seed": "5", "--output": "OUT"},
+    ("mt", "translate"): {"--checkpoint": "m.ckpt", "--input": "s.txt", "--output": "OUT",
+                          "--decode": "beam", "--beam-width": "2", "--max-len": "9"},
+    ("eval", "bleu"): {"--hypotheses": "h.txt", "--references": "r.txt", "--smooth": None,
+                       "--format": "tsv"},
+    ("eval", "report"): {"--text-only": "a.tsv", "--multimodal": "b.tsv", "--output": "OUT",
+                         "--format": "tsv", "--corpus-name": "toy", "--split": "etest",
+                         "--timestamp": "now"},
+    ("pipeline", "run"): {"--config": "c.cfg", "--seed": "5", "--output-dir": "OUT"},
+}
+
+
+def _leaf_argv(leaf, flags, out):
+    argv = list(leaf)
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, out if value == "OUT" else value]
+    return argv
+
+
+def _option_strings(parser):
+    return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+
+
+def test_build_parser_accepts_63_flags():
+    from tagmt.cli import build_parser
+
+    parser = build_parser()
+    groups = parser._subparsers._group_actions[0].choices
+    leaves = {
+        (group, name): leaf
+        for group, group_parser in groups.items()
+        for name, leaf in group_parser._subparsers._group_actions[0].choices.items()
+    }
+    assert sorted(leaves) == sorted(LEAF_FLAGS)
+    assert _option_strings(parser) == set()
+    for leaf, flags in LEAF_FLAGS.items():
+        assert _option_strings(leaves[leaf]) == set(flags), leaf
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 63
+
+
+@pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)
+def test_leaf_takes_only_the_flags_it_reads(tmp_path, capsys, leaf):
+    """Every flag the leaf keeps parses; one it does not read exits 1 and writes nothing."""
+    from tagmt.cli import build_parser
+
+    out = str(tmp_path / "out")
+    argv = _leaf_argv(leaf, LEAF_FLAGS[leaf], out)
+    args = build_parser().parse_args(argv)
+    for flag, value in LEAF_FLAGS[leaf].items():
+        got = getattr(args, flag.lstrip("-").replace("-", "_"))
+        assert str(got) == (out if value == "OUT" else value or "True"), flag
+    foreign = {"--config": fixture_path("toy.cfg"), "--seed": "3", "--output-dir": out, "--split": "train"}
+    for flag, value in foreign.items():
+        if flag in LEAF_FLAGS[leaf]:
+            continue
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 1
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_flag_before_the_subcommand_exit_1(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a b\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "3", "eval", "bleu", "--hypotheses", str(hyp), "--references", str(hyp)])
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument GROUP: invalid choice: '3'" in err
+    assert os.listdir(tmp_path) == ["hyp.txt"]
+
+
+@pytest.mark.parametrize("command", [["mt", "train", "--train"], ["synth", "train", "--pairs"]])
+def test_trainers_without_config_take_the_experiment_seed(command):
+    from tagmt.cli import _load_config, build_parser
+
+    config = _load_config(build_parser().parse_args([*command, "p.tsv", "--output", "m.ckpt"]))
+    assert config.seed == config.translator.seed == config.synthesizer.seed == 13
+
+
+def test_translate_beam_width_above_vocabulary_exit_1(tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    random_checkpoint(0).save(str(ckpt))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
+         "--input", str(sources), "--decode", "beam", "--beam-width", "100000000000000000000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: beam_width must be <= the checkpoint's vocabulary size 17, "
+        "got 100000000000000000000\n"
+    )
+
+
+def test_readme_command_lines_parse():
+    """Every `tagmt ...` example in README's command block uses flags its command takes."""
+    import re
+    import shlex
+
+    from tagmt.cli import build_parser
+
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = re.search(r"```bash\n(# end-to-end toy experiment.*?)```", text, re.S)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("tagmt ")]
+    assert len(lines) == 12
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert hasattr(args, "func"), line

@@ -27,6 +27,11 @@ def test_load_toy_config():
     config.validate()
 
 
+def test_default_config_seeds_both_models_with_the_experiment_seed():
+    config = ExperimentConfig()
+    assert config.translator.seed == config.synthesizer.seed == config.seed == 13
+
+
 def test_seed_override_propagates():
     config = load_experiment_config(fixture_path("toy.cfg"))
     config.with_seed(99)
@@ -51,6 +56,16 @@ def test_unknown_key_rejected(tmp_path):
     path = write_cfg(tmp_path, "[tagging]\nbackends = stub\n")
     with pytest.raises(ConfigError):
         load_experiment_config(path)
+
+
+def test_translator_synth_fit_threshold_is_unknown(tmp_path):
+    """Only the synthesizer checks its held-out fit, so only [synthesizer] sets its threshold."""
+    path = write_cfg(tmp_path, "[translator]\nsynth_fit_threshold = 0.5\n")
+    with pytest.raises(ConfigError, match=r"^unknown key 'synth_fit_threshold' in \[translator\]$"):
+        load_experiment_config(path)
+    path = write_cfg(tmp_path, "[synthesizer]\nsynth_fit_threshold = 0.5\n")
+    assert load_experiment_config(path).synthesizer.synth_fit_threshold == 0.5
+    assert len(KEYS) == 45
 
 
 def test_model_section_seed_rejected(tmp_path):
@@ -98,17 +113,22 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
          lambda: ModelConfig(layers=0).validate()),
         ("[synthesizer]\nbatch_size = 0\n", r"\[synthesizer\] batch_size must be >= 1, got 0",
          lambda: ModelConfig(batch_size=0).validate()),
+        ("[paths]\nbitext_source = extra.src\n", r"\[paths\] bitext_target is needed with bitext_source",
+         None),
     ],
     ids=["tagging-backend", "tagging-backend-file", "tagging-k", "decode-method",
-         "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size"],
+         "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size",
+         "paths-bitext_source"],
 )
 def test_validation_error_names_section_and_key(tmp_path, body, message, owner):
-    """The config reports the owning module's check, prefixed with its section."""
+    """The config reports the owning module's check, prefixed with its section
+    (owner None: the config's own check)."""
     config = load_experiment_config(write_cfg(tmp_path, body))
     with pytest.raises(ConfigError, match=rf"^{message}$"):
         config.validate()
-    with pytest.raises(ConfigError, match=rf"^{message.split(' ', 1)[1]}$"):
-        owner()
+    if owner is not None:
+        with pytest.raises(ConfigError, match=rf"^{message.split(' ', 1)[1]}$"):
+            owner()
 
 
 def test_missing_file():

@@ -320,8 +320,9 @@ def test_decode_forks_from_fork_min_work(monkeypatch, n, decode, max_len, forks)
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(decode="sampling"), dict(decode="beam", beam_width=0), dict(max_len=1)],
-    ids=["mode", "width", "max-len"],
+    [dict(decode="sampling"), dict(decode="beam", beam_width=0), dict(max_len=1),
+     dict(decode="beam", beam_width=10**20)],
+    ids=["mode", "width", "max-len", "width-above-vocabulary"],
 )
 def test_bad_decode_arguments_raise_before_forking(monkeypatch, kwargs):
     forks = counting_forks(monkeypatch, 2, 1)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from test_model import MICRO, micro_batch, micro_model, relative_gradient_errors
 from test_packing import batches
+from tagmt import forking
 from tagmt.mt import model as model_module
 from tagmt.mt.model import ModelConfig, Transformer
 from tagmt.mt.train import encode_pairs, make_batch, train
@@ -86,7 +87,7 @@ def count_shards(monkeypatch):
 )
 def test_shard_count_rule(monkeypatch, model_dim, blas_threads, shards):
     shard_counts = count_shards(monkeypatch)
-    monkeypatch.setattr(model_module, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(forking, "blas_threads", lambda: blas_threads)
     model = micro_model(model_dim=model_dim)
     src, tgt_in, tgt_out = micro_batch()
     model.forward_backward(src, tgt_in, tgt_out)
@@ -97,7 +98,7 @@ def test_shard_count_rule(monkeypatch, model_dim, blas_threads, shards):
 def test_gradient_check_sharded_micro_model(monkeypatch):
     shard_counts = count_shards(monkeypatch)
     monkeypatch.setattr(model_module, "SHARD_MIN_DIM", MICRO.model_dim)
-    monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(forking, "blas_threads", lambda: 1)
     errors = relative_gradient_errors(micro_model(), micro_batch(), n_coords=60)
     assert len(errors) == 60
     assert max(errors) < 1e-3
@@ -114,7 +115,7 @@ def default_shape_step(cpus, monkeypatch):
     model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        patch.setattr(model_module, "_blas_threads", lambda: 1)
+        patch.setattr(forking, "blas_threads", lambda: 1)
         return model.forward_backward(*batch, rng=np.random.default_rng(5))
 
 
@@ -142,7 +143,7 @@ def test_worker_shard_error_reaches_caller(monkeypatch):
 
 def test_sharded_train_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(forking, "blas_threads", lambda: 1)
     started = []
     thread_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(1) or thread_start(self))
@@ -160,7 +161,6 @@ FORKED_TRAIN_SCRIPT = """
 import os
 import threading
 from tagmt import forking
-from tagmt.mt import model
 from tagmt.mt.model import ModelConfig
 from tagmt.mt.train import train
 from tagmt.toy import make_copy_task
@@ -169,7 +169,7 @@ os.sched_getaffinity = lambda pid: {0, 1}
 threads = []
 real_start = threading.Thread.start
 threading.Thread.start = lambda self: threads.append(1) or real_start(self)
-forking._blas_threads = model._blas_threads = lambda: 1
+forking.blas_threads = lambda: 1
 forks = []
 real_fork = os.fork
 os.fork = lambda: forks.append(1) or real_fork()
