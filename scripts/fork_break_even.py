@@ -7,8 +7,7 @@ at greedy and width-4 beam shapes whose work, rows x max_len, runs from 128
 to 4096. Each shape runs REPEATS times each way, alternating which goes
 first, and checks that both ways give the same hypotheses. Prints one
 tab-separated row per shape: mode, sources, rows, max_len, work, the median
-in-place and forked times in ms and their ratio. Needs two CPUs; BLAS is
-pinned to one thread, as the fork requires.
+in-place and forked times in ms and their ratio. Needs two CPUs.
 
 Run from the repository root:  python3 scripts/fork_break_even.py [REPEATS]
 """
@@ -18,7 +17,6 @@ import statistics
 import sys
 import time
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np  # noqa: E402
@@ -36,7 +34,7 @@ MAX_LENS = (8, 16, 32, 64)
 
 def main(repeats):
     if not forking.can_fork():
-        sys.exit("the CPUs this process may use do not hold two processes' BLAS threads")
+        sys.exit("needs two CPUs")
     pairs = make_copy_task(1000, seed=11, vocab_size=993, min_len=8, max_len=24)
     vocab = vocab_from_pairs(pairs)
     config = ModelConfig(seed=11, max_len=max(MAX_LENS))

@@ -388,6 +388,9 @@ def _add_corpus_inputs(p):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"unrecognized arguments: {argv[0]} (a flag goes after the subcommand)")
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help(file=sys.stderr)

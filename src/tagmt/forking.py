@@ -1,17 +1,18 @@
-"""A second process for independent work, when the CPUs hold it.
+"""One BLAS thread per process, and a second process for independent work.
+
+Importing this module sets numpy's OpenBLAS to one thread, whatever
+OPENBLAS_NUM_THREADS says: OpenBLAS orders some sums by its thread count, so
+one count keeps checkpoints the same in every environment, and a second BLAS
+thread gained no wall time at the model's shapes. Without the setter,
+`BLAS_PINNED` is False, and neither `alongside` nor a training step adds a
+process or a thread to contend with BLAS's own.
 
 `alongside(work)` runs work() in a forked child while the caller's with-block
 runs, and hands back work's return value or re-raises its exception when the
-block leaves. It forks only when `can_fork()`: the CPUs this process may use
-(`os.sched_getaffinity`) hold two processes' worth of numpy's BLAS threads,
-and no child of `alongside` runs, nor is this process one. Otherwise work()
-runs first, here. So there is one child at a time, and a call made inside
-the block or inside the child works in place.
-
-Neither process changes its BLAS thread count: OpenBLAS sums some matrix
-products in an order that depends on it, so a changed count would change
-checkpoints, and with fewer CPUs the two processes' threads would contend for
-them.
+block leaves. It forks only when `can_fork()`: BLAS is pinned, this process
+may use two CPUs, and no child of `alongside` runs, nor is this process one.
+Otherwise work() runs first, here. So there is one child at a time, and a
+call made inside the block or inside the child works in place.
 """
 
 import ctypes
@@ -30,23 +31,17 @@ from .errors import TagmtError
 _busy = False
 
 
-def blas_threads():
-    """The thread count of the OpenBLAS numpy loaded, or None when its BLAS
-    does not export scipy_openblas_get_num_threads64_ (numpy 2's wheels do)."""
-    try:
-        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
+# whether numpy's BLAS runs one thread, here and in every child forked from here
+try:
+    ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)
+    BLAS_PINNED = True
+except (AttributeError, OSError):  # numpy's BLAS does not export the setter
+    BLAS_PINNED = False
 
 
 def can_fork():
     """Whether `alongside` would run its work in a forked child now."""
-    if _busy:
-        return False
-    threads = blas_threads()
-    return threads is not None and len(os.sched_getaffinity(0)) >= 2 * threads
+    return BLAS_PINNED and not _busy and len(os.sched_getaffinity(0)) >= 2
 
 
 def _error_payload(err):

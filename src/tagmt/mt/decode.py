@@ -24,18 +24,17 @@ No length normalization is applied.
 
 Decoding is bound by small numpy calls that hold the GIL, so a second thread
 gains nothing; `translate_corpus` uses a second process instead. When the
-CPUs hold two processes' BLAS threads (`forking.can_fork`: two CPUs with
-`OPENBLAS_NUM_THREADS=1`; not unpinned BLAS, whose 2 threads on 2 CPUs keep
-decoding in one process) and the work is at least FORK_MIN_WORK decoder
-row-positions, a forked child decodes the first half of the sources while
-this process decodes the second, each half in batches as before. A call made
-inside `forking.alongside`'s block or child, as the pipeline's synthesizer
-decodes are, runs in place. On 2 vCPUs at d=128 (scripts/fork_break_even.py)
-the fork's cost, tens of milliseconds, outweighed the half it saves at most
-shapes of 128 row-positions, and the fork won at most of 256 and at all from
-512 up. The hypotheses are those of the in-place
-path wherever a GEMM row's bits do not depend on the row count (OpenBLAS at
-output widths that are multiples of 8), the same condition as batching.
+process may use two CPUs (`forking.can_fork`) and the work is at least
+FORK_MIN_WORK decoder row-positions, a forked child decodes the first half
+of the sources while this process decodes the second, each half in batches
+as before. A call made inside `forking.alongside`'s block or child, as the
+pipeline's synthesizer decodes are, runs in place. On 2 vCPUs at d=128
+(scripts/fork_break_even.py) the fork's cost, tens of milliseconds,
+outweighed the half it saves at most shapes of 128 row-positions, and the
+fork won at most of 256 and at all from 512 up. The hypotheses are those of
+the in-place path wherever a GEMM row's bits do not depend on the row count
+(OpenBLAS at output widths that are multiples of 8), the same condition as
+batching.
 """
 
 import numpy as np
@@ -123,6 +122,12 @@ def check_decode(method, beam_width, max_len):
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
 
+def check_beam_width(method, beam_width, vocab):
+    """ConfigError unless a beam search is at most as wide as the vocabulary."""
+    if method == "beam" and beam_width > len(vocab):
+        raise ConfigError(f"beam_width must be <= the vocabulary size {len(vocab)}, got {beam_width}")
+
+
 def translate_corpus(
     checkpoint, source_texts, decode=DEFAULT_DECODE, beam_width=DEFAULT_BEAM_WIDTH, max_len=None
 ):
@@ -132,18 +137,15 @@ def translate_corpus(
     max_len caps source and hypothesis lengths at the checkpoint's max_len;
     None means the checkpoint's own. A bad decode mode, width or max_len
     raises ConfigError (`check_decode`), and so does a beam search wider
-    than the checkpoint's vocabulary, before anything is allocated. From
-    FORK_MIN_WORK decoder row-positions (sources x width x max_len) up, when
-    `forking.can_fork()`, a forked child decodes the first half of the
-    sources while this process decodes the second.
+    than the checkpoint's vocabulary (`check_beam_width`), before anything
+    is allocated. From FORK_MIN_WORK decoder row-positions (sources x width
+    x max_len) up, when `forking.can_fork()`, a forked child decodes the
+    first half of the sources while this process decodes the second.
     """
     check_decode(decode, beam_width, max_len)
-    width = 1 if decode == "greedy" else beam_width
     vocab = checkpoint.vocab
-    if width > len(vocab):
-        raise ConfigError(
-            f"beam_width must be <= the checkpoint's vocabulary size {len(vocab)}, got {width}"
-        )
+    check_beam_width(decode, beam_width, vocab)
+    width = 1 if decode == "greedy" else beam_width
     model = checkpoint.build_model()
     limit = checkpoint.config.max_len
     max_len = limit if max_len is None else min(max_len, limit)

@@ -31,25 +31,21 @@ shape's). The weight gradients, sums over the rows, may differ in the last
 bits, since BLAS blocks a sum over fewer rows differently. Loss traces and
 checkpoints stay bitwise reproducible from run to run.
 
-From model_dim SHARD_MIN_DIM (128) up, when numpy's BLAS runs one thread, a
-training step splits a batch of two or more sentences into two contiguous
-sentence shards: synchronous data parallelism inside the step. Each shard
-runs that packed pass over its own columns into a gradient vector of its
-own, and the vectors are added in shard order. The second shard runs on a
-second thread when the process may use two CPUs (`os.sched_getaffinity`),
-else after the first, on the same thread; each shard's arithmetic is the
-same either way, so the bits depend on the BLAS thread count, as they did,
-but not on the CPU count. Against one shard, the loss and the gradients
-differ by rounding only. Every other step keeps one shard, the exact pass
-it ran before sharding existed. Two shards run every layer's Python code
-twice, which pays only where the GEMMs dominate a step and a second CPU
-is free. On 2 vCPUs at one BLAS thread, two shards made a d=32 training 8%
-slower and a d=64 one 9% faster alone, but a d=64 `pipeline run`, whose
-two trainings already fill both CPUs, 11% slower; a d=128 `pipeline run`
-was 10% faster. With more BLAS threads, two Python threads contend for
-OpenBLAS's, and half-batch GEMMs use them worse even one after another:
-at 2 BLAS threads a d=64 copy-task training took 67 s threaded and 47 s
-in turn, against 40 s unsharded.
+From model_dim SHARD_MIN_DIM (128) up, with BLAS pinned to one thread
+(`forking.BLAS_PINNED`), a training step splits a batch of two or more
+sentences into two contiguous sentence shards: synchronous data parallelism
+inside the step. Each shard runs that packed pass over its own columns into
+a gradient vector of its own, and the vectors are added in shard order. The
+second shard runs on a second thread when the process may use two CPUs
+(`os.sched_getaffinity`), else after the first, on the same thread; each
+shard's arithmetic is the same either way, so the bits do not depend on the
+CPU count. Against one shard, the loss and the gradients differ by rounding
+only. Every other step keeps one shard, the exact pass it ran before
+sharding existed. Two shards run every layer's Python code twice, which pays
+only where the GEMMs dominate a step and a second CPU is free. On 2 vCPUs,
+two shards made a d=32 training 8% slower and a d=64 one 9% faster alone,
+but a d=64 `pipeline run`, whose two trainings already fill both CPUs, 11%
+slower; a d=128 `pipeline run` was 10% faster.
 
 Decoding is incremental: `Transformer.start_decode` encodes a source batch
 and computes each decoder layer's cross-attention keys and values once, and
@@ -642,12 +638,12 @@ class Transformer:
         non-pad target positions. The gradients are a `FlatViews` of a new
         flat vector: one view per parameter name, every one written.
 
-        From model_dim SHARD_MIN_DIM up, when numpy's BLAS runs one thread, a
-        batch of two or more sentences is split into two shards that run on
-        two threads where two CPUs are available (see `_forward_backward`).
+        From model_dim SHARD_MIN_DIM up, with BLAS pinned, a batch of two or
+        more sentences is split into two shards that run on two threads
+        where two CPUs are available (see `_forward_backward`).
         """
         wide = self.config.model_dim >= SHARD_MIN_DIM and len(src) >= 2
-        shards = 2 if wide and forking.blas_threads() == 1 else 1
+        shards = 2 if wide and forking.BLAS_PINNED else 1
         return self._forward_backward(src, tgt_in, tgt_out, rng, shards)
 
     def _forward_backward(self, src, tgt_in, tgt_out, rng, shards):
@@ -662,9 +658,8 @@ class Transformer:
         thread started and joined here when the calling thread may use two
         CPUs (numpy releases the GIL in GEMMs, ufunc loops and `take`), else
         after shard 0. Either way each shard's arithmetic is the same, so the
-        result does not depend on the CPU count; it does on the BLAS thread
-        count, as every GEMM does. One shard is the whole batch as is, since
-        a batch `make_batch` pads has no all-pad column.
+        result does not depend on the CPU count. One shard is the whole batch
+        as is, since a batch `make_batch` pads has no all-pad column.
         """
         pad = self.pad_id
         count = int(np.count_nonzero(tgt_out != pad))

@@ -7,12 +7,11 @@ laid out by `model.param_layout` (`model.FlatViews`), so a step is one norm
 reduction, at most one in-place scale and one `kernels.adam_update` call. A
 single numpy Generator seeded from the config drives init, batch shuffling
 and dropout, so the whole loss trace is reproducible bit for bit given
-(seed, config, data) and the BLAS thread count. From model_dim 128 up, with
-one BLAS thread, `Transformer.forward_backward` computes each step in two
-sentence shards, the second on a thread it starts and joins within the step
-when two CPUs are available (`model.SHARD_MIN_DIM`); the bits do not depend
-on the CPU count, and no thread outlives the step. A checkpoint file still stores one
-`param:<name>` array per parameter.
+(seed, config, data), at the one BLAS thread `forking` pins and on any CPU
+count, also where `Transformer.forward_backward` splits a step into two
+sentence shards on two threads (`model.SHARD_MIN_DIM`); no thread outlives
+the step. A checkpoint file still stores one `param:<name>` array per
+parameter.
 """
 
 import json

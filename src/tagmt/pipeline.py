@@ -6,23 +6,25 @@ standalone CLI subcommand, so running the pipeline equals composing the
 subcommands by hand. Reports carry no timestamp, which keeps repeated runs
 byte-identical.
 
-The text-only translator reads nothing the synthesizer chain produces, so
-when the CPUs hold two processes' BLAS threads it trains in a forked child
-(`forking.alongside`) while the parent runs the synthesizer, enrichment and
-multimodal stages, whose decodes therefore stay in the parent. The child
-logs nothing, and the artifacts and the error raised are those of the serial
-order. Step 6's two decodes may each fork a child of their own
-(`translate_corpus`).
+The text-only translator reads nothing the synthesizer chain produces, so when
+the process may use two CPUs it trains in a forked child (`forking.alongside`)
+while the parent runs the synthesizer, enrichment and multimodal stages, whose
+decodes therefore stay in the parent. The child logs nothing, and the
+artifacts and the error raised are those of the serial order. Step 6's two
+decodes may each fork a child of their own (`translate_corpus`). A beam wider
+than the smaller, text-only vocabulary fails before step 2.
 """
 
 import os
 
+from .config import in_section
 from .corpus import load_bitext, load_vg_corpus, write_pairs_tsv
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
 from .forking import alongside
-from .mt.decode import translate_corpus
+from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, train
+from .mt.vocab import vocab_from_pairs
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
 
@@ -61,10 +63,12 @@ def run_pipeline(config, log=print):
 
     text_train = [(r.source_text, r.target_text) for r in train_corpus.records]
     text_valid = [(r.source_text, r.target_text) for r in valid_corpus.records] if valid_corpus else []
+    text_vocab = vocab_from_pairs(text_train)
+    in_section("decode", check_beam_width, config.decode_method, config.beam_width, text_vocab)
 
     log("[2/7] text-only translator")
     text_path = artifact("translator_text.ckpt")
-    with alongside(lambda: train(config.translator, text_train, text_valid).save(text_path)):
+    with alongside(lambda: train(config.translator, text_train, text_valid, text_vocab).save(text_path)):
         log("[3/7] tag synthesizer")
         synth_pairs = build_synth_pairs(tagged_train)
         write_pairs_tsv(synth_pairs, artifact("synth_pairs.tsv"))

@@ -53,9 +53,9 @@ def no_leaked_children():
     pytest.fail("a child process outlived the test" + (f" (reaped pid {pid})" if pid else ""))
 
 
-def counting_forks(patch, cpus, blas_threads):
-    """Make `forking` see `cpus` CPUs and `blas_threads` BLAS threads (BLAS
-    itself keeps its count); returns the list each os.fork call appends to."""
+def counting_forks(patch, cpus):
+    """Make `forking` see `cpus` CPUs and BLAS pinned to one thread; returns
+    the list each os.fork call appends to."""
     forks = []
     real_fork = os.fork
 
@@ -65,7 +65,7 @@ def counting_forks(patch, cpus, blas_threads):
 
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     patch.setattr(os, "fork", counting_fork)
-    patch.setattr(forking, "blas_threads", lambda: blas_threads)
+    patch.setattr(forking, "BLAS_PINNED", True)
     return forks
 
 

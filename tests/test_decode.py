@@ -290,7 +290,7 @@ def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
     for n in (2, 3, 35, 36):  # beam width 4 decodes 16 sources a batch: 35 and 36 take two a half
         with monkeypatch.context() as patch:
-            forks = counting_forks(patch, 1, 1)
+            forks = counting_forks(patch, 1)
             in_place = translate_corpus(ckpt, sources[:n], decode=decode, beam_width=4)
             assert not forks
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -311,7 +311,7 @@ def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
     ],
 )
 def test_decode_forks_from_fork_min_work(monkeypatch, n, decode, max_len, forks):
-    calls = counting_forks(monkeypatch, 2, 1)
+    calls = counting_forks(monkeypatch, 2)
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 96)
     width = 2 if n > 1 else 8
     translate_corpus(random_checkpoint(0), ["aa bb"] * n, decode=decode, beam_width=width, max_len=max_len)
@@ -325,7 +325,7 @@ def test_decode_forks_from_fork_min_work(monkeypatch, n, decode, max_len, forks)
     ids=["mode", "width", "max-len", "width-above-vocabulary"],
 )
 def test_bad_decode_arguments_raise_before_forking(monkeypatch, kwargs):
-    forks = counting_forks(monkeypatch, 2, 1)
+    forks = counting_forks(monkeypatch, 2)
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
     with pytest.raises(ConfigError):
         translate_corpus(random_checkpoint(0), ["aa bb"] * 4, **kwargs)
@@ -334,7 +334,7 @@ def test_bad_decode_arguments_raise_before_forking(monkeypatch, kwargs):
 
 def test_decode_inside_alongside_does_not_fork(monkeypatch):
     ckpt, sources = random_wide_checkpoint(32)
-    forks = counting_forks(monkeypatch, 2, 1)
+    forks = counting_forks(monkeypatch, 2)
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
     want = translate_corpus(ckpt, sources)
     assert len(forks) == 1

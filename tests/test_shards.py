@@ -1,6 +1,6 @@
 """The sharded training step against the one-shard step.
 
-From `model.SHARD_MIN_DIM` up, when numpy's BLAS runs one thread,
+From `model.SHARD_MIN_DIM` up, with numpy's BLAS pinned to one thread,
 `Transformer.forward_backward` splits a batch into two sentence shards, runs
 them on two threads where two CPUs are available and adds their gradients in
 shard order. Each shard drops its trailing all-pad columns, so its GEMMs and
@@ -81,13 +81,13 @@ def count_shards(monkeypatch):
     return shard_counts
 
 
+# threads: numpy's BLAS threads, 1 where the pin took and None where it did not
 @pytest.mark.parametrize(
-    "model_dim, blas_threads, shards",
-    [(16, 1, 1), (64, 1, 1), (128, 1, 2), (128, 2, 1), (128, None, 1)],
+    "model_dim, threads, shards", [(16, 1, 1), (64, 1, 1), (128, 1, 2), (128, None, 1)]
 )
-def test_shard_count_rule(monkeypatch, model_dim, blas_threads, shards):
+def test_shard_count_rule(monkeypatch, model_dim, threads, shards):
     shard_counts = count_shards(monkeypatch)
-    monkeypatch.setattr(forking, "blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(forking, "BLAS_PINNED", threads == 1)
     model = micro_model(model_dim=model_dim)
     src, tgt_in, tgt_out = micro_batch()
     model.forward_backward(src, tgt_in, tgt_out)
@@ -98,7 +98,7 @@ def test_shard_count_rule(monkeypatch, model_dim, blas_threads, shards):
 def test_gradient_check_sharded_micro_model(monkeypatch):
     shard_counts = count_shards(monkeypatch)
     monkeypatch.setattr(model_module, "SHARD_MIN_DIM", MICRO.model_dim)
-    monkeypatch.setattr(forking, "blas_threads", lambda: 1)
+    monkeypatch.setattr(forking, "BLAS_PINNED", True)
     errors = relative_gradient_errors(micro_model(), micro_batch(), n_coords=60)
     assert len(errors) == 60
     assert max(errors) < 1e-3
@@ -107,7 +107,7 @@ def test_gradient_check_sharded_micro_model(monkeypatch):
 
 def default_shape_step(cpus, monkeypatch):
     """One two-shard step of a default-shape model (d=128) with dropout, as if
-    `cpus` CPUs and one BLAS thread were there."""
+    `cpus` CPUs were there."""
     config = ModelConfig(dropout=0.1, seed=2)
     pairs = make_copy_task(32, seed=8, vocab_size=60, min_len=2, max_len=20)
     vocab = vocab_from_pairs(pairs)
@@ -115,7 +115,7 @@ def default_shape_step(cpus, monkeypatch):
     model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        patch.setattr(forking, "blas_threads", lambda: 1)
+        patch.setattr(forking, "BLAS_PINNED", True)
         return model.forward_backward(*batch, rng=np.random.default_rng(5))
 
 
@@ -143,7 +143,7 @@ def test_worker_shard_error_reaches_caller(monkeypatch):
 
 def test_sharded_train_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(forking, "blas_threads", lambda: 1)
+    monkeypatch.setattr(forking, "BLAS_PINNED", True)
     started = []
     thread_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(1) or thread_start(self))
@@ -169,7 +169,6 @@ os.sched_getaffinity = lambda pid: {0, 1}
 threads = []
 real_start = threading.Thread.start
 threading.Thread.start = lambda self: threads.append(1) or real_start(self)
-forking.blas_threads = lambda: 1
 forks = []
 real_fork = os.fork
 os.fork = lambda: forks.append(1) or real_fork()

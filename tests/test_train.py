@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -55,11 +56,8 @@ print(json.dumps([meta["train_loss_trace"], meta["val_loss_trace"], digest.hexdi
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_training_bitwise_reproducible_at_blas_threads(threads):
-    # Packing the batch gives the weight-gradient GEMMs other row counts from
-    # step to step, and OpenBLAS splits those sums by its thread count; a run
-    # must still repeat itself bit for bit at one thread count.
+def run_determinism_script(threads):
+    """DETERMINISM_SCRIPT's output in a fresh process at OPENBLAS_NUM_THREADS=threads."""
     import os
     import subprocess
     import sys
@@ -69,18 +67,27 @@ def test_training_bitwise_reproducible_at_blas_threads(threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     src = os.path.dirname(os.path.dirname(tagmt.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DETERMINISM_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout
 
-    def run():
-        proc = subprocess.run(
-            [sys.executable, "-c", DETERMINISM_SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        return proc.stdout
 
-    first, second = run(), run()
+first_determinism_run = functools.cache(run_determinism_script)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_bitwise_reproducible_at_blas_threads(threads):
+    # Packing the batch gives the weight-gradient GEMMs other row counts from
+    # step to step, and OpenBLAS splits those sums by its thread count; a run
+    # must repeat itself bit for bit, and tagmt's one pinned BLAS thread makes
+    # it the same run whatever OPENBLAS_NUM_THREADS says.
+    first = first_determinism_run(threads)
     train_trace, val_trace, _ = json.loads(first)
     assert len(train_trace) == 24 and len(val_trace) == 3
-    assert first == second
+    assert run_determinism_script(threads) == first
+    assert first_determinism_run({"1": "2", "2": "1"}[threads]) == first
 
 
 # The same training at model_dim 128, where a step at one BLAS thread runs
