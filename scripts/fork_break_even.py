@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Time `translate_corpus` forked and in place, to place decode.FORK_MIN_WORK.
 
-Decodes with a random d=128 checkpoint (V=1000, eos pushed down so every
-hypothesis runs to max_len - 1 tokens, as in the benchmark's translate-long)
-at greedy and width-4 beam shapes whose work, rows x max_len, runs from 128
-to 4096. Each shape runs REPEATS times each way, alternating which goes
-first, and checks that both ways give the same hypotheses. Prints one
-tab-separated row per shape: mode, sources, rows, max_len, work, the median
-in-place and forked times in ms and their ratio. Needs two CPUs.
+Decodes with random checkpoints (V=1000, eos pushed down so every hypothesis
+runs to max_len - 1 tokens, as in the benchmark's translate-long) at two
+shapes: the default (model_dim 128, max_len 64) and the toy experiment's
+translator (model_dim 32, max_len 48, fixtures/toy.cfg). At each, greedy and
+width-4 beam batches run whose work, rows x max_len, lies in 128..4096. Each
+batch runs REPEATS times each way, alternating which goes first, and checks
+that both ways give the same hypotheses. Prints one tab-separated row per
+batch: model_dim, mode, sources, rows, max_len, work, the median in-place and
+forked times in ms and their ratio. Needs two CPUs.
 
 Run from the repository root:  python3 scripts/fork_break_even.py [REPEATS]
 """
@@ -29,7 +31,11 @@ from tagmt.mt.vocab import vocab_from_pairs  # noqa: E402
 from tagmt.toy import make_copy_task  # noqa: E402
 
 SHAPES = {"greedy": (1, (2, 4, 8, 16, 32, 64)), "beam": (4, (2, 4, 8, 16))}
-MAX_LENS = (8, 16, 32, 64)
+# model_dim -> (config, max_lens decoded)
+MODELS = {
+    128: (ModelConfig(seed=11, max_len=64), (8, 16, 32, 64)),
+    32: (ModelConfig(model_dim=32, heads=2, ff_dim=64, max_len=48, seed=11), (8, 16, 32, 48)),
+}
 
 
 def main(repeats):
@@ -37,11 +43,15 @@ def main(repeats):
         sys.exit("needs two CPUs")
     pairs = make_copy_task(1000, seed=11, vocab_size=993, min_len=8, max_len=24)
     vocab = vocab_from_pairs(pairs)
-    config = ModelConfig(seed=11, max_len=max(MAX_LENS))
-    model = Transformer(config, len(vocab), pad_id=vocab.pad_id, rng=np.random.default_rng(11))
-    model.params["out.b"][vocab.eos_id] = -1e4
-    checkpoint = Checkpoint(config, model.params, vocab)
     sources = [src for src, _ in pairs]
+    for dim, (config, max_lens) in MODELS.items():
+        model = Transformer(config, len(vocab), pad_id=vocab.pad_id, rng=np.random.default_rng(11))
+        model.params["out.b"][vocab.eos_id] = -1e4
+        sweep(Checkpoint(config, model.params, vocab), sources, max_lens, repeats)
+
+
+def sweep(checkpoint, sources, max_lens, repeats):
+    dim = checkpoint.config.model_dim
 
     def run(n, mode, max_len, fork):
         decode.FORK_MIN_WORK = 0 if fork else sys.maxsize
@@ -51,7 +61,7 @@ def main(repeats):
 
     for mode, (width, counts) in SHAPES.items():
         for n in counts:
-            for max_len in MAX_LENS:
+            for max_len in max_lens:
                 work = n * width * max_len
                 if not 128 <= work <= 4096:
                     continue
@@ -63,9 +73,9 @@ def main(repeats):
                         elapsed, outs[fork] = run(n, mode, max_len, fork)
                         times[fork].append(elapsed)
                     if outs[False] != outs[True]:
-                        sys.exit(f"{mode} {n} sources, max_len {max_len}: forked hypotheses differ")
+                        sys.exit(f"d={dim} {mode} {n} sources, max_len {max_len}: forked hypotheses differ")
                 here, forked = (statistics.median(times[f]) * 1e3 for f in (False, True))
-                print(f"{mode}\t{n}\t{n * width}\t{max_len}\t{work}\t{here:.1f}\t{forked:.1f}\t{forked / here:.2f}", flush=True)
+                print(f"{dim}\t{mode}\t{n}\t{n * width}\t{max_len}\t{work}\t{here:.1f}\t{forked:.1f}\t{forked / here:.2f}", flush=True)
 
 
 if __name__ == "__main__":

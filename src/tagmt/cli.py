@@ -1,8 +1,8 @@
 """tagmt command line: each subcommand is one box or arrow of the pipeline.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error (with the
-offending line or record named), 3 training divergence. Any other exception
-is a bug and propagates with its traceback.
+Exit codes: 0 success, 1 usage/configuration error or an allocation failure,
+2 data error (with the offending line or record named), 3 training divergence.
+Any other exception is a bug and propagates with its traceback.
 """
 
 import argparse
@@ -408,6 +408,10 @@ def main(argv=None):
     except (TagmtError, OSError, UnicodeEncodeError) as err:
         # UnicodeEncodeError: stdout cannot encode the output (PYTHONIOENCODING=ascii)
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        # a model or checkpoint size too large to allocate; numpy names the array
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return 1
 
 

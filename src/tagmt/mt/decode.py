@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import ConfigError, TagmtError, check_choice
 from ..forking import alongside, can_fork
+from .vocab import pad_rows
 
 DECODE_METHODS = ("greedy", "beam")
 # the defaults of translate_corpus, of the [decode] section and of `mt translate`
@@ -155,9 +156,7 @@ def translate_corpus(
         results = []
         for start in range(0, len(texts), chunk):
             encoded = [_encode_source(vocab, t, max_len) for t in texts[start : start + chunk]]
-            src = np.full((len(encoded), max(map(len, encoded))), vocab.pad_id, dtype=np.int64)
-            for row, ids in enumerate(encoded):
-                src[row, : len(ids)] = ids
+            src = pad_rows(encoded, vocab.pad_id)
             results.extend(vocab.decode(ids) for ids in beam_search(model, src, vocab, max_len, width))
         return results
 

@@ -10,7 +10,8 @@ The encoder and the decoder are one pre-norm residual stack that differs
 only in its sublayers, each x + dropout(sublayer(layer_norm(x))):
 `_SUBLAYERS` lists each side's as (layer norm, kind, parameter prefix), kind
 being self attention, cross attention or feed-forward. That one table gives
-the parameter layout and drives `_stack_fwd`, `_stack_bwd` and `decode_step`.
+the parameter layout and drives `_stack`, the one forward loop of training,
+validation and `decode_step`, and `_stack_bwd`.
 
 `param_layout` defines the parameters, and `FlatViews` lays them out back to
 back in one flat vector with a named view per parameter. `forward_backward`
@@ -58,7 +59,7 @@ its activations as one (rows, d) matrix: each projection is one GEMM.
 import contextvars
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -132,12 +133,12 @@ class ModelConfig:
                 f"validation_interval ({self.validation_interval}) must not "
                 f"exceed max_steps ({self.max_steps})"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # False for NaN
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.warmup_steps < 1:
             raise ConfigError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        if self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if not 0 < self.grad_clip < math.inf:
+            raise ConfigError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_len < 2:
@@ -347,11 +348,6 @@ def _attention(qh, kh, vh, bias):
     return attn, scale, _merge_heads(attn @ vh)
 
 
-def _head_proj(params, prefix, name, x, heads):
-    """One attention input projection ('q', 'k' or 'v'), split into heads."""
-    return _split_heads(_linear_fwd(x, params, prefix, name)[0], heads)
-
-
 def _attn_fwd(params, prefix, xq, xkv, bias, heads, q_rows, kv_rows):
     """Attention of queries xq over keys/values xkv, each in the layout of its rows.
 
@@ -526,32 +522,44 @@ class Transformer:
     #
     # Each pass holds its activations as one row per position its `_Rows` keeps.
 
-    def _stack_fwd(
-        self, side, ids, rows, masks, self_bias, memory=None, src_bias=None, src_rows=None
-    ):
-        """The encoder ("enc") or decoder ("dec") of `_SUBLAYERS` over the positions
-        of ids that `rows` keeps: (output rows, cache). masks holds the side's
-        dropout masks in the order they apply (None: no dropout). The decoder's
-        memory holds one row per source position that `src_rows` keeps."""
+    def _stack(self, side, x, attend, keeps=(), rows=None):
+        """The `_SUBLAYERS` loop of side "enc" or "dec" over the embedded rows x:
+        (output rows, sublayer caches, final layer norm cache). attend(kind, i,
+        prefix, h) runs layer i's attention sublayer on the layer-normed rows h,
+        giving (y, cache); keeps holds the dropout masks after the embedding's
+        (none: no dropout), gathered at `rows`."""
         p, c = self.params, self.config
-        keeps = iter(masks or ())
-        x = self._embed_fwd(rows.gather(ids), rows.positions())
-        x, drop0 = _dropout_fwd(x, c.dropout, next(keeps, None), rows)
+        keeps = iter(keeps)
         caches = []
         for i in range(c.layers):
             for norm, kind, name in _SUBLAYERS[side]:
                 h, cln = _ln_fwd(x, p, f"{side}{i}.{norm}")
                 prefix = f"{side}{i}.{name}"
-                if kind == "ff":
-                    y, csub = _ff_fwd(p, prefix, h)
-                elif kind == "self":
-                    y, csub = _attn_fwd(p, prefix, h, h, self_bias, c.heads, rows, rows)
-                else:
-                    y, csub = _attn_fwd(p, prefix, h, memory, src_bias, c.heads, rows, src_rows)
+                y, csub = _ff_fwd(p, prefix, h) if kind == "ff" else attend(kind, i, prefix, h)
                 y, cdrop = _dropout_fwd(y, c.dropout, next(keeps, None), rows)
                 x = x + y
                 caches.append((kind, cln, csub, cdrop))
         out, cln_final = _ln_fwd(x, p, f"{side}.ln")
+        return out, caches, cln_final
+
+    def _stack_fwd(
+        self, side, ids, rows, masks, self_bias, memory=None, src_bias=None, src_rows=None
+    ):
+        """`_stack` over the positions of ids that `rows` keeps: (output rows,
+        cache). masks holds the side's dropout masks in the order they apply
+        (None: no dropout). The decoder's memory holds one row per source
+        position that `src_rows` keeps."""
+        p, c = self.params, self.config
+        keeps = iter(masks or ())
+        x = self._embed_fwd(rows.gather(ids), rows.positions())
+        x, drop0 = _dropout_fwd(x, c.dropout, next(keeps, None), rows)
+
+        def attend(kind, i, prefix, h):
+            if kind == "self":
+                return _attn_fwd(p, prefix, h, h, self_bias, c.heads, rows, rows)
+            return _attn_fwd(p, prefix, h, memory, src_bias, c.heads, rows, src_rows)
+
+        out, caches, cln_final = self._stack(side, x, attend, keeps, rows)
         return out, (drop0, caches, cln_final)
 
     def _stack_bwd(self, dout, ids, rows, cache, grads):
@@ -654,10 +662,10 @@ class Transformer:
         runs `_forward` and `_backward` into a gradient vector of its own,
         with its logits' gradient divided by the whole batch's token count;
         the vectors and the loss sums are then added in shard order. shards
-        is 1 or 2. Shard 0 runs on the calling thread; shard 1 runs on a
-        thread started and joined here when the calling thread may use two
-        CPUs (numpy releases the GIL in GEMMs, ufunc loops and `take`), else
-        after shard 0. Either way each shard's arithmetic is the same, so the
+        is 1 or 2. Shard 0 runs on the calling thread; shard 1 runs on the
+        one thread of a pool opened and shut here when the calling thread may
+        use two CPUs (numpy releases the GIL in GEMMs, ufunc loops and `take`),
+        else after shard 0. Either way each shard's arithmetic is the same, so the
         result does not depend on the CPU count. One shard is the whole batch
         as is, since a batch `make_batch` pads has no all-pad column.
         """
@@ -687,29 +695,14 @@ class Transformer:
             dlogits /= count
             return loss_sum, self._backward(dlogits, cache)
 
-        parts = [None] * shards
-
-        def run(k):
-            try:
-                parts[k] = shard(k)
-            except BaseException as err:  # re-raised on the calling thread
-                parts[k] = err
-
-        worker = None
         if shards == 2 and len(os.sched_getaffinity(0)) >= 2:
-            # a copied context carries the caller's np.errstate into the thread
-            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
-            worker.start()
-        try:
-            run(0)
-        finally:
-            if worker is not None:
-                worker.join()
-        if shards == 2 and worker is None:
-            run(1)
-        for part in parts:
-            if isinstance(part, BaseException):
-                raise part
+            # leaving the block waits for the worker; shard 0's error, raised
+            # first, wins. A copied context carries the caller's np.errstate.
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                second = pool.submit(contextvars.copy_context().run, shard, 1)
+                parts = [shard(0), second.result()]
+        else:
+            parts = [shard(k) for k in range(shards)]
         loss_sum, grads = parts[0]
         for part_sum, part_grads in parts[1:]:
             loss_sum += part_sum
@@ -737,7 +730,9 @@ class Transformer:
         p, c = self.params, self.config
         memory, src_bias = self.encode(src)
         cross = [
-            tuple(_head_proj(p, f"dec{i}.cross", name, memory, c.heads) for name in "kv")
+            tuple(
+                _split_heads(_linear_fwd(memory, p, f"dec{i}.cross", k)[0], c.heads) for k in "kv"
+            )
             for i in range(c.layers)
         ]
         shape = (src.shape[0], c.heads, c.max_len, c.model_dim // c.heads)
@@ -769,27 +764,18 @@ class Transformer:
             # one GEMM over all rows, split as `_split_heads` splits one position
             return _linear_fwd(h, p, prefix, name)[0].reshape(rows, c.heads, 1, -1)
 
-        def attend(prefix, qh, kh, vh, bias):
-            ctx = _attention(qh, kh, vh, bias)[2].reshape(rows, -1)
-            return _linear_fwd(ctx, p, prefix, "o")[0]
+        def attend(kind, i, prefix, h):
+            if kind == "self":
+                # this position's keys and values join the cache before its query
+                keys, values = state.keys[i], state.values[i]
+                keys[:, :, t : t + 1] = proj(h, prefix, "k")
+                values[:, :, t : t + 1] = proj(h, prefix, "v")
+                kv, bias = (keys[:, :, : t + 1], values[:, :, : t + 1]), key_bias
+            else:
+                kv, bias = state.cross[i], state.src_bias
+            ctx = _attention(proj(h, prefix, "q"), *kv, bias)[2].reshape(rows, -1)
+            return _linear_fwd(ctx, p, prefix, "o")[0], None
 
         # the step's activations stay (rows, d) from the embedding to the logits
-        x = self._embed_fwd(ids, t)
-        for i in range(c.layers):
-            for norm, kind, name in _SUBLAYERS["dec"]:
-                h, _ = _ln_fwd(x, p, f"dec{i}.{norm}")
-                prefix = f"dec{i}.{name}"
-                if kind == "ff":
-                    y = _ff_fwd(p, prefix, h)[0]
-                elif kind == "self":
-                    # this position's keys and values join the cache before its query
-                    keys, values = state.keys[i], state.values[i]
-                    keys[:, :, t : t + 1] = proj(h, prefix, "k")
-                    values[:, :, t : t + 1] = proj(h, prefix, "v")
-                    kv = keys[:, :, : t + 1], values[:, :, : t + 1]
-                    y = attend(prefix, proj(h, prefix, "q"), *kv, key_bias)
-                else:
-                    y = attend(prefix, proj(h, prefix, "q"), *state.cross[i], state.src_bias)
-                x = x + y
-        out, _ = _ln_fwd(x, p, "dec.ln")
+        out, _, _ = self._stack("dec", self._embed_fwd(ids, t), attend)
         return out @ p["out.w"] + p["out.b"]

@@ -23,7 +23,7 @@ from ..errors import ArchitectureMismatch, ConfigError, Divergence, EmptyCorpus
 from ..fileio import atomic_write
 from . import kernels
 from .model import DTYPE, FlatViews, ModelConfig, Transformer, param_layout
-from .vocab import Vocab, vocab_from_pairs
+from .vocab import Vocab, pad_rows, vocab_from_pairs
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -155,20 +155,12 @@ def encode_pairs(pairs, vocab, config):
 
 
 def make_batch(encoded, indices, vocab):
-    pad, bos, eos = vocab.pad_id, vocab.bos_id, vocab.eos_id
+    """The (src, tgt_in, tgt_out) batch of encoded pairs at indices: tgt_in is
+    bos + target, tgt_out target + eos, each side padded."""
     chosen = [encoded[i] for i in indices]
-    s_max = max(len(s) for s, _ in chosen)
-    t_max = max(len(t) for _, t in chosen) + 1
-    b = len(chosen)
-    src = np.full((b, s_max), pad, dtype=np.int64)
-    tgt_in = np.full((b, t_max), pad, dtype=np.int64)
-    tgt_out = np.full((b, t_max), pad, dtype=np.int64)
-    for row, (s, t) in enumerate(chosen):
-        src[row, : len(s)] = s
-        tgt_in[row, 0] = bos
-        tgt_in[row, 1 : len(t) + 1] = t
-        tgt_out[row, : len(t)] = t
-        tgt_out[row, len(t)] = eos
+    src = pad_rows([s for s, _ in chosen], vocab.pad_id)
+    tgt_in = pad_rows([[vocab.bos_id, *t] for _, t in chosen], vocab.pad_id)
+    tgt_out = pad_rows([[*t, vocab.eos_id] for _, t in chosen], vocab.pad_id)
     return src, tgt_in, tgt_out
 
 

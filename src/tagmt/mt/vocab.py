@@ -10,6 +10,8 @@ protocol-shaped strings.
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 RESERVED_TOKENS = (PAD, BOS, EOS, UNK, "##", "<sep>", ",")
 
@@ -33,6 +35,14 @@ def tokenize(text):
 
 def detokenize(tokens):
     return _COMMA_TIGHTEN.sub(",", " ".join(tokens))
+
+
+def pad_rows(rows, pad):
+    """The id sequences `rows` as one (len(rows), longest) int64 batch, padded with pad."""
+    batch = np.full((len(rows), max(map(len, rows))), pad, dtype=np.int64)
+    for row, ids in enumerate(rows):
+        batch[row, : len(ids)] = ids
+    return batch
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from conftest import counting_forks, fixture_path
 from tagmt import forking, pipeline
 from tagmt.cli import main
 from tagmt.corpus import load_vg_corpus
+from tagmt.errors import ConfigError
 from tagmt.fileio import read_lines
+from tagmt.mt.train import Checkpoint
 from test_decode import random_checkpoint
 
 DISAMBIG = fixture_path("disambig")
@@ -1144,3 +1147,75 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert hasattr(args, "func"), line
+
+
+NON_FINITE = pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("key", ["learning_rate", "grad_clip"])
+def test_train_non_finite_rate_or_clip_exit_1(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "[translator]\nlayers = 1\nheads = 2\nmodel_dim = 16\nff_dim = 16\nmax_steps = 2\n"
+        f"validation_interval = 1\nmax_len = 8\n{key} = {value}\n",
+        encoding="utf-8",
+    )
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    code = main(["mt", "train", "--train", str(pairs), "--config", str(cfg), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: [translator] {key} must be finite and > 0, got {float(value)}\n"
+    )
+    assert not out.exists()
+
+
+@NON_FINITE
+@pytest.mark.parametrize("key", ["learning_rate", "grad_clip"])
+def test_checkpoint_non_finite_rate_or_clip_rejected(tmp_path, key, value):
+    checkpoint = random_checkpoint(0)
+    # replace() does not validate; json writes the value as NaN, Infinity or -Infinity
+    checkpoint.config = replace(checkpoint.config, **{key: float(value)})
+    path = str(tmp_path / "bad-config.ckpt")
+    checkpoint.save(path)
+    message = f"checkpoint {path}: {key} must be finite and > 0, got {float(value)}"
+    with pytest.raises(ConfigError) as raised:
+        Checkpoint.load(path)
+    assert str(raised.value) == message
+
+
+# Sizes no address space holds: numpy fails the first large allocation at once,
+# before it touches any memory.
+HUGE = 10**15
+
+
+def test_checkpoint_max_len_too_large_to_allocate_exit_1(tmp_path, capsys):
+    checkpoint = random_checkpoint(0)
+    checkpoint.config = replace(checkpoint.config, max_len=HUGE)  # no parameter's shape
+    ckpt = tmp_path / "huge.ckpt"
+    checkpoint.save(str(ckpt))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("aa bb\n", encoding="utf-8")
+    out = tmp_path / "hyp.txt"
+    code = main(["mt", "translate", "--checkpoint", str(ckpt), "--input", str(sources),
+                 "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_train_model_dim_too_large_to_allocate_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[translator]\nmodel_dim = {HUGE}\nmax_steps = 1\nvalidation_interval = 1\n",
+                   encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    code = main(["mt", "train", "--train", str(pairs), "--config", str(cfg), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,57 @@ def test_worker_shard_error_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(kernels, "xent_loss_grad", fails_off_main_thread)
     with pytest.raises(FloatingPointError, match="^shard failed$"):
+        default_shape_step(2, monkeypatch)
+
+
+
+def on_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_caller_shard_error_waits_for_worker_shard(monkeypatch):
+    from tagmt.mt import kernels
+
+    xent, backward = kernels.xent_loss_grad, Transformer._backward
+    worker_running, worker_done = threading.Event(), threading.Event()
+
+    def caller_fails(*args):
+        if on_worker():
+            worker_running.set()
+            time.sleep(0.2)  # still running when the calling thread's shard fails
+            return xent(*args)
+        assert worker_running.wait(timeout=60)
+        raise FloatingPointError("caller shard failed")
+
+    def marking_backward(self, dlogits, cache):
+        grads = backward(self, dlogits, cache)
+        if on_worker():
+            worker_done.set()
+        return grads
+
+    monkeypatch.setattr(kernels, "xent_loss_grad", caller_fails)
+    monkeypatch.setattr(Transformer, "_backward", marking_backward)
+    with pytest.raises(FloatingPointError, match="^caller shard failed$"):
+        default_shape_step(2, monkeypatch)
+    # the error left the step only once the worker's shard was done; the
+    # autouse no_leaked_threads fixture checks that its thread is gone too
+    assert worker_done.is_set()
+
+
+def test_both_shards_fail_shard_zero_error_wins(monkeypatch):
+    from tagmt.mt import kernels
+
+    worker_failed = threading.Event()
+
+    def both_fail(*args):
+        if on_worker():
+            worker_failed.set()
+            raise FloatingPointError("shard 1 failed")
+        assert worker_failed.wait(timeout=60)  # the worker's error comes first
+        raise FloatingPointError("shard 0 failed")
+
+    monkeypatch.setattr(kernels, "xent_loss_grad", both_fail)
+    with pytest.raises(FloatingPointError, match="^shard 0 failed$"):
         default_shape_step(2, monkeypatch)
 
 
