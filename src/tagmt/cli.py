@@ -1,8 +1,8 @@
 """tagmt command line: each subcommand is one box or arrow of the pipeline.
 
-Exit codes: 0 success, 1 usage/configuration error or an allocation failure,
-2 data error (with the offending line or record named), 3 training divergence.
-Any other exception is a bug and propagates with its traceback.
+Exit codes: 0 success, a tagmt error's `exit_code` (see errors.py), and 1 for
+an OSError, output stdout cannot encode or an allocation failure. Any other
+exception is a bug and propagates with its traceback.
 """
 
 import argparse
@@ -14,7 +14,7 @@ from .config import ExperimentConfig, in_section, load_experiment_config
 from .corpus import (
     SPLIT_LABELS, corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
 )
-from .errors import ConfigError, DataError, Divergence, TagmtError
+from .errors import ConfigError, DataError, TagmtError
 from .evaluation import (
     REPORT_FORMATS,
     bleu_from_texts,
@@ -399,16 +399,10 @@ def main(argv=None):
         # a non-finite value shows as the command's own error, not as numpy's warning text
         with np.errstate(all="ignore"):
             return args.func(args) or 0
-    except Divergence as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (TagmtError, OSError, UnicodeEncodeError) as err:
         # UnicodeEncodeError: stdout cannot encode the output (PYTHONIOENCODING=ascii)
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return getattr(err, "exit_code", 1)
     except MemoryError as err:
         # a model or checkpoint size too large to allocate; numpy names the array
         print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)

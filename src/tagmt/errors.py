@@ -1,14 +1,16 @@
 """Exception hierarchy shared by all tagmt modules.
 
-DataError subclasses map to CLI exit code 2, Divergence to exit code 3,
-everything else (usage, bad configuration) to exit code 1. Every class
-survives a pickle round trip with its message and fields, so an error can
-cross a process boundary.
+A class's `exit_code` attribute is the CLI's exit-code contract: 2 for
+DataError and its subclasses, 3 for Divergence, 1 for everything else (usage,
+bad configuration). Every class survives a pickle round trip with its message
+and fields, so an error can cross a process boundary.
 """
 
 
 class TagmtError(Exception):
     """Base class for all tagmt errors."""
+
+    exit_code = 1
 
     def __reduce__(self):
         # Rebuild without calling __init__: the subclasses' constructors take
@@ -29,6 +31,8 @@ def check_choice(key, value, choices):
 
 class DataError(TagmtError):
     """Malformed or inconsistent input data."""
+
+    exit_code = 2
 
 
 class MalformedLine(DataError):
@@ -100,6 +104,8 @@ class TrainingError(TagmtError):
 
 
 class Divergence(TrainingError):
+    exit_code = 3
+
     def __init__(self, step: int, loss: float):
         self.step = step
         self.loss = loss

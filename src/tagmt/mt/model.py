@@ -472,8 +472,17 @@ class Transformer:
         self.config = config
         self.vocab_size = vocab_size
         self.pad_id = pad_id
-        self.pos = sinusoid_positions(config.max_len, config.model_dim)
         self.layout = param_layout(config, vocab_size)
+        # a model no memory holds fails here, before its first array is allocated
+        values = config.max_len * config.model_dim + sum(math.prod(s) for _, s, _ in self.layout)
+        need = values * np.dtype(DTYPE).itemsize
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise MemoryError(
+                f"model_dim {config.model_dim} and max_len {config.max_len} need "
+                f"{need / 2**30:.4g} GiB, more than the {memory / 2**30:.4g} GiB of memory"
+            )
+        self.pos = sinusoid_positions(config.max_len, config.model_dim)
         if params is not None:
             self.params = params
         else:

@@ -189,6 +189,15 @@ def evaluate_loss(model, encoded, vocab, batch_size):
     return total / max(count, 1)
 
 
+def _batches(n, batch_size, rng):
+    """Index batches over n pairs without end: each pass draws a fresh
+    permutation when its first batch is asked for."""
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+
 def train(
     config,
     training_pairs,
@@ -227,53 +236,43 @@ def train(
 
     train_trace = []
     val_trace = []
-    best_loss = None
     best_flat = None
-    best_step = None
-    stale_validations = 0
     stopped_early = False
-    step = 0
-    n = len(encoded_train)
-
-    while step < config.max_steps and not stopped_early:
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            if step >= config.max_steps or stopped_early:
-                break
-            step += 1
-            idx = order[start : start + config.batch_size]
-            src, tgt_in, tgt_out = make_batch(encoded_train, idx, vocab)
-            loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng)
-            if not np.isfinite(loss):
-                raise Divergence(step, loss)
-            _clip_grads(grads.vector, config.grad_clip)
-            lr = learning_rate_at(step, config)
-            kernels.adam_update(
-                flat, grads.vector, adam_m, adam_v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step
-            )
-            train_trace.append(float(loss))
-            if step % config.validation_interval == 0 and encoded_valid:
-                vloss = evaluate_loss(model, encoded_valid, vocab, config.batch_size)
-                val_trace.append([step, float(vloss)])
-                if best_loss is None or vloss < best_loss:
-                    best_loss = float(vloss)
-                    best_step = step
-                    best_flat = flat.copy()
-                    stale_validations = 0
-                else:
-                    stale_validations += 1
-                    if config.patience and stale_validations >= config.patience:
-                        stopped_early = True
-                if log is not None:
-                    log(f"step {step}: train {loss:.4f} valid {vloss:.4f}")
-            elif log is not None and step % config.validation_interval == 0:
-                log(f"step {step}: train {loss:.4f}")
+    batches = _batches(len(encoded_train), config.batch_size, rng)
+    for step, idx in zip(range(1, config.max_steps + 1), batches):
+        src, tgt_in, tgt_out = make_batch(encoded_train, idx, vocab)
+        loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng)
+        if not np.isfinite(loss):
+            raise Divergence(step, loss)
+        _clip_grads(grads.vector, config.grad_clip)
+        lr = learning_rate_at(step, config)
+        kernels.adam_update(
+            flat, grads.vector, adam_m, adam_v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step
+        )
+        train_trace.append(float(loss))
+        if step % config.validation_interval:
+            continue
+        line = f"step {step}: train {loss:.4f}"
+        if encoded_valid:
+            vloss = float(evaluate_loss(model, encoded_valid, vocab, config.batch_size))
+            line += f" valid {vloss:.4f}"
+            val_trace.append([step, vloss])
+            best_step = min(val_trace, key=lambda entry: entry[1])[0]  # the first minimum
+            if best_step == step:
+                best_flat = flat.copy()
+            stale_validations = (step - best_step) // config.validation_interval
+            stopped_early = 0 < config.patience <= stale_validations
+        if log is not None:
+            log(line)
+        if stopped_early:
+            break
 
     final_params = model.params if best_flat is None else FlatViews(layout, best_flat)
+    best_step, best_val_loss = min(val_trace, key=lambda entry: entry[1], default=(step, None))
     meta = {
         "steps": step,
-        "best_step": best_step if best_step is not None else step,
-        "best_val_loss": best_loss,
+        "best_step": best_step,
+        "best_val_loss": best_val_loss,
         "final_val_loss": val_trace[-1][1] if val_trace else None,
         "stopped_early": stopped_early,
         "train_loss_trace": train_trace,

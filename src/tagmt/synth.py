@@ -69,8 +69,6 @@ def train_synthesizer(pairs, config, log=None):
     n_held = max(1, round(len(pairs) * HELDOUT_FRACTION)) if len(pairs) > 1 else 0
     held = pairs[len(pairs) - n_held :]
     used = pairs[: len(pairs) - n_held]
-    if not used:
-        used, held = pairs, []
     checkpoint = train(config, used, held, log=log)
 
     if held:

@@ -19,6 +19,7 @@ from tagmt.errors import ConfigError
 from tagmt.fileio import read_lines
 from tagmt.mt.train import Checkpoint
 from test_decode import random_checkpoint
+from test_errors import EXAMPLES
 
 DISAMBIG = fixture_path("disambig")
 
@@ -1218,4 +1219,74 @@ def test_train_model_dim_too_large_to_allocate_exit_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# the exit code of each error class of test_errors.EXAMPLES (which covers them
+# all), written out: DataError and its subclasses 2, Divergence 3, the rest 1;
+# an OSError exits 1 too
+EXIT_CODES = {
+    "TagmtError": 1,
+    "ConfigError": 1,
+    "DataError": 2,
+    "MalformedLine": 2,
+    "EmptyText": 2,
+    "LengthMismatch": 2,
+    "UnknownImage": 2,
+    "UnknownLabel": 2,
+    "InvalidConfidence": 2,
+    "SeparatorCollision": 2,
+    "EmptyCorpus": 2,
+    "MissingBaseline": 2,
+    "TrainingError": 1,
+    "Divergence": 3,
+    "ArchitectureMismatch": 1,
+    "OSError": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "err", EXAMPLES + [OSError("No space left on device")], ids=lambda err: type(err).__name__
+)
+def test_error_class_exit_code(monkeypatch, tmp_path, capsys, err):
+    from tagmt import cli
+
+    def failing(corpus):
+        raise err
+
+    monkeypatch.setattr(cli, "corpus_stats", failing)
+    src, tgt = tmp_path / "a.src", tmp_path / "a.tgt"
+    src.write_text("aa bb\n", encoding="utf-8")
+    tgt.write_text("cc dd\n", encoding="utf-8")
+    code = main(["corpus", "stats", "--source", str(src), "--target", str(tgt)])
+    assert code == EXIT_CODES[type(err).__name__]
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_train_model_beyond_memory_exit_1_before_allocating(tmp_path):
+    """At model_dim 10^8 the parameters need far more than any memory; the
+    size check fails before the first array, so a 1 GiB address-space limit,
+    set on the child alone, is never reached."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[translator]\nmodel_dim = 100000000\nheads = 2\n", encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagmt.cli", "mt", "train", "--train", str(pairs),
+         "--config", str(cfg), "--output", str(out)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert "model_dim 100000000" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()

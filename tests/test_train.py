@@ -318,3 +318,46 @@ def test_patience_zero_disables_early_stop():
     ckpt = train(config, pairs[:60], pairs[60:])
     assert ckpt.training_meta["stopped_early"] is False
     assert ckpt.training_meta["steps"] == 40
+
+
+VALIDATED_LINE = re.compile(r"^step (\d+): train (\d+\.\d{4}) valid (\d+\.\d{4})$")
+TRAIN_LINE = re.compile(r"^step (\d+): train (\d+\.\d{4})$")
+
+
+def _logged_training(config, training_pairs, validation_pairs=()):
+    lines = []
+    meta = train(config, training_pairs, validation_pairs, log=lines.append).training_meta
+    return lines, meta
+
+
+def test_log_line_per_validation_with_both_losses():
+    pairs = make_copy_task(100, seed=15)
+    lines, meta = _logged_training(
+        small_config(max_steps=30, validation_interval=10), pairs[:80], pairs[80:]
+    )
+    matches = [VALIDATED_LINE.match(line) for line in lines]
+    assert all(matches), lines
+    assert [int(m[1]) for m in matches] == [s for s, _ in meta["val_loss_trace"]] == [10, 20, 30]
+    for m, (step, vloss) in zip(matches, meta["val_loss_trace"]):
+        assert m[2] == f"{meta['train_loss_trace'][step - 1]:.4f}"
+        assert m[3] == f"{vloss:.4f}"
+
+
+def test_log_line_per_interval_without_validation_pairs():
+    pairs = make_copy_task(80, seed=15)
+    lines, meta = _logged_training(small_config(max_steps=30, validation_interval=10), pairs)
+    matches = [TRAIN_LINE.match(line) for line in lines]
+    assert all(matches), lines
+    assert [int(m[1]) for m in matches] == [10, 20, 30]
+    for m in matches:
+        assert m[2] == f"{meta['train_loss_trace'][int(m[1]) - 1]:.4f}"
+    assert meta["val_loss_trace"] == [] and meta["best_val_loss"] is None
+
+
+def test_log_ends_at_the_validation_that_stops_early():
+    pairs = make_copy_task(80, seed=14)
+    config = small_config(max_steps=200, validation_interval=10, patience=2, learning_rate=1e-30)
+    lines, meta = _logged_training(config, pairs[:60], pairs[60:])
+    assert meta["stopped_early"] is True
+    assert [int(VALIDATED_LINE.match(line)[1]) for line in lines] == [10, 20, 30]
+    assert meta["steps"] == 30 and len(meta["train_loss_trace"]) == 30
