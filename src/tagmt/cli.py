@@ -27,7 +27,7 @@ from .fileio import read_lines, write_lines
 from .mt.decode import DECODE_METHODS, DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
-from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
+from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
 from .tagging import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -157,7 +157,7 @@ def cmd_synth_enrich(args):
     bitext = load_bitext(args.source, args.target)
     vocabulary = load_tag_vocabulary(args.tag_vocabulary)
     enriched = enrich_corpus(bitext, checkpoint, k=args.k, vocabulary=vocabulary)
-    write_enriched_corpus(enriched, args.output)
+    write_pairs_tsv([(tagged.rendered, target) for tagged, target in enriched], args.output)
     print(f"wrote {len(enriched)} enriched pairs to {args.output}")
     return 0
 

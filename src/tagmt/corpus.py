@@ -11,7 +11,7 @@ Parsing preserves record order exactly; order is the alignment identity.
 
 from dataclasses import dataclass, field
 
-from .errors import DataError, EmptyText, LengthMismatch, MalformedLine, check_choice
+from .errors import DataError, LengthMismatch, MalformedLine, check_choice
 from .fileio import read_lines, tsv_rows, write_lines
 
 SPLIT_LABELS = ("train", "dtest", "etest", "ctest", "unspecified")
@@ -59,8 +59,8 @@ def parse_vg_corpus(lines, split_label="unspecified"):
     ``lines`` is any iterable of strings (an open file works). Empty lines are
     skipped; line numbers in errors are 1-based over all lines.
 
-    Raises MalformedLine on wrong field count or bad geometry, EmptyText when
-    either text field is blank after trimming.
+    Raises MalformedLine on wrong field count, bad geometry, or either text
+    field blank after trimming.
     """
     check_choice("split", split_label, SPLIT_LABELS)
     records = []
@@ -80,10 +80,9 @@ def parse_vg_corpus(lines, split_label="unspecified"):
             )
         source_text = fields[5].strip()
         target_text = fields[6].strip()
-        if not source_text:
-            raise EmptyText(line_number, "source")
-        if not target_text:
-            raise EmptyText(line_number, "target")
+        for side, text in (("source", source_text), ("target", target_text)):
+            if not text:
+                raise MalformedLine(line_number, f"empty {side} field")
         records.append(
             ParallelRecord(
                 source_text=source_text,

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, LengthMismatch, MalformedLine, MissingBaseline, check_choice
+from .errors import DataError, LengthMismatch, MalformedLine, check_choice
 from .fileio import atomic_write, tsv_rows
 
 MAX_ORDER = 4
@@ -52,7 +52,7 @@ def corpus_bleu(hypotheses, references, smooth="none"):
     if len(hypotheses) != len(references):
         raise LengthMismatch(len(hypotheses), len(references))
     if not hypotheses:
-        raise EmptyCorpus("cannot score an empty corpus")
+        raise DataError("cannot score an empty corpus")
     matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
     hyp_len = ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -124,9 +124,11 @@ def report_delta(text_only, multimodal, corpus_name="", split="", timestamp=None
     is named with its line when multimodal was read by `read_scores_tsv`.
     """
     rows = []
+    line_numbers = getattr(multimodal, "line_numbers", {})
     for task, mm_score in multimodal.items():
         if task not in text_only:
-            raise MissingBaseline(task, getattr(multimodal, "line_numbers", {}).get(task))
+            at = f"line {line_numbers[task]}: " if task in line_numbers else ""
+            raise DataError(f"{at}no text-only baseline score for task {task!r}")
         system, baseline = float(mm_score), float(text_only[task])
         rows.append(ReportRow(task, system, baseline, system - baseline))
     metadata = {"bleu_tokenization": "whitespace"}

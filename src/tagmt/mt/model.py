@@ -103,50 +103,30 @@ class ModelConfig:
     synth_fit_threshold: float = 0.9
 
     def validate(self, min_steps=1):
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        floors = {
+            "layers": 1, "heads": 1, "ff_dim": 1, "max_steps": min_steps, "validation_interval": 1,
+            "warmup_steps": 1, "batch_size": 1, "max_len": 2, "patience": 0,
+            "seed": 0,  # numpy's generators take no negative seed
+        }
+        for name, least in floors.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.model_dim < 1 or self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"model_dim ({self.model_dim}) must be positive and divisible "
                 f"by heads ({self.heads})"
-            )
-        if self.ff_dim < 1:
-            raise ConfigError(f"ff_dim must be >= 1, got {self.ff_dim}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(
-                f"label_smoothing must be in [0, 1), got {self.label_smoothing}"
-            )
-        if self.max_steps < min_steps:
-            raise ConfigError(
-                f"max_steps must be >= {min_steps}, got {self.max_steps}"
-            )
-        if self.validation_interval < 1:
-            raise ConfigError(
-                f"validation_interval must be >= 1, got {self.validation_interval}"
             )
         if self.max_steps >= 1 and self.validation_interval > self.max_steps:
             raise ConfigError(
                 f"validation_interval ({self.validation_interval}) must not "
                 f"exceed max_steps ({self.max_steps})"
             )
-        if not 0 < self.learning_rate < math.inf:  # False for NaN
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.warmup_steps < 1:
-            raise ConfigError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        if not 0 < self.grad_clip < math.inf:
-            raise ConfigError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("dropout", "label_smoothing"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("learning_rate", "grad_clip"):
+            if not 0 < getattr(self, name) < math.inf:  # False for NaN
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 < self.synth_fit_threshold <= 1.0:
             raise ConfigError(
                 f"synth_fit_threshold must be in (0, 1], got {self.synth_fit_threshold}"

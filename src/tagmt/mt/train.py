@@ -19,7 +19,7 @@ import zipfile
 
 import numpy as np
 
-from ..errors import ArchitectureMismatch, ConfigError, Divergence, EmptyCorpus
+from ..errors import ConfigError, DataError, Divergence
 from ..fileio import atomic_write
 from . import kernels
 from .model import DTYPE, FlatViews, ModelConfig, Transformer, param_layout
@@ -216,7 +216,7 @@ def train(
     """
     config.validate(min_steps=1)
     if not training_pairs:
-        raise EmptyCorpus("no training pairs")
+        raise DataError("no training pairs")
     if vocab is None:
         vocab = vocab_from_pairs(training_pairs)
     encoded_train = encode_pairs(training_pairs, vocab, config)
@@ -293,11 +293,14 @@ def fine_tune(base, config_overrides, training_pairs, validation_pairs=(), log=N
     overrides = dict(config_overrides or {})
     for name in ModelConfig.ARCHITECTURE_FIELDS:
         if name in overrides and overrides[name] != getattr(base.config, name):
-            raise ArchitectureMismatch(name, getattr(base.config, name), overrides[name])
+            raise ConfigError(
+                f"fine-tuning may not change {name}: checkpoint has "
+                f"{getattr(base.config, name)}, override requests {overrides[name]}"
+            )
     config = base.config.override(**overrides)
     config.validate(min_steps=0)
     if not training_pairs:
-        raise EmptyCorpus("no fine-tuning pairs")
+        raise DataError("no fine-tuning pairs")
     if config.max_steps == 0:
         params = {k: v.copy() for k, v in base.params.items()}
         meta = dict(base.training_meta)

@@ -3,8 +3,9 @@
 Every stage writes its artifact atomically under the output directory. Each
 stage calls the same public function (and the same file writer) as its
 standalone CLI subcommand, so running the pipeline equals composing the
-subcommands by hand. Reports carry no timestamp, which keeps repeated runs
-byte-identical.
+subcommands by hand; ``enriched.tsv`` is a tagged corpus, appended to
+``tagged_train.tsv`` for step 5. Reports carry no timestamp, which keeps
+repeated runs byte-identical.
 
 The text-only translator reads nothing the synthesizer chain produces, so when
 the process may use two CPUs it trains in a forked child (`forking.alongside`)
@@ -25,7 +26,7 @@ from .forking import alongside
 from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, train
 from .mt.vocab import vocab_from_pairs
-from .synth import build_synth_pairs, enrich_corpus, train_synthesizer, write_enriched_corpus
+from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
 
 
@@ -82,8 +83,9 @@ def run_pipeline(config, log=print):
         mm_train = [(tagged.rendered, target) for tagged, target in tagged_train]
         if bitext is not None:
             enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
-            write_enriched_corpus(enriched, artifact("enriched.tsv"))
-            mm_train += [(tagged.rendered, target) for tagged, target in enriched.pairs]
+            rendered = [(tagged.rendered, target) for tagged, target in enriched]
+            write_pairs_tsv(rendered, artifact("enriched.tsv"))
+            mm_train += rendered
         else:
             log("      no bitext configured; multimodal training uses natural data only")
 

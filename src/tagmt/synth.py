@@ -4,32 +4,17 @@ A seq2seq synthesizer is trained on inverted multimodal data: the input is
 ``<source> <sep> <target>`` and the output is the comma-joined tag list the
 detector produced for that record. Decoding the trained model over text-only
 pairs yields synthetic tag sets, turning plain bitext into multimodal-format
-training data.
+training data: `enrich_corpus` returns a tagged corpus, as `tag_corpus` does.
 """
 
-from dataclasses import dataclass, field
-
-from .errors import EmptyCorpus, SeparatorCollision
-from .fileio import read_lines, tsv_rows, write_lines
+from .errors import DataError, SeparatorCollision
 from .mt.decode import translate_corpus
 from .mt.train import train
-from .tagging import DEFAULT_TOP_K, TaggedSource, check_k, parse_tagged, split_labels
+from .tagging import DEFAULT_TOP_K, TaggedSource, check_k, split_labels
 
 SEP_TOKEN = "<sep>"
 # share of the synthesizer pairs held out for validation and the fit check
 HELDOUT_FRACTION = 0.05
-
-
-@dataclass
-class EnrichedCorpus:
-    """Tagged pairs plus provenance: detector tags (natural) or decoded ones
-    (synthetic)."""
-
-    pairs: list = field(default_factory=list)
-    provenance: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def _sep_input(index, source, target):
@@ -65,7 +50,7 @@ def train_synthesizer(pairs, config, log=None):
     fatal, since the tag function of real data need not be learnable.
     """
     if not pairs:
-        raise EmptyCorpus("no synthesizer training pairs")
+        raise DataError("no synthesizer training pairs")
     n_held = max(1, round(len(pairs) * HELDOUT_FRACTION)) if len(pairs) > 1 else 0
     held = pairs[len(pairs) - n_held :]
     used = pairs[: len(pairs) - n_held]
@@ -111,10 +96,11 @@ def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
 
 
 def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
-    """Decode synthetic tags for every record of a text-only corpus.
+    """Decode synthetic tags for every record of a text-only corpus into
+    (TaggedSource, target) pairs.
 
-    Output order and target texts match the input exactly; every pair is
-    marked synthetic. k is checked before anything is decoded.
+    Output order and target texts match the input exactly. k is checked
+    before anything is decoded.
     """
     check_k(k)
     inputs = [
@@ -122,23 +108,8 @@ def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
         for index, rec in enumerate(bitext.records)
     ]
     decoded = translate_corpus(checkpoint, inputs)
-    enriched = EnrichedCorpus()
-    for rec, output in zip(bitext.records, decoded):
-        tags = tags_from_decoded(output, k=k, vocabulary=vocabulary)
-        enriched.pairs.append((TaggedSource(text=rec.source_text, tags=tags), rec.target_text))
-        enriched.provenance.append("synthetic")
-    return enriched
-
-
-def write_enriched_corpus(enriched, path):
-    rows = zip(enriched.pairs, enriched.provenance)
-    write_lines((f"{tagged.rendered}\t{target}\t{prov}" for (tagged, target), prov in rows), path)
-
-
-def read_enriched_corpus(path):
-    enriched = EnrichedCorpus()
-    for _, (source, target, provenance) in tsv_rows(read_lines(path), 3):
-        text, labels = parse_tagged(source)
-        enriched.pairs.append((TaggedSource(text=text, tags=tuple(labels)), target))
-        enriched.provenance.append(provenance)
-    return enriched
+    tags = (tags_from_decoded(output, k=k, vocabulary=vocabulary) for output in decoded)
+    return [
+        (TaggedSource(text=rec.source_text, tags=labels), rec.target_text)
+        for rec, labels in zip(bitext.records, tags)
+    ]

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (
-    ConfigError,
-    DataError,
-    InvalidConfidence,
-    MalformedLine,
-    SeparatorCollision,
-    UnknownImage,
-    UnknownLabel,
-    check_choice,
+    ConfigError, DataError, MalformedLine, SeparatorCollision, UnknownImage, check_choice
 )
 from .fileio import read_lines, tsv_rows, write_lines
 
@@ -72,7 +65,7 @@ def load_tag_vocabulary(path=None):
     """Load a tag vocabulary, one label per line.
 
     With no path, the bundled 80 COCO object categories are returned. Labels
-    may contain spaces but not commas or the separator token.
+    may contain spaces (`_check_label`); a file must hold at least one.
     """
     if path is None:
         text = (
@@ -87,15 +80,21 @@ def load_tag_vocabulary(path=None):
         label = line.strip()
         if not label or label.startswith("#"):
             continue
-        if "," in label or "\t" in label or SEPARATOR in label:
-            raise MalformedLine(
-                line_number, f"label {label!r} contains a reserved character"
-            )
+        _check_label(line_number, label)
         if label in seen:
             raise MalformedLine(line_number, f"duplicate label {label!r}")
         seen.add(label)
         labels.append(label)
+    if not labels:
+        raise DataError(f"tag vocabulary {path} holds no label")
     return labels
+
+
+def _check_label(line_number, label):
+    """Raise MalformedLine unless label is free of commas, tabs and the
+    separator, which would break the tagged-source and TSV formats."""
+    if "," in label or "\t" in label or SEPARATOR in label:
+        raise MalformedLine(line_number, f"label {label!r} contains a reserved character")
 
 
 class StubDetector:
@@ -180,7 +179,7 @@ def _parse_detections_file(lines, known_labels):
             if not 0.0 <= confidence <= 1.0:
                 raise MalformedLine(line_number, f"confidence {confidence!r} outside [0, 1]")
             if label not in known_labels:
-                raise UnknownLabel(label, line_number)
+                raise MalformedLine(line_number, f"label {label!r} is not in the tag vocabulary")
             detections.append(TagRecord(label=label, confidence=confidence))
         by_image[image_id] = detections
     return by_image
@@ -212,7 +211,7 @@ def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
     best = {}
     for det in detections:
         if not 0.0 <= det.confidence <= 1.0:
-            raise InvalidConfidence(det.confidence)
+            raise DataError(f"confidence {det.confidence!r} outside [0, 1]")
         if det.label not in best or det.confidence > best[det.label]:
             best[det.label] = det.confidence
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
@@ -334,4 +333,6 @@ def read_tagsets_file(path):
         if image_id in by_image:
             raise MalformedLine(line_number, f"repeated image id {image_id!r}")
         by_image[image_id] = split_labels(labels)
+        for label in by_image[image_id]:
+            _check_label(line_number, label)
     return by_image

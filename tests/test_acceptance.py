@@ -242,7 +242,7 @@ def test_criterion_7_synthetic_feature_pipeline():
         held_enriched = enrich_corpus(held_bitext, synth_ckpt, vocabulary=list(TAG_LABELS))
         recovered = sum(
             set(tagged.tags) == set(true_tags(ex.source, ex.target))
-            for (tagged, _), ex in zip(held_enriched.pairs, held_ex)
+            for (tagged, _), ex in zip(held_enriched, held_ex)
         )
         assert recovered >= 90, f"held-out tag sets recovered exactly: {recovered}/100 < 90"
 
@@ -255,7 +255,7 @@ def test_criterion_7_synthetic_feature_pipeline():
         valid_pairs = rendered(examples_to_tagged(valid_ex))
         natural_only = train(translator_config, natural_pairs, valid_pairs)
         with_enriched = train(
-            translator_config, natural_pairs + rendered(enriched.pairs), valid_pairs
+            translator_config, natural_pairs + rendered(enriched), valid_pairs
         )
         test_sources = [s for s, _ in rendered(examples_to_tagged(test_ex))]
         references = [e.target for e in test_ex]

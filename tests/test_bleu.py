@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tagmt.errors import ConfigError, EmptyCorpus, LengthMismatch
+from tagmt.errors import ConfigError, DataError, LengthMismatch
 from tagmt.evaluation import bleu_from_texts, corpus_bleu
 
 
@@ -115,7 +115,7 @@ def test_score_bounds_and_perfect_iff_equal():
 def test_errors():
     with pytest.raises(LengthMismatch):
         corpus_bleu([["a"]], [])
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match=r"^cannot score an empty corpus$"):
         corpus_bleu([], [])
     with pytest.raises(ConfigError):
         corpus_bleu([["a"]], [["a"]], smooth="bad")

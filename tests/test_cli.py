@@ -747,8 +747,7 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
         for line in read_lines(p("tagged_train.tsv")):
             fh.write(line + "\n")
         for line in read_lines(p("enriched.tsv")):
-            tagged_source, target, _ = line.split("\t")
-            fh.write(f"{tagged_source}\t{target}\n")
+            fh.write(line + "\n")
 
     run(["mt", "train", "--config", cfg, "--train", p("combined_train.tsv"),
          "--valid", p("tagged_valid.tsv"), "--output", p("translator_multimodal.ckpt")])
@@ -1006,6 +1005,40 @@ def test_tags_inject_separator_names_record_exit_2(tmp_path, capsys):
     assert err == "error: text contains the reserved separator '##': 'record 1: a ## dog'\n"
 
 
+def test_tags_extract_empty_vocabulary_exit_2(tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("# nothing\n", encoding="utf-8")
+    out = tmp_path / "tagsets.tsv"
+    err = _data_error(capsys, ["tags", "extract", "--corpus", os.path.join(DISAMBIG, "valid.tsv"),
+                               "--tag-vocabulary", str(vocab), "--output", str(out)])
+    assert err == f"error: tag vocabulary {vocab} holds no label\n"
+    assert not out.exists()
+
+
+def test_pipeline_stub_backend_empty_vocabulary_exit_2(tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("# nothing\n", encoding="utf-8")
+    cfg = tmp_path / "stub.cfg"
+    cfg.write_text(
+        f"[paths]\ntrain_corpus = {DISAMBIG}/train.tsv\ntest_corpus = {DISAMBIG}/test.tsv\n"
+        f"tag_vocabulary = {vocab}\noutput_dir = {tmp_path / 'out'}\n\n[tagging]\nbackend = stub\n",
+        encoding="utf-8",
+    )
+    err = _data_error(capsys, ["pipeline", "run", "--config", str(cfg)])
+    assert err.endswith(f"error: tag vocabulary {vocab} holds no label\n")
+    assert err.count("error:") == 1
+
+
+def test_tags_inject_label_with_separator_exit_2_writes_nothing(tmp_path, capsys):
+    tagsets = tmp_path / "tagsets.tsv"
+    tagsets.write_text("im1\tdog ## cat\n", encoding="utf-8")
+    out = tmp_path / "tagged.tsv"
+    err = _data_error(capsys, ["tags", "inject", "--corpus", write_one_record_corpus(tmp_path, "im1"),
+                               "--tagsets", str(tagsets), "--output", str(out)])
+    assert err == "error: line 1: label 'dog ## cat' contains a reserved character\n"
+    assert not out.exists()
+
+
 def test_synth_build_pairs_separator_names_record_exit_2(tmp_path, capsys):
     tagged = tmp_path / "tagged.tsv"
     tagged.write_text("a cat ## cat\tt\nthe <sep> bat ## dog\tu\n", encoding="utf-8")
@@ -1230,17 +1263,10 @@ EXIT_CODES = {
     "ConfigError": 1,
     "DataError": 2,
     "MalformedLine": 2,
-    "EmptyText": 2,
     "LengthMismatch": 2,
     "UnknownImage": 2,
-    "UnknownLabel": 2,
-    "InvalidConfidence": 2,
     "SeparatorCollision": 2,
-    "EmptyCorpus": 2,
-    "MissingBaseline": 2,
-    "TrainingError": 1,
     "Divergence": 3,
-    "ArchitectureMismatch": 1,
     "OSError": 1,
 }
 

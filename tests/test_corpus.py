@@ -14,7 +14,7 @@ from tagmt.corpus import (
     serialize_vg_corpus,
     write_pairs_tsv,
 )
-from tagmt.errors import DataError, EmptyText, LengthMismatch, MalformedLine
+from tagmt.errors import DataError, LengthMismatch, MalformedLine
 from tagmt.fileio import atomic_write, read_lines, tsv_rows, write_lines
 
 
@@ -57,10 +57,9 @@ def test_parse_vg_zero_size_region():
 
 
 def test_parse_vg_blank_text_fields():
-    with pytest.raises(EmptyText) as err:
+    with pytest.raises(MalformedLine, match=r"^line 1: empty source field$"):
         parse_vg_corpus(["42\t1\t1\t5\t5\t   \ttgt"])
-    assert err.value.line_number == 1
-    with pytest.raises(EmptyText):
+    with pytest.raises(MalformedLine, match=r"^line 1: empty target field$"):
         parse_vg_corpus(["42\t1\t1\t5\t5\tsrc\t"])
 
 

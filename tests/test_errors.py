@@ -10,17 +10,10 @@ EXAMPLES = [
     errors.ConfigError("[translator] layers: expected int"),
     errors.DataError("bad data"),
     errors.MalformedLine(4, "bad"),
-    errors.EmptyText(7, "target"),
     errors.LengthMismatch(3, 5),
     errors.UnknownImage("img9", record_index=2),
-    errors.UnknownLabel("zebra", line_number=11),
-    errors.InvalidConfidence(1.5),
     errors.SeparatorCollision("##", "a ## b"),
-    errors.EmptyCorpus(),
-    errors.MissingBaseline("toy-disambiguation"),
-    errors.TrainingError("stopped"),
     errors.Divergence(12, float("inf")),
-    errors.ArchitectureMismatch("layers", 2, 3),
 ]
 
 

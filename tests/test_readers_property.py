@@ -4,7 +4,7 @@ line or a record, and never raises.
 Each example damages a few lines of a bundled fixture (flipped bytes,
 invalid UTF-8, added or removed tabs, duplicated, blanked or truncated lines)
 and drives its reader through the CLI command that reads it, in-process. The
-pairs and enriched-corpus readers, whose commands train, are called directly.
+pairs reader, whose commands train, is called directly.
 """
 
 import io
@@ -21,7 +21,6 @@ from conftest import fixture_path
 from tagmt.cli import main
 from tagmt.corpus import read_pairs_tsv
 from tagmt.errors import DataError
-from tagmt.synth import read_enriched_corpus
 
 HEAD = 8  # lines taken from each fixture
 
@@ -41,7 +40,6 @@ CASES = {
     # the same file on both sides: every task has its baseline
     "scores": ("scores", ["eval", "report", "--text-only", "{damaged}", "--multimodal", "{damaged}"]),
     "pairs": ("pairs", read_pairs_tsv),
-    "enriched": ("enriched", read_enriched_corpus),
 }
 
 DAMAGE = st.lists(
@@ -73,9 +71,9 @@ def _read(case, paths, damaged):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Path of each input file: heads of the disambiguation fixtures, and the
-    tagsets, tagged corpus, pairs and enriched corpus derived from them."""
+    tagsets, tagged corpus and pairs derived from them."""
     work = tmp_path_factory.mktemp("readers")
-    names = ("train", "src", "tgt", "vocab", "detections", "tagsets", "tagged", "scores", "pairs", "enriched", "out")
+    names = ("train", "src", "tgt", "vocab", "detections", "tagsets", "tagged", "scores", "pairs", "out")
     paths = {name: str(work / name) for name in names}
     heads = {"train": "train.tsv", "src": "extra.src", "tgt": "extra.tgt", "detections": "detections.tsv"}
     for name, fixture in heads.items():
@@ -88,8 +86,6 @@ def inputs(tmp_path_factory):
     for case, output in (("detections", "tagsets"), ("tagsets", "tagged"), ("tagged", "pairs")):
         code, err = _read(case, {**paths, "out": paths[output]}, paths[case])
         assert code == 0, err
-    with open(paths["tagged"], encoding="utf-8") as tagged, open(paths["enriched"], "w", encoding="utf-8") as out:
-        out.writelines(line.rstrip("\n") + "\tsynthetic\n" for line in tagged)
     return paths
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import fixture_path
-from tagmt.errors import MissingBaseline
+from tagmt.errors import DataError
 from tagmt.evaluation import (
     read_scores_tsv,
     render_report_table,
@@ -49,9 +49,8 @@ def test_identical_maps_zero_deltas():
 
 
 def test_missing_baseline():
-    with pytest.raises(MissingBaseline) as err:
+    with pytest.raises(DataError, match=r"^no text-only baseline score for task 'b'$"):
         report_delta({"a": 1.0}, {"a": 2.0, "b": 3.0})
-    assert err.value.task == "b"
 
 
 def test_tsv_rendering_one_decimal_signed():

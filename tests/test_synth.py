@@ -3,11 +3,11 @@ import random
 import pytest
 
 from tagmt.corpus import parse_bitext
-from tagmt.errors import ConfigError, EmptyCorpus, SeparatorCollision
+from tagmt.errors import ConfigError, DataError, SeparatorCollision
 from tagmt.mt.model import ModelConfig
 from tagmt.corpus import read_pairs_tsv, write_pairs_tsv
 from tagmt.synth import build_synth_pairs, enrich_corpus, tags_from_decoded, train_synthesizer
-from tagmt.tagging import TaggedSource
+from tagmt.tagging import TaggedSource, read_tagged_corpus
 
 VOCAB = ["dog", "cat", "car", "person", "tree"]
 
@@ -102,13 +102,13 @@ def memorize_checkpoint():
 
 def test_synthesizer_memorizes_single_pair(memorize_checkpoint):
     bitext = parse_bitext(["a dog runs"], ["EIN HUND"])
-    [(tagged, _)] = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB).pairs
+    [(tagged, _)] = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
     assert list(tagged.tags) == ["dog"]
     assert memorize_checkpoint.training_meta["synth_fit"] == 1.0
 
 
 def test_train_synthesizer_empty_pairs():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match=r"^no synthesizer training pairs$"):
         train_synthesizer([], SYNTH_CONFIG)
 
 
@@ -119,8 +119,7 @@ def test_enrich_corpus_counts_and_targets(memorize_checkpoint):
     )
     enriched = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
     assert len(enriched) == 3
-    assert enriched.provenance == ["synthetic"] * 3
-    for (tagged, target), rec in zip(enriched.pairs, bitext.records):
+    for (tagged, target), rec in zip(enriched, bitext.records):
         assert target == rec.target_text
         assert tagged.text == rec.source_text
         assert tagged.tags == ("dog",)
@@ -138,8 +137,7 @@ def test_enrich_corpus_rejects_k_below_one_before_decoding(monkeypatch, k):
 
 
 def test_enrich_empty_bitext(memorize_checkpoint):
-    enriched = enrich_corpus(parse_bitext([], []), memorize_checkpoint, vocabulary=VOCAB)
-    assert len(enriched) == 0
+    assert enrich_corpus(parse_bitext([], []), memorize_checkpoint, vocabulary=VOCAB) == []
 
 
 def test_synth_pairs_file_round_trip(tmp_path):
@@ -149,26 +147,9 @@ def test_synth_pairs_file_round_trip(tmp_path):
     assert read_pairs_tsv(path) == pairs
 
 
-def test_enriched_corpus_mixed_provenance(memorize_checkpoint):
-    from tagmt.synth import EnrichedCorpus
-
-    natural = [(TaggedSource("a dog runs", ("dog",)), "EIN HUND")] * 4
-    bitext = parse_bitext(["a dog runs"] * 3, ["EIN HUND"] * 3)
-    synthetic = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
-    combined = EnrichedCorpus(
-        natural + synthetic.pairs, ["natural"] * len(natural) + synthetic.provenance
-    )
-    assert len(combined) == 7
-    assert combined.provenance == ["natural"] * 4 + ["synthetic"] * 3
-
-
 def test_enriched_corpus_file_round_trip(tmp_path, memorize_checkpoint):
-    from tagmt.synth import read_enriched_corpus, write_enriched_corpus
-
     bitext = parse_bitext(["a dog runs"] * 2, ["EIN HUND"] * 2)
     enriched = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
     path = tmp_path / "enriched.tsv"
-    write_enriched_corpus(enriched, path)
-    loaded = read_enriched_corpus(path)
-    assert loaded.pairs == enriched.pairs
-    assert loaded.provenance == enriched.provenance
+    write_pairs_tsv([(tagged.rendered, target) for tagged, target in enriched], path)
+    assert read_tagged_corpus(path) == enriched

@@ -3,15 +3,7 @@ import random
 import pytest
 
 from tagmt.corpus import parse_bitext, parse_vg_corpus
-from tagmt.errors import (
-    ConfigError,
-    DataError,
-    InvalidConfidence,
-    MalformedLine,
-    SeparatorCollision,
-    UnknownImage,
-    UnknownLabel,
-)
+from tagmt.errors import ConfigError, DataError, MalformedLine, SeparatorCollision, UnknownImage
 from tagmt.tagging import (
     FileDetector,
     StubDetector,
@@ -89,9 +81,9 @@ def test_select_idempotent():
 
 
 def test_select_rejects_bad_confidence():
-    with pytest.raises(InvalidConfidence):
+    with pytest.raises(DataError, match=r"^confidence 1\.5 outside \[0, 1\]$"):
         select_tags([TagRecord("a", 1.5)])
-    with pytest.raises(InvalidConfidence):
+    with pytest.raises(DataError, match=r"^confidence -0\.1 outside \[0, 1\]$"):
         select_tags([TagRecord("a", -0.1)])
 
 
@@ -216,7 +208,7 @@ def test_file_detector_reads_and_errors(tmp_path):
 def test_file_detector_rejects_unknown_label(tmp_path):
     path = tmp_path / "det.tsv"
     path.write_text("42\tnotalabel 0.5\n", encoding="utf-8")
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(MalformedLine, match=r"^line 1: label 'notalabel' is not in the tag vocabulary$"):
         FileDetector(path)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_CONFIG
-from tagmt.errors import ArchitectureMismatch, ConfigError, Divergence, EmptyCorpus
+from tagmt.errors import ConfigError, DataError, Divergence
 from tagmt.evaluation import bleu_from_texts
 from tagmt.mt.decode import translate_corpus
 from tagmt.mt.train import (
@@ -151,7 +151,7 @@ def test_zero_steps_rejected():
 
 
 def test_empty_training_pairs_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match=r"^no training pairs$"):
         train(small_config(), [])
 
 
@@ -207,14 +207,19 @@ def test_finetune_zero_steps_identical_params(copy_checkpoint):
 
 
 def test_finetune_rejects_architecture_change(copy_checkpoint):
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(
+        ConfigError, match=r"^fine-tuning may not change layers: checkpoint has 2, override requests 4$"
+    ):
         fine_tune(copy_checkpoint, {"layers": 4}, [("a", "b")])
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(
+        ConfigError,
+        match=r"^fine-tuning may not change model_dim: checkpoint has 32, override requests 64$",
+    ):
         fine_tune(copy_checkpoint, {"model_dim": 64}, [("a", "b")])
 
 
 def test_finetune_rejects_empty_pairs(copy_checkpoint):
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match=r"^no fine-tuning pairs$"):
         fine_tune(copy_checkpoint, {}, [])
 
 
