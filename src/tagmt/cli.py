@@ -35,10 +35,8 @@ from .tagging import (
     inject_tags,
     load_tag_vocabulary,
     make_detector,
-    read_tagged_corpus,
     read_tagsets_file,
     select_corpus_tags,
-    write_tagged_corpus,
     write_tagsets_file,
 )
 
@@ -116,16 +114,16 @@ def cmd_tags_extract(args):
     corpus = load_vg_corpus(args.corpus)
     vocabulary = load_tag_vocabulary(args.tag_vocabulary)
     detector = make_detector(args.backend, vocabulary, seed=args.seed, detections=args.detections)
-    tagsets = select_corpus_tags(corpus, detector, k=args.k)
-    write_tagsets_file(tagsets, args.output)
-    print(f"wrote {len(tagsets)} tag sets to {args.output}")
+    labels_by_image = select_corpus_tags(corpus, detector, k=args.k)
+    write_tagsets_file(labels_by_image, args.output)
+    print(f"wrote {len(labels_by_image)} tag sets to {args.output}")
     return 0
 
 
 def cmd_tags_inject(args):
     corpus = load_vg_corpus(args.corpus)
     pairs = inject_tags(corpus, read_tagsets_file(args.tagsets))
-    write_tagged_corpus(pairs, args.output)
+    write_pairs_tsv(pairs, args.output)
     print(f"wrote {len(pairs)} tagged pairs to {args.output}")
     return 0
 
@@ -134,8 +132,7 @@ def cmd_tags_inject(args):
 
 
 def cmd_synth_build_pairs(args):
-    tagged = read_tagged_corpus(args.tagged)
-    pairs = build_synth_pairs(tagged)
+    pairs = build_synth_pairs(read_pairs_tsv(args.tagged))
     write_pairs_tsv(pairs, args.output)
     print(f"wrote {len(pairs)} synthesizer pairs to {args.output}")
     return 0
@@ -157,7 +154,7 @@ def cmd_synth_enrich(args):
     bitext = load_bitext(args.source, args.target)
     vocabulary = load_tag_vocabulary(args.tag_vocabulary)
     enriched = enrich_corpus(bitext, checkpoint, k=args.k, vocabulary=vocabulary)
-    write_pairs_tsv([(tagged.rendered, target) for tagged, target in enriched], args.output)
+    write_pairs_tsv(enriched, args.output)
     print(f"wrote {len(enriched)} enriched pairs to {args.output}")
     return 0
 

@@ -102,9 +102,14 @@ class ExperimentConfig:
                 raise ConfigError(f"[paths] {key} does not exist: {path}")
         for section in MODEL_SECTIONS:
             in_section(section, getattr(self, section).validate)
+        for key in ("train_corpus", "test_corpus"):
+            if key not in self.paths:
+                raise ConfigError(f"[paths] {key} is required")
         return self
 
     def with_seed(self, seed):
+        if seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"[experiment] seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self.translator = self.translator.override(seed=self.seed)
         self.synthesizer = self.synthesizer.override(seed=self.seed)

@@ -133,8 +133,9 @@ def learning_rate_at(step, config):
     return config.learning_rate * min(step / warm, (warm / step) ** 0.5)
 
 
-def encode_pairs(pairs, vocab, config):
-    """Tokenize and id-encode (source, target) string pairs.
+def encode_pairs(pairs, vocab, config, kind="training"):
+    """Tokenize and id-encode the (source, target) string pairs of the
+    ``kind`` set, which an error names.
 
     The source gets a trailing eos; bos/eos framing for the target happens at
     batch time. Sequences longer than config.max_len are a hard error since
@@ -147,7 +148,7 @@ def encode_pairs(pairs, vocab, config):
         tgt_ids = vocab.encode(tgt)
         if len(src_ids) > config.max_len or len(tgt_ids) + 1 > config.max_len:
             raise ConfigError(
-                f"pair {i} exceeds max_len={config.max_len} "
+                f"{kind} pair {i} exceeds max_len={config.max_len} "
                 f"(source {len(src_ids)}, target {len(tgt_ids) + 1} tokens)"
             )
         encoded.append((np.array(src_ids, dtype=np.int64), np.array(tgt_ids, dtype=np.int64)))
@@ -220,7 +221,7 @@ def train(
     if vocab is None:
         vocab = vocab_from_pairs(training_pairs)
     encoded_train = encode_pairs(training_pairs, vocab, config)
-    encoded_valid = encode_pairs(validation_pairs, vocab, config)
+    encoded_valid = encode_pairs(validation_pairs, vocab, config, "validation")
 
     rng = np.random.default_rng(config.seed)
     model = Transformer(config, len(vocab), pad_id=vocab.pad_id, params=init_params, rng=rng)

@@ -3,9 +3,10 @@
 Every stage writes its artifact atomically under the output directory. Each
 stage calls the same public function (and the same file writer) as its
 standalone CLI subcommand, so running the pipeline equals composing the
-subcommands by hand; ``enriched.tsv`` is a tagged corpus, appended to
-``tagged_train.tsv`` for step 5. Reports carry no timestamp, which keeps
-repeated runs byte-identical.
+subcommands by hand. A tagged corpus is held as the ``(rendered source,
+target)`` pairs its TSV holds, so `write_pairs_tsv` writes each one, and
+step 5 trains on ``tagged_train.tsv`` followed by ``enriched.tsv``. Reports
+carry no timestamp, which keeps repeated runs byte-identical.
 
 The text-only translator reads nothing the synthesizer chain produces, so when
 the process may use two CPUs it trains in a forked child (`forking.alongside`)
@@ -27,7 +28,7 @@ from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, train
 from .mt.vocab import vocab_from_pairs
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
-from .tagging import load_tag_vocabulary, make_detector, tag_corpus, write_tagged_corpus
+from .tagging import load_tag_vocabulary, make_detector, tag_corpus
 
 
 def run_pipeline(config, log=print):
@@ -59,8 +60,8 @@ def run_pipeline(config, log=print):
     tagged_train = tag_corpus(train_corpus, detector, k=config.top_k)
     tagged_test = tag_corpus(test_corpus, detector, k=config.top_k)
     tagged_valid = tag_corpus(valid_corpus, detector, k=config.top_k) if valid_corpus else []
-    write_tagged_corpus(tagged_train, artifact("tagged_train.tsv"))
-    write_tagged_corpus(tagged_test, artifact("tagged_test.tsv"))
+    write_pairs_tsv(tagged_train, artifact("tagged_train.tsv"))
+    write_pairs_tsv(tagged_test, artifact("tagged_test.tsv"))
 
     text_train = [(r.source_text, r.target_text) for r in train_corpus.records]
     text_valid = [(r.source_text, r.target_text) for r in valid_corpus.records] if valid_corpus else []
@@ -80,18 +81,15 @@ def run_pipeline(config, log=print):
             log(f"      synthesizer held-out exact match: {fit:.3f}")
 
         log("[4/7] enrich text-only bitext with synthetic tags")
-        mm_train = [(tagged.rendered, target) for tagged, target in tagged_train]
+        enriched = []
         if bitext is not None:
             enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
-            rendered = [(tagged.rendered, target) for tagged, target in enriched]
-            write_pairs_tsv(rendered, artifact("enriched.tsv"))
-            mm_train += rendered
+            write_pairs_tsv(enriched, artifact("enriched.tsv"))
         else:
             log("      no bitext configured; multimodal training uses natural data only")
 
         log("[5/7] multimodal translator (natural + synthetic tags)")
-        mm_valid = [(tagged.rendered, target) for tagged, target in tagged_valid]
-        mm_ckpt = train(config.translator, mm_train, mm_valid)
+        mm_ckpt = train(config.translator, tagged_train + enriched, tagged_valid)
         mm_ckpt.save(artifact("translator_multimodal.ckpt"))
     text_ckpt = Checkpoint.load(text_path)
 
@@ -102,7 +100,7 @@ def run_pipeline(config, log=print):
         max_len=config.decode_max_len,
     )
     text_hyp = translate_corpus(text_ckpt, [r.source_text for r in test_corpus.records], **decode_kwargs)
-    mm_hyp = translate_corpus(mm_ckpt, [tagged.rendered for tagged, _ in tagged_test], **decode_kwargs)
+    mm_hyp = translate_corpus(mm_ckpt, [source for source, _ in tagged_test], **decode_kwargs)
     write_lines(text_hyp, artifact("hypotheses_text.txt"))
     write_lines(mm_hyp, artifact("hypotheses_multimodal.txt"))
 

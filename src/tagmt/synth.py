@@ -10,7 +10,7 @@ training data: `enrich_corpus` returns a tagged corpus, as `tag_corpus` does.
 from .errors import DataError, SeparatorCollision
 from .mt.decode import translate_corpus
 from .mt.train import train
-from .tagging import DEFAULT_TOP_K, TaggedSource, check_k, split_labels
+from .tagging import DEFAULT_TOP_K, check_k, parse_tagged, render_tagged, split_labels
 
 SEP_TOKEN = "<sep>"
 # share of the synthesizer pairs held out for validation and the fit check
@@ -30,14 +30,16 @@ def _sep_input(index, source, target):
 def build_synth_pairs(tagged_corpus):
     """Invert a tagged corpus into synthesizer training pairs.
 
-    Each (TaggedSource, target) record becomes the string pair (input
-    ``src <sep> tgt``, output ``label1,label2,...``); the output is the empty
-    string when the record carries no tags. Order is preserved.
+    Each (rendered source, target) record is split with `parse_tagged` and
+    becomes the string pair (input ``src <sep> tgt``, output
+    ``label1,label2,...``); the output is the empty string when the record
+    carries no tags. Order is preserved.
     """
-    return [
-        (_sep_input(index, tagged.text, target), ",".join(tagged.tags))
-        for index, (tagged, target) in enumerate(tagged_corpus)
-    ]
+    pairs = []
+    for index, (rendered, target) in enumerate(tagged_corpus):
+        text, labels = parse_tagged(rendered)
+        pairs.append((_sep_input(index, text, target), ",".join(labels)))
+    return pairs
 
 
 def train_synthesizer(pairs, config, log=None):
@@ -97,7 +99,7 @@ def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
 
 def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
     """Decode synthetic tags for every record of a text-only corpus into
-    (TaggedSource, target) pairs.
+    (rendered source, target) pairs.
 
     Output order and target texts match the input exactly. k is checked
     before anything is decoded.
@@ -110,6 +112,6 @@ def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
     decoded = translate_corpus(checkpoint, inputs)
     tags = (tags_from_decoded(output, k=k, vocabulary=vocabulary) for output in decoded)
     return [
-        (TaggedSource(text=rec.source_text, tags=labels), rec.target_text)
+        (render_tagged(rec.source_text, labels), rec.target_text)
         for rec, labels in zip(bitext.records, tags)
     ]

@@ -5,10 +5,13 @@ A tagged source renders as ``<text> ## <label1>,<label2>,...`` with a single
 space on each side of ``##`` and no spaces around commas. An empty tag set
 renders the bare sentence, so the model never sees a dangling separator.
 
+Only `render_tagged` joins and only `parse_tagged` splits this form: a tagged
+corpus is a list of ``(rendered source, target)`` string pairs, its TSV rows.
+
 The pipeline and the ``tags`` subcommands share one function per step:
-`make_detector` builds the backend, `select_corpus_tags` picks one TagSet per
-distinct image (``tags extract``), `inject_tags` fuses an image_id -> labels
-map into the records (``tags inject``), and `tag_corpus` composes the two.
+`make_detector` builds the backend, `select_corpus_tags` maps each distinct
+image to its labels (``tags extract``), `inject_tags` fuses that image_id ->
+labels map into the records (``tags inject``), and `tag_corpus` composes the two.
 """
 
 import hashlib
@@ -41,7 +44,6 @@ class TagSet:
     """
 
     tags: tuple[TagRecord, ...] = ()
-    image_id: str = ""
 
     @property
     def labels(self):
@@ -49,16 +51,6 @@ class TagSet:
 
     def __len__(self):
         return len(self.tags)
-
-
-@dataclass(frozen=True)
-class TaggedSource:
-    text: str
-    tags: tuple[str, ...] = ()
-
-    @property
-    def rendered(self):
-        return render_tagged(self.text, self.tags)
 
 
 def load_tag_vocabulary(path=None):
@@ -200,7 +192,7 @@ def check_k(k):
         raise ConfigError(f"k must be >= 1, got {k}")
 
 
-def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
+def select_tags(detections, k=DEFAULT_TOP_K):
     """Pick the top-k tags from raw detections.
 
     Duplicate labels keep their maximum confidence; the result is sorted by
@@ -216,7 +208,7 @@ def select_tags(detections, k=DEFAULT_TOP_K, image_id=""):
             best[det.label] = det.confidence
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     tags = tuple(TagRecord(label=l, confidence=c) for l, c in ranked[:k])
-    return TagSet(tags=tags, image_id=image_id)
+    return TagSet(tags=tags)
 
 
 def _has_standalone_separator(text):
@@ -259,28 +251,28 @@ def split_labels(text):
 
 
 def select_corpus_tags(corpus, detector_backend, k=DEFAULT_TOP_K):
-    """Select the top-k TagSet of each distinct non-empty image_id.
+    """Map each distinct non-empty image_id to the labels of its top-k tags.
 
-    TagSets come in the order their images first appear. A detection error is
-    re-raised with the index of the record that first names the image.
+    k is checked before anything is detected. Images come in the order they
+    first appear. A detection error is re-raised with the index of the record
+    that first names the image.
     """
-    tagsets = []
-    seen = set()
+    check_k(k)
+    labels_by_image = {}
     for index, rec in enumerate(corpus.records):
-        if not rec.image_id or rec.image_id in seen:
+        if not rec.image_id or rec.image_id in labels_by_image:
             continue
-        seen.add(rec.image_id)
         try:
             detections = detector_backend.detect(rec.image_id)
         except UnknownImage as err:
             raise UnknownImage(err.image_id, record_index=index) from None
-        tagsets.append(select_tags(detections, k=k, image_id=rec.image_id))
-    return tagsets
+        labels_by_image[rec.image_id] = select_tags(detections, k=k).labels
+    return labels_by_image
 
 
 def inject_tags(corpus, labels_by_image):
-    """Fuse an image_id -> labels map into a corpus as (TaggedSource, target)
-    pairs, preserving order and target texts.
+    """Fuse an image_id -> labels map into a corpus as (rendered source,
+    target) pairs, preserving order and target texts.
 
     Records with an empty image_id get no tags. An image absent from the map
     raises UnknownImage, and a source containing a standalone ``##`` raises
@@ -293,36 +285,21 @@ def inject_tags(corpus, labels_by_image):
         if not rec.image_id:
             labels = ()
         elif rec.image_id in labels_by_image:
-            labels = tuple(labels_by_image[rec.image_id])
+            labels = labels_by_image[rec.image_id]
         else:
             raise UnknownImage(rec.image_id, record_index=index)
-        pairs.append((TaggedSource(text=rec.source_text, tags=labels), rec.target_text))
+        pairs.append((render_tagged(rec.source_text, labels), rec.target_text))
     return pairs
 
 
 def tag_corpus(corpus, detector_backend, k=DEFAULT_TOP_K):
     """Tag every record of a corpus: `select_corpus_tags` then `inject_tags`."""
-    tagsets = select_corpus_tags(corpus, detector_backend, k=k)
-    return inject_tags(corpus, {ts.image_id: ts.labels for ts in tagsets})
+    return inject_tags(corpus, select_corpus_tags(corpus, detector_backend, k=k))
 
 
-def write_tagged_corpus(pairs, path):
-    """Write (TaggedSource, target) pairs as a two-column TSV."""
-    write_lines((f"{tagged.rendered}\t{target}" for tagged, target in pairs), path)
-
-
-def read_tagged_corpus(path):
-    """Read a tagged-corpus TSV back into (TaggedSource, target) pairs."""
-    pairs = []
-    for _, (source, target) in tsv_rows(read_lines(path), 2):
-        text, labels = parse_tagged(source)
-        pairs.append((TaggedSource(text=text, tags=tuple(labels)), target))
-    return pairs
-
-
-def write_tagsets_file(tagsets, path):
-    """Write selected TagSets as ``image_id\\tlabel1,label2,...`` lines."""
-    write_lines((f"{ts.image_id}\t" + ",".join(ts.labels) for ts in tagsets), path)
+def write_tagsets_file(labels_by_image, path):
+    """Write an image_id -> labels map as ``image_id\\tlabel1,label2,...`` lines."""
+    write_lines((f"{image}\t" + ",".join(labels) for image, labels in labels_by_image.items()), path)
 
 
 def read_tagsets_file(path):

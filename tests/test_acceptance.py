@@ -193,16 +193,13 @@ def test_criterion_6_disambiguation_experiment():
     valid_ex = make_disambiguation_examples(100, seed=42, id_prefix="va")
     test_ex = make_disambiguation_examples(300, seed=43, id_prefix="te")
 
-    def rendered(examples):
-        return [(tagged.rendered, target) for tagged, target in examples_to_tagged(examples)]
-
     with budget("6 disambiguation experiment", 1200):
         text_ckpt = train(
             EXPERIMENT_CONFIG, examples_to_text_pairs(train_ex), examples_to_text_pairs(valid_ex)
         )
-        mm_ckpt = train(EXPERIMENT_CONFIG, rendered(train_ex), rendered(valid_ex))
+        mm_ckpt = train(EXPERIMENT_CONFIG, examples_to_tagged(train_ex), examples_to_tagged(valid_ex))
         text_hyp = translate_corpus(text_ckpt, [e.source for e in test_ex])
-        mm_hyp = translate_corpus(mm_ckpt, [s for s, _ in rendered(test_ex)])
+        mm_hyp = translate_corpus(mm_ckpt, [s for s, _ in examples_to_tagged(test_ex)])
         references = [e.target for e in test_ex]
         text_acc = ambiguous_accuracy(test_ex, text_hyp)
         mm_acc = ambiguous_accuracy(test_ex, mm_hyp)
@@ -227,9 +224,6 @@ def test_criterion_7_synthetic_feature_pipeline():
     valid_ex = make_disambiguation_examples(80, seed=54, id_prefix="va")
     held_ex = make_disambiguation_examples(100, seed=55, nouns=core_pool, id_prefix="he")
 
-    def rendered(pairs):
-        return [(tagged.rendered, target) for tagged, target in pairs]
-
     with budget("7 synthetic-feature pipeline", 1800):
         synth_ckpt = train_synthesizer(
             build_synth_pairs(examples_to_tagged(natural)),
@@ -241,8 +235,8 @@ def test_criterion_7_synthetic_feature_pipeline():
         held_bitext = parse_bitext([e.source for e in held_ex], [e.target for e in held_ex])
         held_enriched = enrich_corpus(held_bitext, synth_ckpt, vocabulary=list(TAG_LABELS))
         recovered = sum(
-            set(tagged.tags) == set(true_tags(ex.source, ex.target))
-            for (tagged, _), ex in zip(held_enriched, held_ex)
+            set(parse_tagged(source)[1]) == set(true_tags(ex.source, ex.target))
+            for (source, _), ex in zip(held_enriched, held_ex)
         )
         assert recovered >= 90, f"held-out tag sets recovered exactly: {recovered}/100 < 90"
 
@@ -251,13 +245,11 @@ def test_criterion_7_synthetic_feature_pipeline():
         assert len(enriched) == len(bitext_ex)
 
         translator_config = EXPERIMENT_CONFIG.override(seed=19)
-        natural_pairs = rendered(examples_to_tagged(natural))
-        valid_pairs = rendered(examples_to_tagged(valid_ex))
+        natural_pairs = examples_to_tagged(natural)
+        valid_pairs = examples_to_tagged(valid_ex)
         natural_only = train(translator_config, natural_pairs, valid_pairs)
-        with_enriched = train(
-            translator_config, natural_pairs + rendered(enriched), valid_pairs
-        )
-        test_sources = [s for s, _ in rendered(examples_to_tagged(test_ex))]
+        with_enriched = train(translator_config, natural_pairs + enriched, valid_pairs)
+        test_sources = [s for s, _ in examples_to_tagged(test_ex)]
         references = [e.target for e in test_ex]
         bleu_natural = bleu_from_texts(
             translate_corpus(natural_only, test_sources), references

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import counting_forks, fixture_path
-from tagmt import forking, pipeline
+from tagmt import forking, pipeline, tagging
 from tagmt.cli import main
 from tagmt.corpus import load_vg_corpus
 from tagmt.errors import ConfigError
@@ -473,13 +473,59 @@ def test_unanticipated_value_error_propagates(monkeypatch, tmp_path):
         main(["corpus", "stats", "--source", str(src), "--target", str(tgt)])
 
 
-@pytest.mark.parametrize("command", [["mt", "train", "--train"], ["synth", "train", "--pairs"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mt", "train", "--train", "{pairs}", "--seed", "-1", "--output", "{out}"],
+        ["synth", "train", "--pairs", "{pairs}", "--seed", "-1", "--output", "{out}"],
+        ["pipeline", "run", "--config", "{mini_cfg}", "--seed", "-1", "--output-dir", "{out}"],
+        ["mt", "train", "--train", "{pairs}", "--config", "{seed_cfg}", "--output", "{out}"],
+        ["pipeline", "run", "--config", "{seed_cfg}", "--output-dir", "{out}"],
+    ],
+)
 def test_negative_seed_exit_1(tmp_path, capsys, command):
+    """A negative seed, by --seed or by the config file, is the [experiment]
+    seed's error, and nothing is written."""
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("[experiment]\nseed = -1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    mini_cfg = write_mini_cfg(tmp_path, out)
+    argv = [arg.format(pairs=pairs, out=out, mini_cfg=mini_cfg, seed_cfg=seed_cfg) for arg in command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: [experiment] seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["train_corpus", "test_corpus"])
+def test_pipeline_without_required_path_exit_1_creates_nothing(tmp_path, capsys, missing):
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "".join(line + "\n" for line in read_lines(write_mini_cfg(tmp_path, out))
+                if not line.startswith(missing)),
+        encoding="utf-8",
+    )
+    assert main(["pipeline", "run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: [paths] {missing} is required\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["training", "validation"])
+def test_mt_train_pair_over_max_len_names_its_set_exit_1(tmp_path, capsys, kind):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[translator]\nmax_len = 6\n", encoding="utf-8")
+    short, long = tmp_path / "short.tsv", tmp_path / "long.tsv"
+    short.write_text("a b\tc\n", encoding="utf-8")
+    long.write_text("a b\tc\na b c d e f\tc\n", encoding="utf-8")
+    train, valid = (long, short) if kind == "training" else (short, long)
     out = tmp_path / "model.ckpt"
-    assert main([*command, str(pairs), "--seed", "-1", "--output", str(out)]) == 1
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    code = main(["mt", "train", "--config", str(cfg), "--train", str(train), "--valid", str(valid),
+                 "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {kind} pair 1 exceeds max_len=6 (source 7, target 2 tokens)\n"
     assert not out.exists()
 
 
@@ -555,6 +601,21 @@ def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
                  "--output", str(tmp_path / "tagsets.tsv")])
     assert code == 2
     assert "(record 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("image_id", ["", "im1"])
+def test_tags_extract_k_below_one_exit_1_before_detecting(tmp_path, monkeypatch, capsys, image_id):
+    def no_detect(self, image_id):
+        raise AssertionError("detected with k = 0")
+
+    monkeypatch.setattr(tagging.StubDetector, "detect", no_detect)
+    out = tmp_path / "tagsets.tsv"
+    code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, image_id),
+                 "--k", "0", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: k must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -1,24 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagmt.corpus import parse_bitext
-from tagmt.errors import ConfigError, DataError, SeparatorCollision
+from tagmt.errors import ConfigError, DataError, MalformedLine, SeparatorCollision
 from tagmt.mt.model import ModelConfig
 from tagmt.corpus import read_pairs_tsv, write_pairs_tsv
 from tagmt.synth import build_synth_pairs, enrich_corpus, tags_from_decoded, train_synthesizer
-from tagmt.tagging import TaggedSource, read_tagged_corpus
+from tagmt.tagging import _check_label, parse_tagged, render_tagged
 
 VOCAB = ["dog", "cat", "car", "person", "tree"]
 
 
 def test_build_pairs_single_record():
-    pairs = build_synth_pairs([(TaggedSource("a red car", ("car",)), "लाल कार")])
+    pairs = build_synth_pairs([("a red car ## car", "लाल कार")])
     assert pairs == [("a red car <sep> लाल कार", "car")]
 
 
 def test_build_pairs_no_tags_empty_output():
-    pairs = build_synth_pairs([(TaggedSource("a man", ()), "एक आदमी")])
+    pairs = build_synth_pairs([("a man", "एक आदमी")])
     assert pairs[0][1] == ""
 
 
@@ -28,9 +30,9 @@ def test_build_pairs_empty():
 
 def test_build_pairs_separator_collision():
     with pytest.raises(SeparatorCollision):
-        build_synth_pairs([(TaggedSource("x <sep> y", ()), "t")])
+        build_synth_pairs([("x <sep> y", "t")])
     with pytest.raises(SeparatorCollision):
-        build_synth_pairs([(TaggedSource("x", ()), "t <sep> u")])
+        build_synth_pairs([("x", "t <sep> u")])
 
 
 def test_build_pairs_inverse_consistent():
@@ -41,10 +43,50 @@ def test_build_pairs_inverse_consistent():
         src = " ".join(rng.choices(words, k=rng.randint(1, 6)))
         tgt = " ".join(rng.choices(words, k=rng.randint(1, 6)))
         tags = tuple(rng.sample(VOCAB, k=rng.randint(0, 3)))
-        tagged.append((TaggedSource(src, tags), tgt))
-    for (input_text, _), (ts, tgt) in zip(build_synth_pairs(tagged), tagged):
-        assert input_text == f"{ts.text} <sep> {tgt}"
-        assert input_text.split(" <sep> ") == [ts.text, tgt]
+        tagged.append((render_tagged(src, tags), tgt))
+    for (input_text, _), (rendered, tgt) in zip(build_synth_pairs(tagged), tagged):
+        text, _ = parse_tagged(rendered)
+        assert input_text == f"{text} <sep> {tgt}"
+        assert input_text.split(" <sep> ") == [text, tgt]
+
+
+def _standalone(tokens, text):
+    return bool(set(tokens) & set(text.split()))
+
+
+def _is_label(text):
+    """A label `_check_label` accepts, as every label reader leaves it: stripped."""
+    try:
+        _check_label(1, text)
+    except MalformedLine:
+        return False
+    return text == text.strip() != ""
+
+
+WORDS = st.one_of(st.sampled_from(["##x", "x##", "a,b", ",", "नदी", "çà"]), st.text(min_size=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    text=st.lists(WORDS, max_size=6).map(" ".join).filter(
+        lambda text: "\t" not in text and not _standalone(("##", "<sep>"), text)
+    ),
+    labels=st.lists(
+        st.one_of(st.sampled_from(["dog", "traffic light", "x##", "नदी"]), st.text(min_size=1)
+                  ).filter(_is_label),
+        unique=True,
+        max_size=5,
+    ),
+    target=st.lists(WORDS, min_size=1, max_size=4).map(" ".join).filter(
+        lambda target: not _standalone(("<sep>",), target)
+    ),
+)
+def test_build_pairs_splits_what_render_tagged_joined(text, labels, target):
+    """A tagged corpus is its rendered strings: splitting them gives back the
+    text and the labels that were rendered."""
+    assert build_synth_pairs([(render_tagged(text, labels), target)]) == [
+        (f"{text} <sep> {target}", ",".join(labels))
+    ]
 
 
 def test_tags_from_decoded_dedup():
@@ -102,8 +144,9 @@ def memorize_checkpoint():
 
 def test_synthesizer_memorizes_single_pair(memorize_checkpoint):
     bitext = parse_bitext(["a dog runs"], ["EIN HUND"])
-    [(tagged, _)] = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
-    assert list(tagged.tags) == ["dog"]
+    assert enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB) == [
+        ("a dog runs ## dog", "EIN HUND")
+    ]
     assert memorize_checkpoint.training_meta["synth_fit"] == 1.0
 
 
@@ -119,10 +162,9 @@ def test_enrich_corpus_counts_and_targets(memorize_checkpoint):
     )
     enriched = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
     assert len(enriched) == 3
-    for (tagged, target), rec in zip(enriched, bitext.records):
+    for (source, target), rec in zip(enriched, bitext.records):
         assert target == rec.target_text
-        assert tagged.text == rec.source_text
-        assert tagged.tags == ("dog",)
+        assert parse_tagged(source) == (rec.source_text, ["dog"])
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -151,5 +193,5 @@ def test_enriched_corpus_file_round_trip(tmp_path, memorize_checkpoint):
     bitext = parse_bitext(["a dog runs"] * 2, ["EIN HUND"] * 2)
     enriched = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
     path = tmp_path / "enriched.tsv"
-    write_pairs_tsv([(tagged.rendered, target) for tagged, target in enriched], path)
-    assert read_tagged_corpus(path) == enriched
+    write_pairs_tsv(enriched, path)
+    assert read_pairs_tsv(path) == enriched

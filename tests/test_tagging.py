@@ -227,17 +227,16 @@ def test_tag_corpus_preserves_order_and_targets():
     corpus = parse_vg_corpus(lines)
     pairs = tag_corpus(corpus, StubDetector(seed=1), k=5)
     assert len(pairs) == 3
-    for i, (tagged, target) in enumerate(pairs):
-        assert tagged.text == f"src {i}"
+    for i, (source, target) in enumerate(pairs):
+        text, labels = parse_tagged(source)
+        assert text == f"src {i}"
         assert target == f"tgt {i}"
-        assert len(tagged.tags) <= 5
+        assert len(labels) <= 5
 
 
 def test_tag_corpus_empty_image_id():
     corpus = parse_bitext(["a cat"], ["eine katze"])
-    pairs = tag_corpus(corpus, StubDetector(seed=1))
-    assert pairs[0][0].tags == ()
-    assert pairs[0][0].rendered == "a cat"
+    assert tag_corpus(corpus, StubDetector(seed=1)) == [("a cat", "eine katze")]
 
 
 def test_tag_corpus_empty_corpus():
@@ -261,10 +260,10 @@ def test_select_corpus_tags_one_per_image_in_first_seen_order():
     lines = [f"{image}\t1\t1\t2\t2\tsrc {i}\ttgt {i}" for i, image in enumerate("bab")]
     corpus = parse_vg_corpus(lines + ["\t1\t1\t2\t2\tno image\tkein bild"])
     detector = StubDetector(seed=1)
-    tagsets = select_corpus_tags(corpus, detector, k=3)
-    assert [ts.image_id for ts in tagsets] == ["b", "a"]
-    for ts in tagsets:
-        assert ts == select_tags(detector.detect(ts.image_id), k=3, image_id=ts.image_id)
+    labels_by_image = select_corpus_tags(corpus, detector, k=3)
+    assert list(labels_by_image) == ["b", "a"]
+    for image_id, labels in labels_by_image.items():
+        assert labels == select_tags(detector.detect(image_id), k=3).labels
 
 
 # -- vocabulary ---------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Helpers over the toy disambiguation world that only the tests use."""
 
-from tagmt.tagging import TaggedSource
+from tagmt.tagging import render_tagged
 from tagmt.toy import SENSE_ANIMAL, SENSE_CLUB, SENSE_TARGET
 
 
 def examples_to_tagged(examples):
-    return [
-        (TaggedSource(text=ex.source, tags=ex.tags), ex.target) for ex in examples
-    ]
+    return [(render_tagged(ex.source, ex.tags), ex.target) for ex in examples]
 
 
 def examples_to_text_pairs(examples):
