@@ -24,17 +24,13 @@ from .evaluation import (
     write_report,
 )
 from .fileio import read_lines, write_lines
-from .mt.decode import DECODE_METHODS, DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, translate_corpus
+from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
 from .tagging import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    DEFAULT_TOP_K,
     inject_tags,
     load_tag_vocabulary,
-    make_detector,
     read_tagsets_file,
     select_corpus_tags,
     write_tagsets_file,
@@ -51,18 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args):
-    """The --config file's experiment (the defaults without one), --seed applied."""
+    """The --config file's experiment (the defaults without one), --seed
+    applied, validated whole before the command reads any input."""
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config.with_seed(args.seed)
-    return config
-
-
-def _model_config(args, section):
-    model = getattr(_load_config(args), section)
-    if args.max_steps is not None:
-        model = model.override(max_steps=args.max_steps)
-    return in_section(section, model.validate)
+    return config.validate()
 
 
 def _kv_lines(pairs, fmt):
@@ -111,10 +101,9 @@ def cmd_corpus_validate(args):
 
 
 def cmd_tags_extract(args):
+    config = _load_config(args)
     corpus = load_vg_corpus(args.corpus)
-    vocabulary = load_tag_vocabulary(args.tag_vocabulary)
-    detector = make_detector(args.backend, vocabulary, seed=args.seed, detections=args.detections)
-    labels_by_image = select_corpus_tags(corpus, detector, k=args.k)
+    labels_by_image = select_corpus_tags(corpus, config.detector(), k=config.top_k)
     write_tagsets_file(labels_by_image, args.output)
     print(f"wrote {len(labels_by_image)} tag sets to {args.output}")
     return 0
@@ -139,7 +128,7 @@ def cmd_synth_build_pairs(args):
 
 
 def cmd_synth_train(args):
-    model_config = _model_config(args, "synthesizer")
+    model_config = _load_config(args).synthesizer
     pairs = read_pairs_tsv(args.pairs)
     checkpoint = train_synthesizer(pairs, model_config, log=_log)
     checkpoint.save(args.output)
@@ -150,10 +139,11 @@ def cmd_synth_train(args):
 
 
 def cmd_synth_enrich(args):
+    config = _load_config(args)
     checkpoint = Checkpoint.load(args.checkpoint)
     bitext = load_bitext(args.source, args.target)
-    vocabulary = load_tag_vocabulary(args.tag_vocabulary)
-    enriched = enrich_corpus(bitext, checkpoint, k=args.k, vocabulary=vocabulary)
+    vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
+    enriched = enrich_corpus(bitext, checkpoint, k=config.top_k, vocabulary=vocabulary)
     write_pairs_tsv(enriched, args.output)
     print(f"wrote {len(enriched)} enriched pairs to {args.output}")
     return 0
@@ -163,7 +153,7 @@ def cmd_synth_enrich(args):
 
 
 def cmd_mt_train(args):
-    model_config = _model_config(args, "translator")
+    model_config = _load_config(args).translator
     pairs = read_pairs_tsv(args.train)
     valid = read_pairs_tsv(args.valid) if args.valid else []
     checkpoint = train(model_config, pairs, valid, log=_log)
@@ -192,15 +182,10 @@ def cmd_mt_finetune(args):
 
 
 def cmd_mt_translate(args):
+    config = _load_config(args)
     checkpoint = Checkpoint.load(args.checkpoint)
-    sources = read_lines(args.input)
-    hypotheses = translate_corpus(
-        checkpoint,
-        sources,
-        decode=args.decode,
-        beam_width=args.beam_width,
-        max_len=args.max_len,
-    )
+    in_section("decode", check_beam_width, config.decode_method, config.beam_width, checkpoint.vocab)
+    hypotheses = translate_corpus(checkpoint, read_lines(args.input), **config.decode_kwargs)
     if args.output:
         write_lines(hypotheses, args.output)
         print(f"wrote {len(hypotheses)} translations to {args.output}")
@@ -273,10 +258,12 @@ def _log(message):
 # -- parser ------------------------------------------------------------------
 
 
-def _add_config_flags(p, required=False):
-    """--config and --seed, for the commands that read the experiment config."""
+def _add_config_flags(p, required=False, seed=True):
+    """--config, the experiment config that every setting of the command
+    comes from, and, for a command that uses the seed, --seed to override it."""
     p.add_argument("--config", required=required, help="experiment config file (INI)")
-    p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
 
 
 def build_parser():
@@ -298,12 +285,8 @@ def build_parser():
 
     tags = parser_group(groups, "tags", "object-tag extraction and fusion")
     p = sub(tags, "extract", cmd_tags_extract, "detect and select top-k tags per image")
+    _add_config_flags(p)
     p.add_argument("--corpus", required=True, help="VG TSV corpus")
-    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
-    p.add_argument("--detections", default=None, help="precomputed detections TSV (file backend)")
-    p.add_argument("--tag-vocabulary", default=None, help="tag vocabulary file (default: COCO-80)")
-    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="seed of the stub backend")
     p.add_argument("--output", required=True)
     p = sub(tags, "inject", cmd_tags_inject, "fuse selected tags with source sentences")
     p.add_argument("--corpus", required=True, help="VG TSV corpus")
@@ -317,14 +300,12 @@ def build_parser():
     p = sub(synth, "train", cmd_synth_train, "train the tag synthesizer")
     _add_config_flags(p)
     p.add_argument("--pairs", required=True, help="synthesizer pairs TSV")
-    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--output", required=True)
     p = sub(synth, "enrich", cmd_synth_enrich, "decode synthetic tags for a bitext")
+    _add_config_flags(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--tag-vocabulary", default=None)
-    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--output", required=True)
 
     mt = parser_group(groups, "mt", "translator training and decoding")
@@ -332,7 +313,6 @@ def build_parser():
     _add_config_flags(p)
     p.add_argument("--train", required=True, help="training pairs TSV (source, target)")
     p.add_argument("--valid", default=None, help="validation pairs TSV")
-    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--output", required=True)
     p = sub(mt, "finetune", cmd_mt_finetune, "continue training from a checkpoint")
     p.add_argument("--base", required=True)
@@ -342,12 +322,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="override the base checkpoint's seed")
     p.add_argument("--output", required=True)
     p = sub(mt, "translate", cmd_mt_translate, "translate a file of sentences")
+    _add_config_flags(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--decode", choices=DECODE_METHODS, default=DEFAULT_DECODE)
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--max-len", type=int, default=None)
 
     ev = parser_group(groups, "eval", "BLEU scoring and comparison reports")
     p = sub(ev, "bleu", cmd_eval_bleu, "corpus BLEU of hypotheses against references")

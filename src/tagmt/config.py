@@ -16,6 +16,9 @@ can travel with its fixtures. A single [experiment] seed governs every
 stochastic stage: an ExperimentConfig applies it to both model configs when
 it is built, and per-model seed keys are rejected. The [tagging] and
 [decode] defaults are the constants of `tagging` and `mt.decode`.
+
+`run_pipeline` and every stage subcommand read the same ExperimentConfig,
+and `detector` and `decode_kwargs` turn its keys into the calls both make.
 """
 
 import configparser
@@ -25,7 +28,9 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .mt.decode import DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, check_decode
 from .mt.model import ModelConfig
-from .tagging import DEFAULT_BACKEND, DEFAULT_TOP_K, check_backend, check_k
+from .tagging import (
+    DEFAULT_BACKEND, DEFAULT_TOP_K, check_backend, check_k, load_tag_vocabulary, make_detector
+)
 
 PATH_KEYS = (
     "train_corpus",
@@ -102,10 +107,18 @@ class ExperimentConfig:
                 raise ConfigError(f"[paths] {key} does not exist: {path}")
         for section in MODEL_SECTIONS:
             in_section(section, getattr(self, section).validate)
-        for key in ("train_corpus", "test_corpus"):
-            if key not in self.paths:
-                raise ConfigError(f"[paths] {key} is required")
         return self
+
+    def detector(self):
+        """The [tagging] backend over the [paths] tag vocabulary, seeded by the experiment."""
+        vocabulary = load_tag_vocabulary(self.paths.get("tag_vocabulary"))
+        detections = self.paths.get("detections")
+        return make_detector(self.tagging_backend, vocabulary, seed=self.seed, detections=detections)
+
+    @property
+    def decode_kwargs(self):
+        """`translate_corpus`'s keyword arguments, from [decode]."""
+        return dict(decode=self.decode_method, beam_width=self.beam_width, max_len=self.decode_max_len)
 
     def with_seed(self, seed):
         if seed < 0:  # numpy's generators take no negative seed

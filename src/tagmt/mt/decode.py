@@ -44,7 +44,7 @@ from ..forking import alongside, can_fork
 from .vocab import pad_rows
 
 DECODE_METHODS = ("greedy", "beam")
-# the defaults of translate_corpus, of the [decode] section and of `mt translate`
+# the defaults of translate_corpus and of the [decode] section
 DEFAULT_DECODE, DEFAULT_BEAM_WIDTH = "greedy", 4
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources

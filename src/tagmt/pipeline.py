@@ -2,11 +2,12 @@
 
 Every stage writes its artifact atomically under the output directory. Each
 stage calls the same public function (and the same file writer) as its
-standalone CLI subcommand, so running the pipeline equals composing the
-subcommands by hand. A tagged corpus is held as the ``(rendered source,
-target)`` pairs its TSV holds, so `write_pairs_tsv` writes each one, and
-step 5 trains on ``tagged_train.tsv`` followed by ``enriched.tsv``. Reports
-carry no timestamp, which keeps repeated runs byte-identical.
+standalone CLI subcommand, and reads the same config, so running the
+pipeline equals composing the subcommands by hand. A tagged corpus is held
+as the ``(rendered source, target)`` pairs its TSV holds, so
+`write_pairs_tsv` writes each one, and step 5 trains on
+``tagged_train.tsv`` followed by ``enriched.tsv``. Reports carry no
+timestamp, which keeps repeated runs byte-identical.
 
 The text-only translator reads nothing the synthesizer chain produces, so when
 the process may use two CPUs it trains in a forked child (`forking.alongside`)
@@ -21,6 +22,7 @@ import os
 
 from .config import in_section
 from .corpus import load_bitext, load_vg_corpus, write_pairs_tsv
+from .errors import ConfigError
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
 from .forking import alongside
@@ -28,7 +30,7 @@ from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, train
 from .mt.vocab import vocab_from_pairs
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
-from .tagging import load_tag_vocabulary, make_detector, tag_corpus
+from .tagging import tag_corpus
 
 
 def run_pipeline(config, log=print):
@@ -37,6 +39,9 @@ def run_pipeline(config, log=print):
     Returns a summary dict with the artifact paths and both BLEU scores.
     """
     config.validate()
+    for key in ("train_corpus", "test_corpus"):
+        if key not in config.paths:
+            raise ConfigError(f"[paths] {key} is required")
     out_dir = config.paths.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -44,10 +49,7 @@ def run_pipeline(config, log=print):
         return os.path.join(out_dir, name)
 
     log(f"[1/7] corpora + tags (backend={config.tagging_backend}, k={config.top_k})")
-    vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
-    detector = make_detector(
-        config.tagging_backend, vocabulary, seed=config.seed, detections=config.paths.get("detections")
-    )
+    detector = config.detector()
     train_corpus = load_vg_corpus(config.paths["train_corpus"], "train")
     test_corpus = load_vg_corpus(config.paths["test_corpus"], "etest")
     valid_corpus = None
@@ -83,7 +85,7 @@ def run_pipeline(config, log=print):
         log("[4/7] enrich text-only bitext with synthetic tags")
         enriched = []
         if bitext is not None:
-            enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
+            enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=detector.vocabulary)
             write_pairs_tsv(enriched, artifact("enriched.tsv"))
         else:
             log("      no bitext configured; multimodal training uses natural data only")
@@ -94,13 +96,9 @@ def run_pipeline(config, log=print):
     text_ckpt = Checkpoint.load(text_path)
 
     log("[6/7] translate the test split with both systems")
-    decode_kwargs = dict(
-        decode=config.decode_method,
-        beam_width=config.beam_width,
-        max_len=config.decode_max_len,
-    )
-    text_hyp = translate_corpus(text_ckpt, [r.source_text for r in test_corpus.records], **decode_kwargs)
-    mm_hyp = translate_corpus(mm_ckpt, [source for source, _ in tagged_test], **decode_kwargs)
+    text_sources = [r.source_text for r in test_corpus.records]
+    text_hyp = translate_corpus(text_ckpt, text_sources, **config.decode_kwargs)
+    mm_hyp = translate_corpus(mm_ckpt, [source for source, _ in tagged_test], **config.decode_kwargs)
     write_lines(text_hyp, artifact("hypotheses_text.txt"))
     write_lines(mm_hyp, artifact("hypotheses_multimodal.txt"))
 

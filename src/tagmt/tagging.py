@@ -25,7 +25,7 @@ from .fileio import read_lines, tsv_rows, write_lines
 
 SEPARATOR = "##"
 BACKENDS = ("stub", "file")
-# the defaults of [tagging] and `tags extract`; DEFAULT_TOP_K is every k argument's too
+# the defaults of [tagging]; DEFAULT_TOP_K is every k argument's too
 DEFAULT_BACKEND, DEFAULT_TOP_K = "stub", 10
 
 

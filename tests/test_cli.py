@@ -18,6 +18,7 @@ from tagmt.corpus import load_vg_corpus
 from tagmt.errors import ConfigError
 from tagmt.fileio import read_lines
 from tagmt.mt.train import Checkpoint
+from test_config import write_cfg
 from test_decode import random_checkpoint
 from test_errors import EXAMPLES
 
@@ -148,8 +149,9 @@ def test_translate_max_len_below_two_exit_1(tmp_path, capsys, max_len):
     sources = tmp_path / "sources.txt"
     sources.write_text("aa bb\n", encoding="utf-8")
     out = tmp_path / "hyps.txt"
+    cfg = write_cfg(tmp_path, f"[decode]\nmax_len = {max_len}\n")
     rc = main(["mt", "translate", "--checkpoint", str(ckpt), "--input", str(sources),
-               "--output", str(out), "--max-len", max_len])
+               "--output", str(out), "--config", str(cfg)])
     assert rc == 1
     err = capsys.readouterr().err
     assert f"max_len must be >= 2, got {max_len}" in err
@@ -326,12 +328,13 @@ def test_translate_non_finite_scores_exit_1(tmp_path, decode):
     # one line decodes here; enough lines to pass FORK_MIN_WORK decode half in a forked child
     width = 1 if decode == "greedy" else 4
     many = max(2, -(-FORK_MIN_WORK // (width * checkpoint.config.max_len)))
+    cfg = write_cfg(tmp_path, f"[decode]\nmethod = {decode}\n")
     for lines, launcher, forks in [(1, ["-m", "tagmt.cli"], ""), (many, ["-c", FORCED_FORK_CLI], "1\n")]:
         sources = tmp_path / "sources.txt"
         sources.write_text("aa bb\n" * lines, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, *launcher, "mt", "translate", "--checkpoint", str(ckpt),
-             "--input", str(sources), "--decode", decode],
+             "--input", str(sources), "--config", str(cfg)],
             capture_output=True,
             text=True,
         )
@@ -481,6 +484,7 @@ def test_unanticipated_value_error_propagates(monkeypatch, tmp_path):
         ["pipeline", "run", "--config", "{mini_cfg}", "--seed", "-1", "--output-dir", "{out}"],
         ["mt", "train", "--train", "{pairs}", "--config", "{seed_cfg}", "--output", "{out}"],
         ["pipeline", "run", "--config", "{seed_cfg}", "--output-dir", "{out}"],
+        ["tags", "extract", "--corpus", "{corpus}", "--seed", "-1", "--output", "{out}"],
     ],
 )
 def test_negative_seed_exit_1(tmp_path, capsys, command):
@@ -492,10 +496,41 @@ def test_negative_seed_exit_1(tmp_path, capsys, command):
     seed_cfg.write_text("[experiment]\nseed = -1\n", encoding="utf-8")
     out = tmp_path / "out"
     mini_cfg = write_mini_cfg(tmp_path, out)
-    argv = [arg.format(pairs=pairs, out=out, mini_cfg=mini_cfg, seed_cfg=seed_cfg) for arg in command]
+    corpus = os.path.join(DISAMBIG, "valid.tsv")
+    argv = [arg.format(pairs=pairs, out=out, mini_cfg=mini_cfg, seed_cfg=seed_cfg, corpus=corpus)
+            for arg in command]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: [experiment] seed must be >= 0, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[tagging]\nk = 0\n", "[tagging] k must be >= 1, got 0"),
+        ("[decode]\nmethod = bogus\n", "[decode] method must be 'greedy' or 'beam', got 'bogus'"),
+    ],
+    ids=["tagging-k", "decode-method"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["tags", "extract", "--corpus", "{missing}"],
+        ["synth", "train", "--pairs", "{missing}"],
+        ["synth", "enrich", "--checkpoint", "{missing}", "--source", "{missing}", "--target", "{missing}"],
+        ["mt", "train", "--train", "{missing}"],
+        ["mt", "translate", "--checkpoint", "{missing}", "--input", "{missing}"],
+    ],
+    ids=lambda command: "-".join(command[:2]),
+)
+def test_stage_rejects_any_config_section_before_its_inputs_exit_1(tmp_path, capsys, command, body, message):
+    """A stage validates the whole config, not only the sections it uses,
+    before it opens an input: none of these inputs exists."""
+    cfg = write_cfg(tmp_path, body)
+    argv = [arg.format(missing=tmp_path / "missing") for arg in command]
+    assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == [cfg.name]
 
 
 @pytest.mark.parametrize("missing", ["train_corpus", "test_corpus"])
@@ -554,10 +589,8 @@ def test_tags_extract_stub_backend(tmp_path, capsys):
             "extract",
             "--corpus",
             os.path.join(DISAMBIG, "valid.tsv"),
-            "--backend",
-            "stub",
-            "--k",
-            "3",
+            "--config",
+            str(write_cfg(tmp_path, "[tagging]\nbackend = stub\nk = 3\n")),
             "--output",
             str(out),
             "--seed",
@@ -578,6 +611,12 @@ def write_one_record_corpus(tmp_path, image_id):
     return str(path)
 
 
+def write_file_backend_cfg(tmp_path, detections, vocabulary):
+    """A config whose [tagging] backend is 'file', over these two files."""
+    body = f"[tagging]\nbackend = file\n\n[paths]\ndetections = {detections}\ntag_vocabulary = {vocabulary}\n"
+    return str(write_cfg(tmp_path, body))
+
+
 def test_tags_inject_unknown_image_exit_2(tmp_path, capsys):
     tagsets = tmp_path / "tagsets.tsv"
     tagsets.write_text("other\tdog\n", encoding="utf-8")
@@ -588,17 +627,18 @@ def test_tags_inject_unknown_image_exit_2(tmp_path, capsys):
 
 
 def test_tags_extract_file_backend_needs_detections_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[tagging]\nbackend = file\n")
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"),
-                 "--backend", "file", "--output", str(tmp_path / "tagsets.tsv")])
+                 "--config", str(cfg), "--output", str(tmp_path / "tagsets.tsv")])
     assert code == 1
     assert "detections" in capsys.readouterr().err
 
 
 def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
+    cfg = write_file_backend_cfg(tmp_path, os.path.join(DISAMBIG, "detections.tsv"),
+                                 os.path.join(DISAMBIG, "tag_vocab.txt"))
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "no-such-image"),
-                 "--backend", "file", "--detections", os.path.join(DISAMBIG, "detections.tsv"),
-                 "--tag-vocabulary", os.path.join(DISAMBIG, "tag_vocab.txt"),
-                 "--output", str(tmp_path / "tagsets.tsv")])
+                 "--config", cfg, "--output", str(tmp_path / "tagsets.tsv")])
     assert code == 2
     assert "(record 0)" in capsys.readouterr().err
 
@@ -610,11 +650,12 @@ def test_tags_extract_k_below_one_exit_1_before_detecting(tmp_path, monkeypatch,
 
     monkeypatch.setattr(tagging.StubDetector, "detect", no_detect)
     out = tmp_path / "tagsets.tsv"
+    cfg = write_cfg(tmp_path, "[tagging]\nk = 0\n")
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, image_id),
-                 "--k", "0", "--output", str(out)])
+                 "--config", str(cfg), "--output", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == "error: k must be >= 1, got 0\n"
+    assert err == "error: [tagging] k must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -627,8 +668,9 @@ def test_synth_enrich_k_below_one_exit_1(tmp_path, capsys, k):
     src.write_text("aa bb\n", encoding="utf-8")
     tgt.write_text("cc dd\n", encoding="utf-8")
     out = tmp_path / "enriched.tsv"
+    cfg = write_cfg(tmp_path, f"[tagging]\nk = {k}\n")
     code = main(["synth", "enrich", "--checkpoint", str(ckpt), "--source", str(src),
-                 "--target", str(tgt), "--k", k, "--output", str(out)])
+                 "--target", str(tgt), "--config", str(cfg), "--output", str(out)])
     assert code == 1
     assert f"k must be >= 1, got {k}" in capsys.readouterr().err
     assert not out.exists()
@@ -763,14 +805,9 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     train_vg = os.path.join(DISAMBIG, "train.tsv")
     valid_vg = os.path.join(DISAMBIG, "valid.tsv")
     test_vg = os.path.join(DISAMBIG, "test.tsv")
-    det = os.path.join(DISAMBIG, "detections.tsv")
-    tvoc = os.path.join(DISAMBIG, "tag_vocab.txt")
 
     for split, vg in (("train", train_vg), ("valid", valid_vg), ("test", test_vg)):
-        run(
-            ["tags", "extract", "--corpus", vg, "--backend", "file", "--detections", det,
-             "--tag-vocabulary", tvoc, "--k", "10", "--output", p(f"tagsets_{split}.tsv")]
-        )
+        run(["tags", "extract", "--config", cfg, "--corpus", vg, "--output", p(f"tagsets_{split}.tsv")])
         run(
             ["tags", "inject", "--corpus", vg, "--tagsets", p(f"tagsets_{split}.tsv"),
              "--output", p(f"tagged_{split}.tsv")]
@@ -799,10 +836,9 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     run(["synth", "build-pairs", "--tagged", p("tagged_train.tsv"), "--output", p("synth_pairs.tsv")])
     run(["synth", "train", "--config", cfg, "--pairs", p("synth_pairs.tsv"),
          "--output", p("synthesizer.ckpt")])
-    run(["synth", "enrich", "--checkpoint", p("synthesizer.ckpt"),
+    run(["synth", "enrich", "--config", cfg, "--checkpoint", p("synthesizer.ckpt"),
          "--source", os.path.join(DISAMBIG, "extra.src"),
-         "--target", os.path.join(DISAMBIG, "extra.tgt"),
-         "--tag-vocabulary", tvoc, "--k", "10", "--output", p("enriched.tsv")])
+         "--target", os.path.join(DISAMBIG, "extra.tgt"), "--output", p("enriched.tsv")])
 
     with open(p("combined_train.tsv"), "w", encoding="utf-8") as fh:
         for line in read_lines(p("tagged_train.tsv")):
@@ -813,12 +849,10 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     run(["mt", "train", "--config", cfg, "--train", p("combined_train.tsv"),
          "--valid", p("tagged_valid.tsv"), "--output", p("translator_multimodal.ckpt")])
 
-    run(["mt", "translate", "--checkpoint", p("translator_text.ckpt"),
-         "--input", p("test_sources.txt"), "--output", p("hypotheses_text.txt"),
-         "--decode", "greedy", "--max-len", "48"])
-    run(["mt", "translate", "--checkpoint", p("translator_multimodal.ckpt"),
-         "--input", p("test_tagged_sources.txt"), "--output", p("hypotheses_multimodal.txt"),
-         "--decode", "greedy", "--max-len", "48"])
+    run(["mt", "translate", "--config", cfg, "--checkpoint", p("translator_text.ckpt"),
+         "--input", p("test_sources.txt"), "--output", p("hypotheses_text.txt")])
+    run(["mt", "translate", "--config", cfg, "--checkpoint", p("translator_multimodal.ckpt"),
+         "--input", p("test_tagged_sources.txt"), "--output", p("hypotheses_multimodal.txt")])
 
     def bleu_of(hyp_path):
         capsys.readouterr()
@@ -1042,8 +1076,8 @@ def test_tags_extract_bad_detections_exit_2(tmp_path, capsys, detections, messag
     vocab.write_text("dog\ncat\n", encoding="utf-8")
     err = _data_error(
         capsys,
-        ["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"), "--backend", "file",
-         "--detections", str(det), "--tag-vocabulary", str(vocab), "--output", str(tmp_path / "out.tsv")],
+        ["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"),
+         "--config", write_file_backend_cfg(tmp_path, det, vocab), "--output", str(tmp_path / "out.tsv")],
     )
     assert message in err
 
@@ -1070,8 +1104,9 @@ def test_tags_extract_empty_vocabulary_exit_2(tmp_path, capsys):
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("# nothing\n", encoding="utf-8")
     out = tmp_path / "tagsets.tsv"
+    cfg = write_cfg(tmp_path, f"[paths]\ntag_vocabulary = {vocab}\n")
     err = _data_error(capsys, ["tags", "extract", "--corpus", os.path.join(DISAMBIG, "valid.tsv"),
-                               "--tag-vocabulary", str(vocab), "--output", str(out)])
+                               "--config", str(cfg), "--output", str(out)])
     assert err == f"error: tag vocabulary {vocab} holds no label\n"
     assert not out.exists()
 
@@ -1114,20 +1149,18 @@ LEAF_FLAGS = {
     ("corpus", "stats"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt",
                           "--split": "train", "--format": "tsv"},
     ("corpus", "validate"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt"},
-    ("tags", "extract"): {"--corpus": "x.tsv", "--backend": "file", "--detections": "d.tsv",
-                          "--tag-vocabulary": "v.txt", "--k": "3", "--seed": "5", "--output": "OUT"},
+    ("tags", "extract"): {"--config": "c.cfg", "--seed": "5", "--corpus": "x.tsv", "--output": "OUT"},
     ("tags", "inject"): {"--corpus": "x.tsv", "--tagsets": "t.tsv", "--output": "OUT"},
     ("synth", "build-pairs"): {"--tagged": "t.tsv", "--output": "OUT"},
-    ("synth", "train"): {"--config": "c.cfg", "--seed": "5", "--pairs": "p.tsv", "--max-steps": "3",
-                         "--output": "OUT"},
-    ("synth", "enrich"): {"--checkpoint": "m.ckpt", "--source": "x.src", "--target": "x.tgt",
-                          "--tag-vocabulary": "v.txt", "--k": "3", "--output": "OUT"},
+    ("synth", "train"): {"--config": "c.cfg", "--seed": "5", "--pairs": "p.tsv", "--output": "OUT"},
+    ("synth", "enrich"): {"--config": "c.cfg", "--checkpoint": "m.ckpt", "--source": "x.src",
+                          "--target": "x.tgt", "--output": "OUT"},
     ("mt", "train"): {"--config": "c.cfg", "--seed": "5", "--train": "p.tsv", "--valid": "v.tsv",
-                      "--max-steps": "3", "--output": "OUT"},
+                      "--output": "OUT"},
     ("mt", "finetune"): {"--base": "m.ckpt", "--train": "p.tsv", "--valid": "v.tsv",
                          "--max-steps": "3", "--seed": "5", "--output": "OUT"},
-    ("mt", "translate"): {"--checkpoint": "m.ckpt", "--input": "s.txt", "--output": "OUT",
-                          "--decode": "beam", "--beam-width": "2", "--max-len": "9"},
+    ("mt", "translate"): {"--config": "c.cfg", "--checkpoint": "m.ckpt", "--input": "s.txt",
+                          "--output": "OUT"},
     ("eval", "bleu"): {"--hypotheses": "h.txt", "--references": "r.txt", "--smooth": None,
                        "--format": "tsv"},
     ("eval", "report"): {"--text-only": "a.tsv", "--multimodal": "b.tsv", "--output": "OUT",
@@ -1135,6 +1168,12 @@ LEAF_FLAGS = {
                          "--timestamp": "now"},
     ("pipeline", "run"): {"--config": "c.cfg", "--seed": "5", "--output-dir": "OUT"},
 }
+
+
+# flags that copied a config key: every command reads the key from --config
+# instead (`mt finetune --max-steps` overrides its base checkpoint's config)
+REMOVED_FLAGS = {"--backend": "file", "--detections": "d.tsv", "--tag-vocabulary": "v.txt", "--k": "3",
+                 "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3"}
 
 
 def _leaf_argv(leaf, flags, out):
@@ -1148,7 +1187,7 @@ def _option_strings(parser):
     return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
 
 
-def test_build_parser_accepts_63_flags():
+def test_build_parser_accepts_55_flags():
     from tagmt.cli import build_parser
 
     parser = build_parser()
@@ -1162,12 +1201,13 @@ def test_build_parser_accepts_63_flags():
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 63
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 55
 
 
 @pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)
 def test_leaf_takes_only_the_flags_it_reads(tmp_path, capsys, leaf):
-    """Every flag the leaf keeps parses; one it does not read exits 1 and writes nothing."""
+    """Every flag the leaf keeps parses; one it does not read, a removed one
+    included, exits 1 and writes nothing."""
     from tagmt.cli import build_parser
 
     out = str(tmp_path / "out")
@@ -1176,7 +1216,8 @@ def test_leaf_takes_only_the_flags_it_reads(tmp_path, capsys, leaf):
     for flag, value in LEAF_FLAGS[leaf].items():
         got = getattr(args, flag.lstrip("-").replace("-", "_"))
         assert str(got) == (out if value == "OUT" else value or "True"), flag
-    foreign = {"--config": fixture_path("toy.cfg"), "--seed": "3", "--output-dir": out, "--split": "train"}
+    foreign = {"--config": fixture_path("toy.cfg"), "--seed": "3", "--output-dir": out, "--split": "train",
+               **REMOVED_FLAGS}
     for flag, value in foreign.items():
         if flag in LEAF_FLAGS[leaf]:
             continue
@@ -1212,16 +1253,17 @@ def test_translate_beam_width_above_vocabulary_exit_1(tmp_path):
     random_checkpoint(0).save(str(ckpt))
     sources = tmp_path / "sources.txt"
     sources.write_text("aa bb\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "[decode]\nmethod = beam\nbeam_width = 100000000000000000000\n")
     proc = subprocess.run(
         [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
-         "--input", str(sources), "--decode", "beam", "--beam-width", "100000000000000000000"],
+         "--input", str(sources), "--config", str(cfg)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: beam_width must be <= the vocabulary size 17, "
+        "error: [decode] beam_width must be <= the vocabulary size 17, "
         "got 100000000000000000000\n"
     )
 

@@ -25,22 +25,22 @@ from tagmt.errors import DataError
 HEAD = 8  # lines taken from each fixture
 
 # reader -> (input file that gets damaged, CLI argv or reader function);
-# {damaged} is the damaged copy, the other names are files of `inputs`
+# {damaged} is the damaged copy, the other names are files of `inputs`, and
+# {cfg} holds DETECTIONS_CFG
 CASES = {
     "vg": ("train", ["corpus", "validate", "--vg", "{damaged}"]),
     "bitext-source": ("src", ["corpus", "validate", "--source", "{damaged}", "--target", "{tgt}"]),
     "bitext-target": ("tgt", ["corpus", "validate", "--source", "{src}", "--target", "{damaged}"]),
-    "detections": (
-        "detections",
-        ["tags", "extract", "--corpus", "{train}", "--backend", "file", "--detections", "{damaged}",
-         "--tag-vocabulary", "{vocab}", "--output", "{out}"],
-    ),
+    "detections": ("detections", ["tags", "extract", "--corpus", "{train}", "--config", "{cfg}", "--output", "{out}"]),
     "tagsets": ("tagsets", ["tags", "inject", "--corpus", "{train}", "--tagsets", "{damaged}", "--output", "{out}"]),
     "tagged": ("tagged", ["synth", "build-pairs", "--tagged", "{damaged}", "--output", "{out}"]),
     # the same file on both sides: every task has its baseline
     "scores": ("scores", ["eval", "report", "--text-only", "{damaged}", "--multimodal", "{damaged}"]),
     "pairs": ("pairs", read_pairs_tsv),
 }
+
+# the experiment config of `tags extract`: the file backend reads {damaged}
+DETECTIONS_CFG = "[tagging]\nbackend = file\n\n[paths]\ndetections = {damaged}\ntag_vocabulary = {vocab}\n"
 
 DAMAGE = st.lists(
     st.tuples(
@@ -62,6 +62,9 @@ def _read(case, paths, damaged):
         except DataError as err:
             return 2, f"error: {err}\n"
         return 0, ""
+    if "{cfg}" in reader:
+        with open(paths["cfg"], "w", encoding="utf-8") as handle:
+            handle.write(DETECTIONS_CFG.format(**paths, damaged=damaged))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([arg.format(**paths, damaged=damaged) for arg in reader])
@@ -73,7 +76,7 @@ def inputs(tmp_path_factory):
     """Path of each input file: heads of the disambiguation fixtures, and the
     tagsets, tagged corpus and pairs derived from them."""
     work = tmp_path_factory.mktemp("readers")
-    names = ("train", "src", "tgt", "vocab", "detections", "tagsets", "tagged", "scores", "pairs", "out")
+    names = ("train", "src", "tgt", "vocab", "detections", "tagsets", "tagged", "scores", "pairs", "out", "cfg")
     paths = {name: str(work / name) for name in names}
     heads = {"train": "train.tsv", "src": "extra.src", "tgt": "extra.tgt", "detections": "detections.tsv"}
     for name, fixture in heads.items():
