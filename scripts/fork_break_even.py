@@ -8,8 +8,10 @@ translator (model_dim 32, max_len 48, fixtures/toy.cfg). At each, greedy and
 width-4 beam batches run whose work, rows x max_len, lies in 128..4096. Each
 batch runs REPEATS times each way, alternating which goes first, and checks
 that both ways give the same hypotheses. Prints one tab-separated row per
-batch: model_dim, mode, sources, rows, max_len, work, the median in-place and
-forked times in ms and their ratio. Needs two CPUs.
+batch: model_dim, mode, sources, rows, max_len, work (rows x max_len), the
+median in-place and forked times in ms, their ratio, and what
+decode.FORK_MIN_WORK's rule (work x model_dim >= FORK_MIN_WORK) picks there.
+Needs two CPUs.
 
 Run from the repository root:  python3 scripts/fork_break_even.py [REPEATS]
 """
@@ -36,6 +38,9 @@ MODELS = {
     128: (ModelConfig(seed=11, max_len=64), (8, 16, 32, 64)),
     32: (ModelConfig(model_dim=32, heads=2, ff_dim=64, max_len=48, seed=11), (8, 16, 32, 48)),
 }
+
+
+RULE = decode.FORK_MIN_WORK
 
 
 def main(repeats):
@@ -75,7 +80,8 @@ def sweep(checkpoint, sources, max_lens, repeats):
                     if outs[False] != outs[True]:
                         sys.exit(f"d={dim} {mode} {n} sources, max_len {max_len}: forked hypotheses differ")
                 here, forked = (statistics.median(times[f]) * 1e3 for f in (False, True))
-                print(f"{dim}\t{mode}\t{n}\t{n * width}\t{max_len}\t{work}\t{here:.1f}\t{forked:.1f}\t{forked / here:.2f}", flush=True)
+                rule = "fork" if work * dim >= RULE else "here"
+                print(f"{dim}\t{mode}\t{n}\t{n * width}\t{max_len}\t{work}\t{here:.1f}\t{forked:.1f}\t{forked / here:.2f}\t{rule}", flush=True)
 
 
 if __name__ == "__main__":

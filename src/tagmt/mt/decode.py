@@ -24,14 +24,18 @@ No length normalization is applied.
 
 Decoding is bound by small numpy calls that hold the GIL, so a second thread
 gains nothing; `translate_corpus` uses a second process instead. When the
-process may use two CPUs (`forking.can_fork`) and the work is at least
-FORK_MIN_WORK decoder row-positions, a forked child decodes the first half
-of the sources while this process decodes the second, each half in batches
-as before. A call made inside `forking.alongside`'s block or child, as the
-pipeline's synthesizer decodes are, runs in place. On 2 vCPUs at d=128
-(scripts/fork_break_even.py) the fork's cost, tens of milliseconds,
-outweighed the half it saves at most shapes of 128 row-positions, and the
-fork won at most of 256 and at all from 512 up. The hypotheses are those of
+process may use two CPUs (`forking.can_fork`) and the work, decoder
+row-positions times model_dim, is at least FORK_MIN_WORK, a forked child
+decodes the first half of the sources while this process decodes the
+second, each half in batches as before. A call made inside
+`forking.alongside`'s block or child, as the pipeline's synthesizer decodes
+are, runs in place. On 2 vCPUs (scripts/fork_break_even.py) the fork's
+cost, tens of milliseconds, outweighed the half it saves at d=128 at most
+shapes of 128 row-positions, and the fork won at most of 256 and at all
+from 512 up; at d=32, where a row-position costs about a quarter as much,
+it lost up to ~1024 greedy and ~1536 beam row-positions. Scaling the
+row-positions by model_dim puts the break-even at 256 at d=128 and 1024 at
+d=32. The hypotheses are those of
 the in-place path wherever a GEMM row's bits do not depend on the row count
 (OpenBLAS at output widths that are multiples of 8), the same condition as
 batching.
@@ -49,9 +53,10 @@ DEFAULT_DECODE, DEFAULT_BEAM_WIDTH = "greedy", 4
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
-# fewest decoder row-positions (sources x width x max_len) that translate_corpus
-# splits between two processes: the fork's measured break-even at d=128
-FORK_MIN_WORK = 256
+# fewest decoder row-positions (sources x width x max_len) times model_dim that
+# translate_corpus splits between two processes: 256 row-positions at d=128,
+# the fork's measured break-even there, and 1024 at d=32
+FORK_MIN_WORK = 256 * 128
 
 
 def _log_softmax(logits):
@@ -140,8 +145,9 @@ def translate_corpus(
     raises ConfigError (`check_decode`), and so does a beam search wider
     than the checkpoint's vocabulary (`check_beam_width`), before anything
     is allocated. From FORK_MIN_WORK decoder row-positions (sources x width
-    x max_len) up, when `forking.can_fork()`, a forked child decodes the
-    first half of the sources while this process decodes the second.
+    x max_len) times model_dim up, when `forking.can_fork()`, a forked
+    child decodes the first half of the sources while this process decodes
+    the second.
     """
     check_decode(decode, beam_width, max_len)
     vocab = checkpoint.vocab
@@ -161,7 +167,8 @@ def translate_corpus(
         return results
 
     n = len(source_texts)
-    if n < 2 or n * width * max_len < FORK_MIN_WORK or not can_fork():
+    work = n * width * max_len * checkpoint.config.model_dim
+    if n < 2 or work < FORK_MIN_WORK or not can_fork():
         return translate(source_texts)
     half = n // 2
     with alongside(lambda: translate(source_texts[:half])) as first:

@@ -4,8 +4,9 @@ The training loop spends most of its non-BLAS time in three places: the Adam
 parameter update, the embedding-gradient scatter-add, and the fused
 softmax/cross-entropy over the output vocabulary. Each is one vectorized
 numpy function here; the tests check them against plain-Python loops. Adam
-runs once per training step, over the flat vector that holds every
-parameter, in cache-sized blocks.
+runs once per training step over the flat vector that holds every
+parameter, or over each half of it on two threads where the step has a
+worker (`model.halves`), in cache-sized blocks.
 """
 
 import numpy as np
@@ -16,12 +17,13 @@ BACKEND = "numpy"
 HAS_NUMBA = False
 
 
-# elements per block of adam_update: its scratch and operands stay in cache
-ADAM_BLOCK = 8192
+# elements per block of adam_update: the 512 KB blocks of its four operands
+# and two scratch buffers fit together in a 4 MB L2 cache
+ADAM_BLOCK = 65536
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
-    """Adam update, in place, over the flat vector of every parameter (one call a step).
+    """Adam update, in place, over a flat vector of parameters, or a part of one.
 
     The vector is processed in blocks of ADAM_BLOCK elements with two scratch
     buffers. Each element goes through the operations, in the order, of

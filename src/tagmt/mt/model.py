@@ -15,9 +15,10 @@ validation and `decode_step`, and `_stack_bwd`.
 
 `param_layout` defines the parameters, and `FlatViews` lays them out back to
 back in one flat vector with a named view per parameter. `forward_backward`
-writes every gradient through such views into one zeroed vector, and
-training holds the parameters the same way, so clipping and Adam act on one
-vector per step. A model built from a plain name -> array dict (a loaded
+writes every gradient through such views into the gradient vector of its
+`StepState`, which training keeps for the whole call and rewrites each step,
+and training holds the parameters the same way, so clipping and Adam act on
+one vector per step. A model built from a plain name -> array dict (a loaded
 checkpoint) uses it as is, with no copy.
 
 Training and validation run every row-wise layer (embedding, linear layers,
@@ -37,16 +38,19 @@ From model_dim SHARD_MIN_DIM (128) up, with BLAS pinned to one thread
 sentences into two contiguous sentence shards: synchronous data parallelism
 inside the step. Each shard runs that packed pass over its own columns into
 a gradient vector of its own, and the vectors are added in shard order. The
-second shard runs on a second thread when the process may use two CPUs
-(`os.sched_getaffinity`), else after the first, on the same thread; each
-shard's arithmetic is the same either way, so the bits do not depend on the
-CPU count. Against one shard, the loss and the gradients differ by rounding
-only. Every other step keeps one shard, the exact pass it ran before
-sharding existed. Two shards run every layer's Python code twice, which pays
-only where the GEMMs dominate a step and a second CPU is free. On 2 vCPUs,
-two shards made a d=32 training 8% slower and a d=64 one 9% faster alone,
-but a d=64 `pipeline run`, whose two trainings already fill both CPUs, 11%
-slower; a d=128 `pipeline run` was 10% faster.
+second shard runs on the worker thread of the `StepState` when the process
+may use two CPUs (`os.sched_getaffinity`), else after the first, on the same
+thread; each shard's arithmetic is the same either way, so the bits do not
+depend on the CPU count. The same worker takes half of each elementwise
+operation over the flat vectors (`halves`: the gradient add, and in training
+the clip scale and Adam) and every other validation batch. Against one
+shard, the loss and the gradients differ by rounding only. Every other step
+keeps one shard, the exact pass it ran before sharding existed. Two shards
+run every layer's Python code twice, which pays only where the GEMMs
+dominate a step and a second CPU is free. On 2 vCPUs, two shards made a
+d=32 training 8% slower and a d=64 one 9% faster alone, but a d=64
+`pipeline run`, whose two trainings already fill both CPUs, 11% slower; a
+d=128 `pipeline run` was 10% faster.
 
 Decoding is incremental: `Transformer.start_decode` encodes a source batch
 and computes each decoder layer's cross-attention keys and values once, and
@@ -59,7 +63,8 @@ its activations as one (rows, d) matrix: each projection is one GEMM.
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -229,12 +234,86 @@ class FlatViews(dict):
             start += size
 
 
+class _Worker(ThreadPoolExecutor):
+    """An executor of one thread whose calls run in a copy of the submitting
+    thread's context, which carries the caller's np.errstate."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+
+    def submit(self, fn, /, *args):
+        return super().submit(contextvars.copy_context().run, fn, *args)
+
+
+def _pair(pool, first, second):
+    """(first(), second()): second on the pool's worker while first runs here,
+    or after first without a pool. The worker's call has ended when this
+    returns or raises; first's error wins, as it would raise first in order."""
+    if pool is None:
+        return first(), second()
+    later = pool.submit(second)
+    try:
+        done = first()
+    finally:
+        wait([later])
+    return done, later.result()
+
+
+def halves(pool, fn, *vectors):
+    """fn(*vectors) for flat vectors of one length, elementwise: with a pool,
+    fn runs on the first half of each vector here and on the second half on
+    the pool's worker; without one, once on the whole vectors. An elementwise
+    fn gives the same bits either way."""
+    if pool is None:
+        fn(*vectors)
+        return
+    mid = len(vectors[0]) // 2
+    _pair(pool, lambda: fn(*(v[:mid] for v in vectors)), lambda: fn(*(v[mid:] for v in vectors)))
+
+
+class StepState:
+    """What training steps share for one `train` call; a context manager.
+
+    `pool` is one worker thread (made from model_dim SHARD_MIN_DIM up, with
+    BLAS pinned, when the process may use two CPUs; else None), which starts
+    at its first task and is joined when the block leaves, so no thread
+    outlives it. The gradient `FlatViews` of each shard are made at their
+    first use and rewritten by every later step; `release` drops them (before
+    validation, say) and the next step makes them anew.
+    """
+
+    def __init__(self, model):
+        self.layout = model.layout
+        two_cpus = len(os.sched_getaffinity(0)) >= 2
+        wide = model.config.model_dim >= SHARD_MIN_DIM and forking.BLAS_PINNED
+        self.pool = _Worker() if wide and two_cpus else None
+        self._grads = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def gradients(self, shard):
+        """The gradient `FlatViews` of shard 0 or 1."""
+        if shard not in self._grads:
+            self._grads[shard] = FlatViews(self.layout)
+        return self._grads[shard]
+
+    def release(self):
+        """Drop the gradient vectors; views a step returned keep theirs alive."""
+        self._grads = {}
+
+
 # --- primitive layers: each fwd returns (out, cache), bwd consumes it -------
 #
 # A backward takes (N, d) rows, writes its parameters' gradients into `grads`
-# (a FlatViews of zeros, see forward_backward) and returns the gradient of
-# its input. Every parameter but the shared embedding feeds exactly one
-# layer, so each gradient view is written once.
+# (a FlatViews whose embed view is zeroed, see _backward) and returns the
+# gradient of its input. Every parameter but the shared embedding feeds
+# exactly one layer, so each other gradient view is written once, whole,
+# with out=.
 
 
 def _linear_fwd(x, params, prefix, suffix=""):
@@ -511,12 +590,14 @@ class Transformer:
     #
     # Each pass holds its activations as one row per position its `_Rows` keeps.
 
-    def _stack(self, side, x, attend, keeps=(), rows=None):
+    def _stack(self, side, x, attend, keeps=(), rows=None, keep_caches=True):
         """The `_SUBLAYERS` loop of side "enc" or "dec" over the embedded rows x:
         (output rows, sublayer caches, final layer norm cache). attend(kind, i,
         prefix, h) runs layer i's attention sublayer on the layer-normed rows h,
         giving (y, cache); keeps holds the dropout masks after the embedding's
-        (none: no dropout), gathered at `rows`."""
+        (none: no dropout), gathered at `rows`. Without keep_caches, a pass
+        that runs no backward frees each sublayer's cache as it goes, and the
+        list of sublayer caches stays empty."""
         p, c = self.params, self.config
         keeps = iter(keeps)
         caches = []
@@ -527,12 +608,14 @@ class Transformer:
                 y, csub = _ff_fwd(p, prefix, h) if kind == "ff" else attend(kind, i, prefix, h)
                 y, cdrop = _dropout_fwd(y, c.dropout, next(keeps, None), rows)
                 x = x + y
-                caches.append((kind, cln, csub, cdrop))
+                if keep_caches:
+                    caches.append((kind, cln, csub, cdrop))
         out, cln_final = _ln_fwd(x, p, f"{side}.ln")
         return out, caches, cln_final
 
     def _stack_fwd(
-        self, side, ids, rows, masks, self_bias, memory=None, src_bias=None, src_rows=None
+        self, side, ids, rows, masks, self_bias, memory=None, src_bias=None, src_rows=None,
+        keep_caches=True,
     ):
         """`_stack` over the positions of ids that `rows` keeps: (output rows,
         cache). masks holds the side's dropout masks in the order they apply
@@ -548,7 +631,7 @@ class Transformer:
                 return _attn_fwd(p, prefix, h, h, self_bias, c.heads, rows, rows)
             return _attn_fwd(p, prefix, h, memory, src_bias, c.heads, rows, src_rows)
 
-        out, caches, cln_final = self._stack(side, x, attend, keeps, rows)
+        out, caches, cln_final = self._stack(side, x, attend, keeps, rows, keep_caches)
         return out, (drop0, caches, cln_final)
 
     def _stack_bwd(self, dout, ids, rows, cache, grads):
@@ -589,10 +672,11 @@ class Transformer:
 
         return draw("enc", src_shape), draw("dec", tgt_shape)
 
-    def _forward(self, src, tgt_in, tgt_out, masks, pack=True):
+    def _forward(self, src, tgt_in, tgt_out, masks, pack=True, keep_caches=True):
         """The pass training and validation share: (logits, gold ids, cache).
 
-        masks are `_dropout_masks` for these shapes, or None. With pack, the
+        masks are `_dropout_masks` for these shapes, or None. Without
+        keep_caches (validation), the cache serves no backward. With pack, the
         row-wise layers run on the non-pad positions only: the source's, and
         the target's where tgt_in or tgt_out is not pad. logits then has one
         row per such target position and gold holds their tgt_out ids.
@@ -607,19 +691,25 @@ class Transformer:
             rows = _Rows(np.ones_like(tgt_in, dtype=bool))
         enc_masks, dec_masks = masks or (None, None)
         src_bias = self._src_bias(src)
-        memory, enc_cache = self._stack_fwd("enc", src, src_rows, enc_masks, src_bias)
+        memory, enc_cache = self._stack_fwd(
+            "enc", src, src_rows, enc_masks, src_bias, keep_caches=keep_caches
+        )
         dec_out, dec_cache = self._stack_fwd(
-            "dec", tgt_in, rows, dec_masks, self._tgt_bias(tgt_in), memory, src_bias, src_rows
+            "dec", tgt_in, rows, dec_masks, self._tgt_bias(tgt_in), memory, src_bias, src_rows,
+            keep_caches=keep_caches,
         )
         logits, clogits = _linear_fwd(dec_out, self.params, "out")
         gold = rows.gather(tgt_out).astype(np.int64)
         cache = (src, tgt_in, src_rows, rows, enc_cache, dec_cache, clogits)
         return logits, gold, cache
 
-    def _backward(self, dlogits, cache):
-        """The parameter gradients, from the gradient of `_forward`'s logits."""
+    def _backward(self, dlogits, cache, grads):
+        """The parameter gradients, from the gradient of `_forward`'s logits,
+        written into the `FlatViews` grads, whatever it held: the embedding's
+        view, which both sides add into, is zeroed first, and every other view
+        is overwritten whole. Returns grads."""
         src, tgt_in, src_rows, rows, enc_cache, dec_cache, clogits = cache
-        grads = FlatViews(self.layout)
+        grads["embed"].fill(0.0)
         ddec = _linear_bwd(dlogits, clogits, grads)
         dmemory = self._stack_bwd(ddec, tgt_in, rows, dec_cache, grads)
         self._stack_bwd(dmemory, src, src_rows, enc_cache, grads)
@@ -627,13 +717,15 @@ class Transformer:
 
     # -- public entry points ---------------------------------------------------
 
-    def forward_backward(self, src, tgt_in, tgt_out, rng=None):
+    def forward_backward(self, src, tgt_in, tgt_out, rng=None, step=None):
         """One training step's loss, token count and parameter gradients.
 
         rng enables dropout (training mode); pass None for a deterministic
         evaluation pass. Loss is the mean label-smoothed cross entropy over
-        non-pad target positions. The gradients are a `FlatViews` of a new
-        flat vector: one view per parameter name, every one written.
+        non-pad target positions. The gradients are a `FlatViews`, one view
+        per parameter name, every one written: the gradient vector of the
+        `StepState` step, which its next call rewrites, or, without a step,
+        of a state opened and closed within this call.
 
         From model_dim SHARD_MIN_DIM up, with BLAS pinned, a batch of two or
         more sentences is split into two shards that run on two threads
@@ -641,9 +733,9 @@ class Transformer:
         """
         wide = self.config.model_dim >= SHARD_MIN_DIM and len(src) >= 2
         shards = 2 if wide and forking.BLAS_PINNED else 1
-        return self._forward_backward(src, tgt_in, tgt_out, rng, shards)
+        return self._forward_backward(src, tgt_in, tgt_out, rng, shards, step)
 
-    def _forward_backward(self, src, tgt_in, tgt_out, rng, shards):
+    def _forward_backward(self, src, tgt_in, tgt_out, rng, shards, step=None):
         """`forward_backward` over `shards` contiguous sentence shards of the batch.
 
         Every dropout mask is drawn first, at the whole batch's shapes, and
@@ -652,11 +744,12 @@ class Transformer:
         with its logits' gradient divided by the whole batch's token count;
         the vectors and the loss sums are then added in shard order. shards
         is 1 or 2. Shard 0 runs on the calling thread; shard 1 runs on the
-        one thread of a pool opened and shut here when the calling thread may
-        use two CPUs (numpy releases the GIL in GEMMs, ufunc loops and `take`),
-        else after shard 0. Either way each shard's arithmetic is the same, so the
-        result does not depend on the CPU count. One shard is the whole batch
-        as is, since a batch `make_batch` pads has no all-pad column.
+        step's worker when it has one (numpy releases the GIL in GEMMs, ufunc
+        loops and `take`), else after shard 0, and the vectors are added
+        half on each thread (`halves`). Either way each shard's arithmetic
+        is the same, so the result does not depend on the CPU count. One
+        shard is the whole batch as is, since a batch `make_batch` pads has
+        no all-pad column.
         """
         pad = self.pad_id
         count = int(np.count_nonzero(tgt_out != pad))
@@ -665,7 +758,7 @@ class Transformer:
         masks = self._dropout_masks(rng, src.shape, tgt_in.shape)
         bounds = [len(src) * k // shards for k in range(shards + 1)]
 
-        def shard(k):
+        def shard(k, grads):
             lo, hi = bounds[k], bounds[k + 1]
             s = _width(src[lo:hi] != pad)
             t = _width((tgt_in[lo:hi] != pad) | (tgt_out[lo:hi] != pad))
@@ -680,34 +773,33 @@ class Transformer:
             loss_sum, _, dlogits = kernels.xent_loss_grad(
                 logits, gold, pad, self.config.label_smoothing
             )
-            del logits  # freed before the backward allocates the gradient vector
+            del logits  # freed before the backward
             dlogits /= count
-            return loss_sum, self._backward(dlogits, cache)
+            return loss_sum, self._backward(dlogits, cache, grads)
 
-        if shards == 2 and len(os.sched_getaffinity(0)) >= 2:
-            # leaving the block waits for the worker; shard 0's error, raised
-            # first, wins. A copied context carries the caller's np.errstate.
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                second = pool.submit(contextvars.copy_context().run, shard, 1)
-                parts = [shard(0), second.result()]
-        else:
-            parts = [shard(k) for k in range(shards)]
-        loss_sum, grads = parts[0]
-        for part_sum, part_grads in parts[1:]:
-            loss_sum += part_sum
-            grads.vector += part_grads.vector
+        with StepState(self) if step is None else nullcontext(step) as step:
+            views = [step.gradients(k) for k in range(shards)]
+            if shards == 1:
+                loss_sum, grads = shard(0, views[0])
+            else:
+                (loss_sum, grads), (part_sum, part_grads) = _pair(
+                    step.pool, lambda: shard(0, views[0]), lambda: shard(1, views[1])
+                )
+                loss_sum += part_sum
+                # grads += part_grads
+                halves(step.pool, np.add, grads.vector, part_grads.vector, grads.vector)
         return loss_sum / count, count, grads
 
     def loss_on(self, src, tgt_in, tgt_out):
         """Evaluation loss (sum, token count) without dropout."""
-        logits, gold, _ = self._forward(src, tgt_in, tgt_out, None)
+        logits, gold, _ = self._forward(src, tgt_in, tgt_out, None, keep_caches=False)
         return kernels.xent_loss(logits, gold, self.pad_id, self.config.label_smoothing)
 
     def encode(self, src):
         """The encoder memory of a padded source batch, (B, S, d) with zero rows
         at pad positions, and its attention bias."""
         rows, src_bias = _Rows(src != self.pad_id), self._src_bias(src)
-        memory, _ = self._stack_fwd("enc", src, rows, None, src_bias)
+        memory, _ = self._stack_fwd("enc", src, rows, None, src_bias, keep_caches=False)
         return rows.scatter(memory), src_bias
 
     def start_decode(self, src):
@@ -766,5 +858,5 @@ class Transformer:
             return _linear_fwd(ctx, p, prefix, "o")[0], None
 
         # the step's activations stay (rows, d) from the embedding to the logits
-        out, _, _ = self._stack("dec", self._embed_fwd(ids, t), attend)
+        out, _, _ = self._stack("dec", self._embed_fwd(ids, t), attend, keep_caches=False)
         return out @ p["out.w"] + p["out.b"]

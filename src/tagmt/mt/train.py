@@ -4,25 +4,28 @@ Adam with warmup + inverse-sqrt decay, global-norm gradient clipping, and
 best-validation checkpoint selection. Training holds the parameters, the
 gradient, the Adam moments and the best-validation snapshot as flat vectors
 laid out by `model.param_layout` (`model.FlatViews`), so a step is one norm
-reduction, at most one in-place scale and one `kernels.adam_update` call. A
-single numpy Generator seeded from the config drives init, batch shuffling
-and dropout, so the whole loss trace is reproducible bit for bit given
-(seed, config, data), at the one BLAS thread `forking` pins and on any CPU
-count, also where `Transformer.forward_backward` splits a step into two
-sentence shards on two threads (`model.SHARD_MIN_DIM`); no thread outlives
-the step. A checkpoint file still stores one `param:<name>` array per
-parameter.
+reduction, at most one in-place scale and one Adam update over the flat
+vectors. A single numpy Generator seeded from the config drives init, batch
+shuffling and dropout, so the whole loss trace is reproducible bit for bit
+given (seed, config, data), at the one BLAS thread `forking` pins and on any
+CPU count, also where `Transformer.forward_backward` splits a step into two
+sentence shards on two threads (`model.SHARD_MIN_DIM`). There `train` keeps
+one `model.StepState` for the whole call: its one worker thread also runs
+half of the scale and of Adam (`model.halves`, elementwise, so the same bits)
+and every other validation batch, and no thread outlives the call. A
+checkpoint file still stores one `param:<name>` array per parameter.
 """
 
 import json
 import zipfile
+from concurrent.futures import wait
 
 import numpy as np
 
 from ..errors import ConfigError, DataError, Divergence
 from ..fileio import atomic_write
 from . import kernels
-from .model import DTYPE, FlatViews, ModelConfig, Transformer, param_layout
+from .model import DTYPE, FlatViews, ModelConfig, StepState, Transformer, halves, param_layout
 from .vocab import Vocab, pad_rows, vocab_from_pairs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -165,26 +168,43 @@ def make_batch(encoded, indices, vocab):
     return src, tgt_in, tgt_out
 
 
-def _clip_grads(grad, clip):
+def _clip_grads(grad, clip, pool=None):
     """Scale the flat gradient in place to global norm `clip` when its norm is
-    above it; return the norm before clipping.
+    above it; return the norm before clipping. With a pool, the scale runs
+    half on each thread (`model.halves`).
 
-    einsum sums in its own fixed order; BLAS ddot would split the sum by the
-    BLAS thread count and make the trace depend on it.
+    einsum sums in its own fixed order, on one thread; BLAS ddot would split
+    the sum by the BLAS thread count and make the trace depend on it.
     """
     norm = float(np.einsum("i,i->", grad, grad)) ** 0.5
     if norm > clip:
-        grad *= clip / norm
+        scale = clip / norm
+        halves(pool, lambda part: np.multiply(part, scale, out=part), grad)
     return norm
 
 
-def evaluate_loss(model, encoded, vocab, batch_size):
-    """Mean per-token loss over a dataset, deterministic order, no dropout."""
-    total, count = 0.0, 0
-    for start in range(0, len(encoded), batch_size):
+def evaluate_loss(model, encoded, vocab, batch_size, pool=None):
+    """Mean per-token loss over a dataset, deterministic order, no dropout.
+
+    With a pool (a `model.StepState`'s), every other batch runs on its
+    worker; the sums are added in batch order either way, and a failing
+    batch raises as the first to fail in that order would.
+    """
+    starts = range(0, len(encoded), batch_size)
+
+    def loss_at(start):
         idx = range(start, min(start + batch_size, len(encoded)))
-        src, tgt_in, tgt_out = make_batch(encoded, idx, vocab)
-        loss_sum, n = model.loss_on(src, tgt_in, tgt_out)
+        return model.loss_on(*make_batch(encoded, idx, vocab))
+
+    odd = {i: pool.submit(loss_at, s) for i, s in enumerate(starts) if pool is not None and i % 2}
+    try:
+        sums = [odd[i].result() if i in odd else loss_at(start) for i, start in enumerate(starts)]
+    finally:
+        for future in odd.values():
+            future.cancel()
+        wait(odd.values())
+    total, count = 0.0, 0
+    for loss_sum, n in sums:
         total += loss_sum
         count += n
     return total / max(count, 1)
@@ -240,33 +260,45 @@ def train(
     best_flat = None
     stopped_early = False
     batches = _batches(len(encoded_train), config.batch_size, rng)
-    for step, idx in zip(range(1, config.max_steps + 1), batches):
+
+    def update(step, idx, state):
+        """One Adam step on the batch idx; returns its loss."""
         src, tgt_in, tgt_out = make_batch(encoded_train, idx, vocab)
-        loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng)
+        loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng, step=state)
         if not np.isfinite(loss):
             raise Divergence(step, loss)
-        _clip_grads(grads.vector, config.grad_clip)
+        _clip_grads(grads.vector, config.grad_clip, state.pool)
         lr = learning_rate_at(step, config)
-        kernels.adam_update(
-            flat, grads.vector, adam_m, adam_v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step
-        )
-        train_trace.append(float(loss))
-        if step % config.validation_interval:
-            continue
-        line = f"step {step}: train {loss:.4f}"
-        if encoded_valid:
-            vloss = float(evaluate_loss(model, encoded_valid, vocab, config.batch_size))
-            line += f" valid {vloss:.4f}"
-            val_trace.append([step, vloss])
-            best_step = min(val_trace, key=lambda entry: entry[1])[0]  # the first minimum
-            if best_step == step:
-                best_flat = flat.copy()
-            stale_validations = (step - best_step) // config.validation_interval
-            stopped_early = 0 < config.patience <= stale_validations
-        if log is not None:
-            log(line)
-        if stopped_early:
-            break
+
+        def adam(p, g, m, v):
+            kernels.adam_update(p, g, m, v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step)
+
+        halves(state.pool, adam, flat, grads.vector, adam_m, adam_v)
+        return loss
+
+    with StepState(model) as state:
+        for step, idx in zip(range(1, config.max_steps + 1), batches):
+            loss = update(step, idx, state)
+            train_trace.append(float(loss))
+            if step % config.validation_interval:
+                continue
+            line = f"step {step}: train {loss:.4f}"
+            if encoded_valid:
+                state.release()  # validation's peak memory does without the gradients
+                vloss = float(
+                    evaluate_loss(model, encoded_valid, vocab, config.batch_size, state.pool)
+                )
+                line += f" valid {vloss:.4f}"
+                val_trace.append([step, vloss])
+                best_step = min(val_trace, key=lambda entry: entry[1])[0]  # the first minimum
+                if best_step == step:
+                    best_flat = flat.copy()
+                stale_validations = (step - best_step) // config.validation_interval
+                stopped_early = 0 < config.patience <= stale_validations
+            if log is not None:
+                log(line)
+            if stopped_early:
+                break
 
     final_params = model.params if best_flat is None else FlatViews(layout, best_flat)
     best_step, best_val_loss = min(val_trace, key=lambda entry: entry[1], default=(step, None))

@@ -327,7 +327,8 @@ def test_translate_non_finite_scores_exit_1(tmp_path, decode):
     checkpoint.save(str(ckpt))
     # one line decodes here; enough lines to pass FORK_MIN_WORK decode half in a forked child
     width = 1 if decode == "greedy" else 4
-    many = max(2, -(-FORK_MIN_WORK // (width * checkpoint.config.max_len)))
+    c = checkpoint.config
+    many = max(2, -(-FORK_MIN_WORK // (width * c.max_len * c.model_dim)))
     cfg = write_cfg(tmp_path, f"[decode]\nmethod = {decode}\n")
     for lines, launcher, forks in [(1, ["-m", "tagmt.cli"], ""), (many, ["-c", FORCED_FORK_CLI], "1\n")]:
         sources = tmp_path / "sources.txt"

@@ -312,7 +312,7 @@ def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
 )
 def test_decode_forks_from_fork_min_work(monkeypatch, n, decode, max_len, forks):
     calls = counting_forks(monkeypatch, 2)
-    monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 96)
+    monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 96 * 16)  # 96 row-positions at d=16
     width = 2 if n > 1 else 8
     translate_corpus(random_checkpoint(0), ["aa bb"] * n, decode=decode, beam_width=width, max_len=max_len)
     assert len(calls) == forks

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from test_model import MICRO
 from tagmt.mt import kernels
-from tagmt.mt.model import Transformer
+from tagmt.mt.model import FlatViews, Transformer
 
 BOS, EOS = 1, 2
 
@@ -36,7 +36,7 @@ def every_position_forward_backward(model, src, tgt_in, tgt_out, rng):
         logits, gold, model.pad_id, model.config.label_smoothing
     )
     dlogits /= count
-    return loss_sum / count, count, model._backward(dlogits, cache)
+    return loss_sum / count, count, model._backward(dlogits, cache, FlatViews(model.layout))
 
 
 @st.composite

@@ -25,9 +25,21 @@ from hypothesis import strategies as st
 from test_model import MICRO, micro_batch, micro_model, relative_gradient_errors
 from test_packing import batches
 from tagmt import forking
+from tagmt.mt import kernels
 from tagmt.mt import model as model_module
-from tagmt.mt.model import ModelConfig, Transformer
-from tagmt.mt.train import encode_pairs, make_batch, train
+from tagmt.mt.model import FlatViews, ModelConfig, StepState, Transformer
+from tagmt.mt.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    _batches,
+    _clip_grads,
+    encode_pairs,
+    evaluate_loss,
+    learning_rate_at,
+    make_batch,
+    train,
+)
 from tagmt.mt.vocab import vocab_from_pairs
 from tagmt.toy import make_copy_task
 
@@ -74,9 +86,9 @@ def count_shards(monkeypatch):
     shard_counts = []
     sharded = Transformer._forward_backward
 
-    def counting(self, src, tgt_in, tgt_out, rng, shards):
+    def counting(self, src, tgt_in, tgt_out, rng, shards, step=None):
         shard_counts.append(shards)
-        return sharded(self, src, tgt_in, tgt_out, rng, shards)
+        return sharded(self, src, tgt_in, tgt_out, rng, shards, step)
 
     monkeypatch.setattr(Transformer, "_forward_backward", counting)
     return shard_counts
@@ -161,8 +173,8 @@ def test_caller_shard_error_waits_for_worker_shard(monkeypatch):
         assert worker_running.wait(timeout=60)
         raise FloatingPointError("caller shard failed")
 
-    def marking_backward(self, dlogits, cache):
-        grads = backward(self, dlogits, cache)
+    def marking_backward(self, dlogits, cache, grads):
+        grads = backward(self, dlogits, cache, grads)
         if on_worker():
             worker_done.set()
         return grads
@@ -193,6 +205,99 @@ def test_both_shards_fail_shard_zero_error_wins(monkeypatch):
         default_shape_step(2, monkeypatch)
 
 
+def test_step_state_rewrites_every_gradient_view(monkeypatch):
+    """A step writes every view of reused gradient vectors, whatever they held:
+    NaN left in any view would reach the result."""
+    config = ModelConfig(dropout=0.1, seed=2)
+    pairs = make_copy_task(32, seed=8, vocab_size=60, min_len=2, max_len=20)
+    vocab = vocab_from_pairs(pairs)
+    batch = make_batch(encode_pairs(pairs, vocab, config), range(32), vocab)
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(forking, "BLAS_PINNED", True)
+    fresh = model.forward_backward(*batch, rng=np.random.default_rng(5))[2].vector
+    with StepState(model) as step:
+        assert step.pool is not None
+        for shard in (0, 1):
+            step.gradients(shard).vector.fill(np.nan)
+        loss, _, grads = model.forward_backward(*batch, rng=np.random.default_rng(5), step=step)
+        assert grads is step.gradients(0)
+        assert np.isfinite(loss)
+        assert np.isfinite(step.gradients(0).vector).all()
+        assert np.isfinite(step.gradients(1).vector).all()
+        assert np.array_equal(grads.vector, fresh)
+
+
+def sharded_world(monkeypatch):
+    """A d=128 config with dropout, copy-task pairs (64 training, 6 held out)
+    and two CPUs with BLAS pinned, so that a step shards on a worker thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(forking, "BLAS_PINNED", True)
+    config = ModelConfig(ff_dim=64, heads=2, max_len=16, max_steps=3,
+                         validation_interval=3, dropout=0.1)
+    pairs = make_copy_task(70, seed=3, vocab_size=20, min_len=2, max_len=10)
+    return config, pairs[:64], pairs[64:]
+
+
+def test_sharded_train_equals_stateless_steps(monkeypatch):
+    """`train`'s reused vectors, worker-side add, clip scale and Adam halves
+    against a loop of stateless `forward_backward` calls and whole-vector
+    clip and Adam."""
+    config, training, validation = sharded_world(monkeypatch)
+    ckpt = train(config, training, validation)
+
+    vocab = ckpt.vocab
+    encoded = encode_pairs(training, vocab, config)
+    rng = np.random.default_rng(config.seed)
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id, rng=rng)
+    flat = np.concatenate([model.params[name].ravel() for name, _, _ in model.layout])
+    model.params = FlatViews(model.layout, flat)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    trace = []
+    batches = _batches(len(encoded), config.batch_size, rng)
+    for step, idx in zip(range(1, config.max_steps + 1), batches):
+        loss, _, grads = model.forward_backward(*make_batch(encoded, idx, vocab), rng=rng)
+        _clip_grads(grads.vector, config.grad_clip)
+        lr = learning_rate_at(step, config)
+        kernels.adam_update(flat, grads.vector, m, v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step)
+        trace.append(float(loss))
+    valid = evaluate_loss(model, encode_pairs(validation, vocab, config), vocab, config.batch_size)
+
+    assert ckpt.training_meta["train_loss_trace"] == trace
+    assert ckpt.training_meta["val_loss_trace"] == [[3, valid]]
+    for name, value in ckpt.params.items():
+        assert value.tobytes() == model.params[name].tobytes(), name
+
+
+def test_evaluate_loss_on_worker_equals_serial(monkeypatch):
+    config, training, _ = sharded_world(monkeypatch)
+    vocab = vocab_from_pairs(training)
+    encoded = encode_pairs(training, vocab, config)
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
+    batch_size = 24  # 64 pairs: three batches, the last one short
+    serial = evaluate_loss(model, encoded, vocab, batch_size)
+    with StepState(model) as step:
+        assert step.pool is not None
+        assert evaluate_loss(model, encoded, vocab, batch_size, step.pool) == serial
+
+
+def test_evaluate_loss_worker_error_reaches_caller(monkeypatch):
+    config, training, _ = sharded_world(monkeypatch)
+    vocab = vocab_from_pairs(training)
+    encoded = encode_pairs(training, vocab, config)
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
+    xent = kernels.xent_loss
+
+    def fails_off_main_thread(*args):
+        if on_worker():
+            raise FloatingPointError("batch 1 failed")
+        return xent(*args)
+
+    monkeypatch.setattr(kernels, "xent_loss", fails_off_main_thread)
+    with StepState(model) as step, pytest.raises(FloatingPointError, match="^batch 1 failed$"):
+        evaluate_loss(model, encoded, vocab, 24, step.pool)
+
+
 def test_sharded_train_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(forking, "BLAS_PINNED", True)
@@ -205,7 +310,7 @@ def test_sharded_train_leaves_no_thread(monkeypatch):
     before = threading.active_count()
     train(config, pairs[:64], pairs[64:])
     assert threading.active_count() == before
-    assert len(started) == 3
+    assert len(started) == 1  # one worker for the whole call, not one a step
 
 
 # A sharded train in the parent, then one in the child `forking.alongside` forks.
@@ -254,6 +359,6 @@ def test_sharded_train_in_forked_child_completes(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # one shard thread a step in each of the parent's two trainings; the child
-    # inherits the first training's 4 and starts 4 more
-    assert proc.stdout == "1 8 8\n"
+    # one worker thread in each of the parent's two trainings; the child
+    # inherits the first training's one and starts one more
+    assert proc.stdout == "1 2 2\n"
