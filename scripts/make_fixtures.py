@@ -56,9 +56,9 @@ def main():
     valid = make_disambiguation_examples(50, seed=12, id_start=10_000)
     test = make_disambiguation_examples(100, seed=14, id_start=20_000)
     extra = make_disambiguation_examples(100, seed=15, id_start=30_000)
-    write_vg_corpus(examples_to_vg(train, "train"), os.path.join(dis_dir, "train.tsv"))
-    write_vg_corpus(examples_to_vg(valid, "dtest"), os.path.join(dis_dir, "valid.tsv"))
-    write_vg_corpus(examples_to_vg(test, "etest"), os.path.join(dis_dir, "test.tsv"))
+    write_vg_corpus(examples_to_vg(train), os.path.join(dis_dir, "train.tsv"))
+    write_vg_corpus(examples_to_vg(valid), os.path.join(dis_dir, "valid.tsv"))
+    write_vg_corpus(examples_to_vg(test), os.path.join(dis_dir, "test.tsv"))
     detections = {}
     for examples in (train, valid, test):
         detections.update(examples_to_detections(examples))

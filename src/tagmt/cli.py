@@ -11,9 +11,7 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, in_section, load_experiment_config
-from .corpus import (
-    SPLIT_LABELS, corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
-)
+from .corpus import corpus_stats, load_bitext, load_vg_corpus, read_pairs_tsv, write_pairs_tsv
 from .errors import ConfigError, DataError, TagmtError
 from .evaluation import (
     REPORT_FORMATS,
@@ -35,6 +33,9 @@ from .tagging import (
     select_corpus_tags,
     write_tagsets_file,
 )
+
+# the split names `corpus stats --split` accepts and echoes
+SPLIT_LABELS = ("train", "dtest", "etest", "ctest", "unspecified")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,35 +66,33 @@ def _kv_lines(pairs, fmt):
 # -- corpus ------------------------------------------------------------------
 
 
-def _load_corpus_args(args, *split):
+def _load_corpus_args(args):
+    """The (source, target) pairs of --vg, or of --source and --target."""
+    if args.vg and (args.source or args.target):
+        raise ConfigError("--vg cannot be combined with --source or --target")
     if args.vg:
-        return load_vg_corpus(args.vg, *split)
+        return [(source, target) for _, source, target in load_vg_corpus(args.vg)]
     if args.source and args.target:
-        return load_bitext(args.source, args.target, *split)
+        return load_bitext(args.source, args.target)
     raise ConfigError("need --vg or both --source and --target")
 
 
 def cmd_corpus_stats(args):
-    corpus = _load_corpus_args(args, args.split)
-    stats = corpus_stats(corpus)
-    print(
-        _kv_lines(
-            [
-                ("split", corpus.split_label),
-                ("sentences", stats.sentence_count),
-                ("source_tokens", stats.source_token_count),
-                ("target_tokens", stats.target_token_count),
-            ],
-            args.format,
-        )
-    )
+    sentences, source_tokens, target_tokens = corpus_stats(_load_corpus_args(args))
+    fields = [
+        ("split", args.split),
+        ("sentences", sentences),
+        ("source_tokens", source_tokens),
+        ("target_tokens", target_tokens),
+    ]
+    print(_kv_lines(fields, args.format))
     return 0
 
 
 def cmd_corpus_validate(args):
-    corpus = _load_corpus_args(args)
+    pairs = _load_corpus_args(args)
     kind = "records" if args.vg else "aligned sentence pairs"
-    print(f"OK: {len(corpus)} {kind}")
+    print(f"OK: {len(pairs)} {kind}")
     return 0
 
 

@@ -50,23 +50,23 @@ def run_pipeline(config, log=print):
 
     log(f"[1/7] corpora + tags (backend={config.tagging_backend}, k={config.top_k})")
     detector = config.detector()
-    train_corpus = load_vg_corpus(config.paths["train_corpus"], "train")
-    test_corpus = load_vg_corpus(config.paths["test_corpus"], "etest")
-    valid_corpus = None
+    train_rows = load_vg_corpus(config.paths["train_corpus"])
+    test_rows = load_vg_corpus(config.paths["test_corpus"])
+    valid_rows = []
     if "valid_corpus" in config.paths:
-        valid_corpus = load_vg_corpus(config.paths["valid_corpus"], "dtest")
+        valid_rows = load_vg_corpus(config.paths["valid_corpus"])
     bitext = None
     if "bitext_source" in config.paths:  # and so bitext_target (config.validate)
         bitext = load_bitext(config.paths["bitext_source"], config.paths["bitext_target"])
 
-    tagged_train = tag_corpus(train_corpus, detector, k=config.top_k)
-    tagged_test = tag_corpus(test_corpus, detector, k=config.top_k)
-    tagged_valid = tag_corpus(valid_corpus, detector, k=config.top_k) if valid_corpus else []
+    tagged_train = tag_corpus(train_rows, detector, k=config.top_k)
+    tagged_test = tag_corpus(test_rows, detector, k=config.top_k)
+    tagged_valid = tag_corpus(valid_rows, detector, k=config.top_k)
     write_pairs_tsv(tagged_train, artifact("tagged_train.tsv"))
     write_pairs_tsv(tagged_test, artifact("tagged_test.tsv"))
 
-    text_train = [(r.source_text, r.target_text) for r in train_corpus.records]
-    text_valid = [(r.source_text, r.target_text) for r in valid_corpus.records] if valid_corpus else []
+    text_train = [(source, target) for _, source, target in train_rows]
+    text_valid = [(source, target) for _, source, target in valid_rows]
     text_vocab = vocab_from_pairs(text_train)
     in_section("decode", check_beam_width, config.decode_method, config.beam_width, text_vocab)
 
@@ -96,13 +96,13 @@ def run_pipeline(config, log=print):
     text_ckpt = Checkpoint.load(text_path)
 
     log("[6/7] translate the test split with both systems")
-    text_sources = [r.source_text for r in test_corpus.records]
+    text_sources = [source for _, source, _ in test_rows]
     text_hyp = translate_corpus(text_ckpt, text_sources, **config.decode_kwargs)
     mm_hyp = translate_corpus(mm_ckpt, [source for source, _ in tagged_test], **config.decode_kwargs)
     write_lines(text_hyp, artifact("hypotheses_text.txt"))
     write_lines(mm_hyp, artifact("hypotheses_multimodal.txt"))
 
-    references = [r.target_text for r in test_corpus.records]
+    references = [target for _, _, target in test_rows]
     text_bleu = bleu_from_texts(text_hyp, references)
     mm_bleu = bleu_from_texts(mm_hyp, references)
 
@@ -111,7 +111,7 @@ def run_pipeline(config, log=print):
         {config.task_label: text_bleu.score},
         {config.task_label: mm_bleu.score},
         corpus_name=config.corpus_name,
-        split=test_corpus.split_label,
+        split="etest",
     )
     write_report(report, artifact("report.tsv"), fmt="tsv")
     write_report(report, artifact("report.txt"), fmt="table")

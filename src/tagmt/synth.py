@@ -10,7 +10,7 @@ training data: `enrich_corpus` returns a tagged corpus, as `tag_corpus` does.
 from .errors import DataError, SeparatorCollision
 from .mt.decode import translate_corpus
 from .mt.train import train
-from .tagging import DEFAULT_TOP_K, check_k, parse_tagged, render_tagged, split_labels
+from .tagging import DEFAULT_TOP_K, check_k, check_untagged, parse_tagged, render_tagged, split_labels
 
 SEP_TOKEN = "<sep>"
 # share of the synthesizer pairs held out for validation and the fit check
@@ -98,20 +98,21 @@ def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
 
 
 def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
-    """Decode synthetic tags for every record of a text-only corpus into
-    (rendered source, target) pairs.
+    """Decode synthetic tags for every ``(source, target)`` pair of a bitext
+    into (rendered source, target) pairs.
 
-    Output order and target texts match the input exactly. k is checked
-    before anything is decoded.
+    Output order and target texts match the input exactly. k is checked,
+    and every pair for a reserved ``##`` or ``<sep>``, before anything is
+    decoded.
     """
     check_k(k)
-    inputs = [
-        _sep_input(index, rec.source_text, rec.target_text)
-        for index, rec in enumerate(bitext.records)
-    ]
+    inputs = []
+    for index, (source, target) in enumerate(bitext):
+        check_untagged(index, source)
+        inputs.append(_sep_input(index, source, target))
     decoded = translate_corpus(checkpoint, inputs)
     tags = (tags_from_decoded(output, k=k, vocabulary=vocabulary) for output in decoded)
     return [
-        (render_tagged(rec.source_text, labels), rec.target_text)
-        for rec, labels in zip(bitext.records, tags)
+        (render_tagged(source, labels), target)
+        for (source, target), labels in zip(bitext, tags)
     ]

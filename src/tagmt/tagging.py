@@ -7,15 +7,17 @@ renders the bare sentence, so the model never sees a dangling separator.
 
 Only `render_tagged` joins and only `parse_tagged` splits this form: a tagged
 corpus is a list of ``(rendered source, target)`` string pairs, its TSV rows.
+A detection is a ``(label, confidence)`` pair, and `select_tags` turns a list
+of them into the labels of the top k.
 
-The pipeline and the ``tags`` subcommands share one function per step:
-`make_detector` builds the backend, `select_corpus_tags` maps each distinct
-image to its labels (``tags extract``), `inject_tags` fuses that image_id ->
-labels map into the records (``tags inject``), and `tag_corpus` composes the two.
+The pipeline and the ``tags`` subcommands share one function per step over a
+VG corpus's ``(image_id, source, target)`` rows: `make_detector` builds the
+backend, `select_corpus_tags` maps each distinct image to its labels (``tags
+extract``), `inject_tags` fuses that image_id -> labels map into the rows
+(``tags inject``), and `tag_corpus` composes the two.
 """
 
 import hashlib
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (
@@ -27,30 +29,6 @@ SEPARATOR = "##"
 BACKENDS = ("stub", "file")
 # the defaults of [tagging]; DEFAULT_TOP_K is every k argument's too
 DEFAULT_BACKEND, DEFAULT_TOP_K = "stub", 10
-
-
-@dataclass(frozen=True)
-class TagRecord:
-    label: str
-    confidence: float
-
-
-@dataclass(frozen=True)
-class TagSet:
-    """Confidence-ranked, deduplicated tags for one image.
-
-    Tags are ordered by confidence descending, ties by label ascending, and
-    labels are unique. select_tags is the canonical constructor.
-    """
-
-    tags: tuple[TagRecord, ...] = ()
-
-    @property
-    def labels(self):
-        return [t.label for t in self.tags]
-
-    def __len__(self):
-        return len(self.tags)
 
 
 def load_tag_vocabulary(path=None):
@@ -110,7 +88,7 @@ class StubDetector:
             conf_byte = digest[2 + (2 * i) % 30]
             label = self.vocabulary[label_byte % len(self.vocabulary)]
             confidence = conf_byte / 255.0
-            detections.append(TagRecord(label=label, confidence=confidence))
+            detections.append((label, confidence))
         return detections
 
 
@@ -172,15 +150,15 @@ def _parse_detections_file(lines, known_labels):
                 raise MalformedLine(line_number, f"confidence {confidence!r} outside [0, 1]")
             if label not in known_labels:
                 raise MalformedLine(line_number, f"label {label!r} is not in the tag vocabulary")
-            detections.append(TagRecord(label=label, confidence=confidence))
+            detections.append((label, confidence))
         by_image[image_id] = detections
     return by_image
 
 
 def write_detections_file(by_image, path):
-    """Write an image_id -> list[TagRecord] mapping in FileDetector format."""
+    """Write an image_id -> [(label, confidence), ...] mapping in FileDetector format."""
     write_lines(
-        (f"{image_id}\t" + ", ".join(f"{d.label} {d.confidence:g}" for d in detections)
+        (f"{image_id}\t" + ", ".join(f"{label} {confidence:g}" for label, confidence in detections)
          for image_id, detections in by_image.items()),
         path,
     )
@@ -193,26 +171,28 @@ def check_k(k):
 
 
 def select_tags(detections, k=DEFAULT_TOP_K):
-    """Pick the top-k tags from raw detections.
+    """The labels of the top-k tags among ``(label, confidence)`` detections.
 
-    Duplicate labels keep their maximum confidence; the result is sorted by
-    confidence descending with ties broken by label ascending, then truncated
-    to k. Fewer than k detections are all kept.
+    Duplicate labels keep their maximum confidence; the labels are sorted by
+    that confidence descending with ties broken by label ascending, then
+    truncated to k. Fewer than k distinct labels are all kept.
     """
     check_k(k)
     best = {}
-    for det in detections:
-        if not 0.0 <= det.confidence <= 1.0:
-            raise DataError(f"confidence {det.confidence!r} outside [0, 1]")
-        if det.label not in best or det.confidence > best[det.label]:
-            best[det.label] = det.confidence
+    for label, confidence in detections:
+        if not 0.0 <= confidence <= 1.0:
+            raise DataError(f"confidence {confidence!r} outside [0, 1]")
+        if label not in best or confidence > best[label]:
+            best[label] = confidence
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    tags = tuple(TagRecord(label=l, confidence=c) for l, c in ranked[:k])
-    return TagSet(tags=tags)
+    return [label for label, _ in ranked[:k]]
 
 
-def _has_standalone_separator(text):
-    return SEPARATOR in text.split()
+def check_untagged(index, source):
+    """Raise SeparatorCollision naming record ``index`` if its source holds
+    a standalone ``##``, which `render_tagged` would reject."""
+    if SEPARATOR in source.split():
+        raise SeparatorCollision(SEPARATOR, f"record {index}: {source}")
 
 
 def render_tagged(text, labels):
@@ -224,7 +204,7 @@ def render_tagged(text, labels):
     """
     if "\t" in text:
         raise DataError(f"text contains a tab character: {text!r}")
-    if _has_standalone_separator(text):
+    if SEPARATOR in text.split():
         raise SeparatorCollision(SEPARATOR, text)
     if not labels:
         return text
@@ -250,8 +230,9 @@ def split_labels(text):
     return [label.strip() for label in text.split(",") if label.strip()]
 
 
-def select_corpus_tags(corpus, detector_backend, k=DEFAULT_TOP_K):
-    """Map each distinct non-empty image_id to the labels of its top-k tags.
+def select_corpus_tags(rows, detector_backend, k=DEFAULT_TOP_K):
+    """Map each distinct non-empty image_id of ``(image_id, source, target)``
+    rows to the labels of its top-k tags.
 
     k is checked before anything is detected. Images come in the order they
     first appear. A detection error is re-raised with the index of the record
@@ -259,42 +240,42 @@ def select_corpus_tags(corpus, detector_backend, k=DEFAULT_TOP_K):
     """
     check_k(k)
     labels_by_image = {}
-    for index, rec in enumerate(corpus.records):
-        if not rec.image_id or rec.image_id in labels_by_image:
+    for index, (image_id, _, _) in enumerate(rows):
+        if not image_id or image_id in labels_by_image:
             continue
         try:
-            detections = detector_backend.detect(rec.image_id)
+            detections = detector_backend.detect(image_id)
         except UnknownImage as err:
             raise UnknownImage(err.image_id, record_index=index) from None
-        labels_by_image[rec.image_id] = select_tags(detections, k=k).labels
+        labels_by_image[image_id] = select_tags(detections, k=k)
     return labels_by_image
 
 
-def inject_tags(corpus, labels_by_image):
-    """Fuse an image_id -> labels map into a corpus as (rendered source,
-    target) pairs, preserving order and target texts.
+def inject_tags(rows, labels_by_image):
+    """Fuse an image_id -> labels map into ``(image_id, source, target)``
+    rows as (rendered source, target) pairs, preserving order and target
+    texts.
 
-    Records with an empty image_id get no tags. An image absent from the map
+    Rows with an empty image_id get no tags. An image absent from the map
     raises UnknownImage, and a source containing a standalone ``##`` raises
     SeparatorCollision, each with the record index.
     """
     pairs = []
-    for index, rec in enumerate(corpus.records):
-        if _has_standalone_separator(rec.source_text):
-            raise SeparatorCollision(SEPARATOR, f"record {index}: {rec.source_text}")
-        if not rec.image_id:
+    for index, (image_id, source, target) in enumerate(rows):
+        check_untagged(index, source)
+        if not image_id:
             labels = ()
-        elif rec.image_id in labels_by_image:
-            labels = labels_by_image[rec.image_id]
+        elif image_id in labels_by_image:
+            labels = labels_by_image[image_id]
         else:
-            raise UnknownImage(rec.image_id, record_index=index)
-        pairs.append((render_tagged(rec.source_text, labels), rec.target_text))
+            raise UnknownImage(image_id, record_index=index)
+        pairs.append((render_tagged(source, labels), target))
     return pairs
 
 
-def tag_corpus(corpus, detector_backend, k=DEFAULT_TOP_K):
-    """Tag every record of a corpus: `select_corpus_tags` then `inject_tags`."""
-    return inject_tags(corpus, select_corpus_tags(corpus, detector_backend, k=k))
+def tag_corpus(rows, detector_backend, k=DEFAULT_TOP_K):
+    """Tag every row of a VG corpus: `select_corpus_tags` then `inject_tags`."""
+    return inject_tags(rows, select_corpus_tags(rows, detector_backend, k=k))
 
 
 def write_tagsets_file(labels_by_image, path):

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, ParallelRecord, Region
-from .tagging import TagRecord
-
 OBJECT_WORDS = ("dog", "cat", "horse", "car", "bench", "tree", "ball", "bird", "boat", "chair")
 PERSON_WORDS = ("man", "woman", "boy", "girl")
 VERBS = ("sees", "chases", "carries", "watches", "holds")
@@ -128,27 +125,22 @@ def make_disambiguation_examples(
     return examples
 
 
-def examples_to_vg(examples, split_label="unspecified"):
-    records = []
-    for i, ex in enumerate(examples):
-        records.append(
-            ParallelRecord(
-                source_text=ex.source,
-                target_text=ex.target,
-                image_id=ex.image_id,
-                region=Region(x=10 + i % 37, y=5 + i % 23, width=64, height=48),
-            )
-        )
-    return Corpus(records=records, split_label=split_label)
+def examples_to_vg(examples, split_label=None):
+    """The seven-field VG rows `corpus.write_vg_corpus` writes, one per
+    example, each with its own made-up region. ``split_label`` is unused;
+    ``perf/workloads.py`` still passes it."""
+    return [
+        (ex.image_id, 10 + i % 37, 5 + i % 23, 64, 48, ex.source, ex.target)
+        for i, ex in enumerate(examples)
+    ]
 
 
 def examples_to_detections(examples):
-    """image_id -> detector output implementing the tag rule."""
+    """image_id -> detector output, ``(label, confidence)`` pairs, implementing
+    the tag rule."""
     by_image = {}
     for ex in examples:
-        by_image[ex.image_id] = [
-            TagRecord(label=label, confidence=TAG_CONFIDENCE[label]) for label in ex.tags
-        ]
+        by_image[ex.image_id] = [(label, TAG_CONFIDENCE[label]) for label in ex.tags]
     return by_image
 
 

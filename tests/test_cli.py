@@ -85,7 +85,7 @@ def write_mini_cfg(tmp_path, out_dir):
 def test_corpus_stats_table(capsys):
     assert main(["corpus", "stats", "--vg", os.path.join(DISAMBIG, "train.tsv"), "--split", "train"]) == 0
     out = capsys.readouterr().out
-    assert "sentences" in out and "200" in out
+    assert out == "split          train\nsentences      200\nsource_tokens  1260\ntarget_tokens  1260\n"
 
 
 def test_corpus_stats_bitext_tsv(capsys):
@@ -129,6 +129,19 @@ def test_corpus_validate_bitext_tab_exit_2(tmp_path, capsys):
 
 def test_corpus_validate_needs_input(capsys):
     assert main(["corpus", "validate"]) == 1
+
+
+@pytest.mark.parametrize("command", ["stats", "validate"])
+@pytest.mark.parametrize(
+    "bitext", [["--source", "a.src"], ["--target", "a.tgt"], ["--source", "a.src", "--target", "a.tgt"]],
+    ids=["source", "target", "both"],
+)
+def test_corpus_vg_with_bitext_flags_exit_1(capsys, command, bitext):
+    code = main(["corpus", command, "--vg", os.path.join(DISAMBIG, "train.tsv"), *bitext])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: --vg cannot be combined with --source or --target\n"
 
 
 def test_usage_error_exit_1():
@@ -698,6 +711,26 @@ def test_synth_enrich_bitext_tab_exit_2_before_decoding(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def test_synth_enrich_separator_names_record_exit_2_before_decoding(tmp_path, monkeypatch, capsys):
+    from tagmt import synth
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a bitext that holds the reserved separator")
+
+    monkeypatch.setattr(synth, "translate_corpus", no_decode)
+    ckpt = tmp_path / "synth.ckpt"
+    random_checkpoint(0).save(str(ckpt))
+    src = tmp_path / "extra.src"
+    tgt = tmp_path / "extra.tgt"
+    src.write_text("aa bb\nthe ## cat\n", encoding="utf-8")
+    tgt.write_text("cc dd\nee ff\n", encoding="utf-8")
+    out = tmp_path / "enriched.tsv"
+    err = _data_error(capsys, ["synth", "enrich", "--checkpoint", str(ckpt), "--source", str(src),
+                               "--target", str(tgt), "--output", str(out)])
+    assert err == "error: text contains the reserved separator '##': 'record 1: the ## cat'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, body, message",
     [
@@ -816,17 +849,16 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
 
     # plain text views of the corpora (documented VG format -> pairs TSV)
     for split, vg in (("train", train_vg), ("valid", valid_vg)):
-        corpus = load_vg_corpus(vg)
         with open(p(f"text_{split}.tsv"), "w", encoding="utf-8") as fh:
-            for rec in corpus.records:
-                fh.write(f"{rec.source_text}\t{rec.target_text}\n")
-    test_corpus = load_vg_corpus(test_vg)
+            for _, source, target in load_vg_corpus(vg):
+                fh.write(f"{source}\t{target}\n")
+    test_rows = load_vg_corpus(test_vg)
     with open(p("test_sources.txt"), "w", encoding="utf-8") as fh:
-        for rec in test_corpus.records:
-            fh.write(rec.source_text + "\n")
+        for _, source, _ in test_rows:
+            fh.write(source + "\n")
     with open(p("test_refs.txt"), "w", encoding="utf-8") as fh:
-        for rec in test_corpus.records:
-            fh.write(rec.target_text + "\n")
+        for _, _, target in test_rows:
+            fh.write(target + "\n")
     with open(p("test_tagged_sources.txt"), "w", encoding="utf-8") as fh:
         for line in read_lines(p("tagged_test.tsv")):
             fh.write(line.split("\t")[0] + "\n")

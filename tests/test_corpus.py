@@ -2,31 +2,24 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagmt.corpus import (
-    Corpus,
-    ParallelRecord,
-    Region,
     corpus_stats,
+    load_vg_corpus,
     parse_bitext,
     parse_vg_corpus,
     read_pairs_tsv,
-    serialize_vg_corpus,
     write_pairs_tsv,
+    write_vg_corpus,
 )
-from tagmt.errors import DataError, LengthMismatch, MalformedLine
+from tagmt.errors import LengthMismatch, MalformedLine
 from tagmt.fileio import atomic_write, read_lines, tsv_rows, write_lines
 
 
 def test_parse_vg_single_line():
-    corpus = parse_vg_corpus(["42\t10\t20\t50\t60\ta man\tएक आदमी"], "train")
-    assert len(corpus) == 1
-    rec = corpus.records[0]
-    assert rec.image_id == "42"
-    assert rec.region == Region(10, 20, 50, 60)
-    assert rec.source_text == "a man"
-    assert rec.target_text == "एक आदमी"
-    assert corpus.split_label == "train"
+    assert parse_vg_corpus(["42\t10\t20\t50\t60\ta man\tएक आदमी"]) == [("42", "a man", "एक आदमी")]
 
 
 def test_parse_vg_wrong_field_count():
@@ -64,41 +57,38 @@ def test_parse_vg_blank_text_fields():
 
 
 def test_parse_vg_trims_outer_whitespace_only():
-    corpus = parse_vg_corpus(["7\t1\t1\t2\t2\t  a  man \tतीन  लोग "])
-    assert corpus.records[0].source_text == "a  man"
-    assert corpus.records[0].target_text == "तीन  लोग"
+    assert parse_vg_corpus(["7\t1\t1\t2\t2\t  a  man \tतीन  लोग "]) == [("7", "a  man", "तीन  लोग")]
 
 
-def test_parse_serialize_round_trip_random():
-    rng = random.Random(99)
-    words = ["a", "man", "रथ", "नदी", "dog", "πλοίο", "x1"]
-    lines = []
-    for i in range(200):
-        src = " ".join(rng.choices(words, k=rng.randint(1, 6)))
-        tgt = " ".join(rng.choices(words, k=rng.randint(1, 6)))
-        lines.append(
-            f"im{i}\t{rng.randint(0, 99)}\t{rng.randint(0, 99)}"
-            f"\t{rng.randint(1, 99)}\t{rng.randint(1, 99)}\t{src}\t{tgt}"
-        )
-    corpus = parse_vg_corpus(lines, "etest")
-    again = parse_vg_corpus(serialize_vg_corpus(corpus), "etest")
-    assert again.records == corpus.records
-    assert serialize_vg_corpus(again) == lines
+# a field holds no tab or line end; a text field is not blank once trimmed
+FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=12)
+TEXT = FIELD.filter(str.strip)
+VG_ROWS = st.lists(
+    st.tuples(
+        FIELD,
+        st.integers(0, 10_000),
+        st.integers(0, 10_000),
+        st.integers(1, 10_000),
+        st.integers(1, 10_000),
+        TEXT,
+        TEXT,
+    ),
+    max_size=8,
+)
 
 
-def test_serialize_requires_region():
-    corpus = Corpus(records=[ParallelRecord(source_text="a", target_text="b")])
-    with pytest.raises(DataError):
-        serialize_vg_corpus(corpus)
+@settings(max_examples=200, deadline=None)
+@given(rows=VG_ROWS)
+def test_write_then_load_vg_gives_each_row_text(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("vg") / "corpus.tsv"
+    write_vg_corpus(rows, path)
+    assert load_vg_corpus(path) == [
+        (image_id.strip(), source.strip(), target.strip()) for image_id, *_, source, target in rows
+    ]
 
 
 def test_parse_bitext_pairs_lines():
-    corpus = parse_bitext(["a dog"], ["एक कुत्ता"])
-    assert len(corpus) == 1
-    rec = corpus.records[0]
-    assert (rec.source_text, rec.target_text) == ("a dog", "एक कुत्ता")
-    assert rec.image_id == ""
-    assert rec.region is None
+    assert parse_bitext(["a dog"], ["एक कुत्ता"]) == [("a dog", "एक कुत्ता")]
 
 
 def test_parse_bitext_length_mismatch():
@@ -123,16 +113,14 @@ def test_parse_bitext_preserves_pairing():
     rng = random.Random(3)
     src = [f"s{i} {rng.randint(0, 9)}" for i in range(50)]
     tgt = [f"t{i}" for i in range(50)]
-    corpus = parse_bitext(src, tgt)
-    for i, rec in enumerate(corpus.records):
-        assert rec.source_text == src[i]
-        assert rec.target_text == tgt[i]
+    pairs = parse_bitext(src, tgt)
+    for i, (source, target) in enumerate(pairs):
+        assert source == src[i]
+        assert target == tgt[i]
 
 
 def test_corpus_stats_hand_counted():
-    corpus = parse_bitext(["a b"], ["c"])
-    stats = corpus_stats(corpus)
-    assert (stats.sentence_count, stats.source_token_count, stats.target_token_count) == (1, 2, 1)
+    assert corpus_stats(parse_bitext(["a b"], ["c"])) == (1, 2, 1)
 
 
 def test_corpus_stats_sentence_count_matches_len():
@@ -141,8 +129,8 @@ def test_corpus_stats_sentence_count_matches_len():
         n = rng.randint(0, 30)
         src = [f"w{rng.randint(0, 5)} y" for _ in range(n)]
         tgt = [f"z{i}" for i in range(n)]
-        corpus = parse_bitext(src, tgt)
-        assert corpus_stats(corpus).sentence_count == len(corpus.records) == n
+        pairs = parse_bitext(src, tgt)
+        assert corpus_stats(pairs)[0] == len(pairs) == n
 
 
 def test_pairs_tsv_round_trip(tmp_path):

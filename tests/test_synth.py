@@ -162,9 +162,9 @@ def test_enrich_corpus_counts_and_targets(memorize_checkpoint):
     )
     enriched = enrich_corpus(bitext, memorize_checkpoint, vocabulary=VOCAB)
     assert len(enriched) == 3
-    for (source, target), rec in zip(enriched, bitext.records):
-        assert target == rec.target_text
-        assert parse_tagged(source) == (rec.source_text, ["dog"])
+    for (source, target), (bitext_source, bitext_target) in zip(enriched, bitext):
+        assert target == bitext_target
+        assert parse_tagged(source) == (bitext_source, ["dog"])
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -176,6 +176,18 @@ def test_enrich_corpus_rejects_k_below_one_before_decoding(monkeypatch, k):
     bitext = parse_bitext(["a dog runs"], ["EIN HUND"])
     with pytest.raises(ConfigError, match=rf"k must be >= 1, got {k}"):
         enrich_corpus(bitext, checkpoint=None, k=k, vocabulary=VOCAB)
+
+
+@pytest.mark.parametrize("separator", ["##", "<sep>"])
+def test_enrich_corpus_rejects_reserved_separator_before_decoding(monkeypatch, separator):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("translate_corpus ran before the sources were checked")
+
+    monkeypatch.setattr("tagmt.synth.translate_corpus", no_decode)
+    bitext = parse_bitext(["a dog runs", f"the {separator} cat"], ["EIN HUND", "DIE KATZE"])
+    with pytest.raises(SeparatorCollision) as err:
+        enrich_corpus(bitext, checkpoint=None, vocabulary=VOCAB)
+    assert str(err.value) == f"text contains the reserved separator {separator!r}: 'record 1: the {separator} cat'"
 
 
 def test_enrich_empty_bitext(memorize_checkpoint):

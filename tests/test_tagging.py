@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from tagmt.corpus import parse_bitext, parse_vg_corpus
+from tagmt.corpus import parse_vg_corpus
 from tagmt.errors import ConfigError, DataError, MalformedLine, SeparatorCollision, UnknownImage
 from tagmt.tagging import (
     FileDetector,
     StubDetector,
-    TagRecord,
-    TagSet,
     load_tag_vocabulary,
     make_detector,
     parse_tagged,
@@ -23,68 +21,68 @@ from tagmt.tagging import (
 def brute_force_select(detections, k):
     """Independent oracle: dedup by max confidence, sort, slice."""
     best = {}
-    for d in detections:
-        best[d.label] = max(best.get(d.label, -1.0), d.confidence)
-    ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return [(label, conf) for label, conf in ordered]
+    for label, confidence in detections:
+        best[label] = max(best.get(label, -1.0), confidence)
+    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+def best_confidence(detections):
+    """Each label's maximum confidence."""
+    return dict(sorted(detections, key=lambda det: det[1]))
 
 
 # -- selection ----------------------------------------------------------------
 
 
 def test_select_top_10_of_12_distinct():
-    dets = [TagRecord(f"l{i:02d}", 0.05 + 0.07 * i) for i in range(12)]
+    dets = [(f"l{i:02d}", 0.05 + 0.07 * i) for i in range(12)]
     random.Random(1).shuffle(dets)
-    ts = select_tags(dets, k=10)
-    assert len(ts) == 10
-    assert ts.labels == [f"l{11 - i:02d}" for i in range(10)]
-    confs = [t.confidence for t in ts.tags]
+    labels = select_tags(dets, k=10)
+    assert len(labels) == 10
+    assert labels == [f"l{11 - i:02d}" for i in range(10)]
+    confs = [best_confidence(dets)[label] for label in labels]
     assert confs == sorted(confs, reverse=True)
 
 
 def test_select_keeps_all_when_fewer_than_k():
-    dets = [TagRecord("a", 0.3), TagRecord("b", 0.9), TagRecord("c", 0.5), TagRecord("d", 0.1)]
-    ts = select_tags(dets, k=10)
-    assert ts.labels == ["b", "c", "a", "d"]
+    dets = [("a", 0.3), ("b", 0.9), ("c", 0.5), ("d", 0.1)]
+    assert select_tags(dets, k=10) == ["b", "c", "a", "d"]
 
 
 def test_select_empty():
-    assert select_tags([], k=10).labels == []
+    assert select_tags([], k=10) == []
 
 
 def test_select_dedup_and_tie_break():
-    dets = [TagRecord("dog", 0.8), TagRecord("dog", 0.6), TagRecord("cat", 0.8)]
-    ts = select_tags(dets, k=10)
-    assert [(t.label, t.confidence) for t in ts.tags] == [("cat", 0.8), ("dog", 0.8)]
+    dets = [("dog", 0.8), ("dog", 0.6), ("cat", 0.8)]
+    labels = select_tags(dets, k=10)
+    assert [(label, best_confidence(dets)[label]) for label in labels] == [("cat", 0.8), ("dog", 0.8)]
 
 
 def test_select_matches_brute_force_oracle():
     rng = random.Random(42)
     labels = [f"t{i}" for i in range(15)]
     for _ in range(500):
-        dets = [
-            TagRecord(rng.choice(labels), round(rng.random(), 3))
-            for _ in range(rng.randint(0, 25))
-        ]
+        dets = [(rng.choice(labels), round(rng.random(), 3)) for _ in range(rng.randint(0, 25))]
         k = rng.randint(1, 12)
-        got = [(t.label, t.confidence) for t in select_tags(dets, k=k).tags]
+        got = [(label, best_confidence(dets)[label]) for label in select_tags(dets, k=k)]
         assert got == brute_force_select(dets, k)
 
 
 def test_select_idempotent():
     rng = random.Random(5)
     for _ in range(50):
-        dets = [TagRecord(f"x{rng.randint(0, 8)}", rng.random()) for _ in range(15)]
+        dets = [(f"x{rng.randint(0, 8)}", rng.random()) for _ in range(15)]
         once = select_tags(dets, k=6)
-        twice = select_tags(list(once.tags), k=6)
-        assert twice.tags == once.tags
+        twice = select_tags([(label, best_confidence(dets)[label]) for label in once], k=6)
+        assert twice == once
 
 
 def test_select_rejects_bad_confidence():
     with pytest.raises(DataError, match=r"^confidence 1\.5 outside \[0, 1\]$"):
-        select_tags([TagRecord("a", 1.5)])
+        select_tags([("a", 1.5)])
     with pytest.raises(DataError, match=r"^confidence -0\.1 outside \[0, 1\]$"):
-        select_tags([TagRecord("a", -0.1)])
+        select_tags([("a", -0.1)])
 
 
 def test_select_rejects_bad_k():
@@ -174,9 +172,9 @@ def test_stub_detector_ranges():
     for i in range(200):
         dets = stub.detect(f"img{i}")
         sizes.add(len(dets))
-        for d in dets:
-            assert 0.0 <= d.confidence <= 1.0
-            assert d.label in vocab
+        for label, confidence in dets:
+            assert 0.0 <= confidence <= 1.0
+            assert label in vocab
     assert min(sizes) >= 0 and max(sizes) <= 12
     assert len(sizes) > 3
 
@@ -191,15 +189,15 @@ def test_file_detector_reads_and_errors(tmp_path):
     path = tmp_path / "det.tsv"
     write_detections_file(
         {
-            "42": [TagRecord("person", 0.95), TagRecord("dog", 0.9)],
-            "43": [TagRecord("traffic light", 0.5)],
+            "42": [("person", 0.95), ("dog", 0.9)],
+            "43": [("traffic light", 0.5)],
             "44": [],
         },
         path,
     )
     det = FileDetector(path)
-    assert det.detect("42") == [TagRecord("person", 0.95), TagRecord("dog", 0.9)]
-    assert det.detect("43") == [TagRecord("traffic light", 0.5)]
+    assert det.detect("42") == [("person", 0.95), ("dog", 0.9)]
+    assert det.detect("43") == [("traffic light", 0.5)]
     assert det.detect("44") == []
     with pytest.raises(UnknownImage):
         det.detect("45")
@@ -235,17 +233,16 @@ def test_tag_corpus_preserves_order_and_targets():
 
 
 def test_tag_corpus_empty_image_id():
-    corpus = parse_bitext(["a cat"], ["eine katze"])
-    assert tag_corpus(corpus, StubDetector(seed=1)) == [("a cat", "eine katze")]
+    assert tag_corpus([("", "a cat", "eine katze")], StubDetector(seed=1)) == [("a cat", "eine katze")]
 
 
 def test_tag_corpus_empty_corpus():
-    assert tag_corpus(parse_bitext([], []), StubDetector(seed=1)) == []
+    assert tag_corpus([], StubDetector(seed=1)) == []
 
 
 def test_tag_corpus_attaches_record_index(tmp_path):
     path = tmp_path / "det.tsv"
-    write_detections_file({"known": [TagRecord("dog", 0.9)]}, path)
+    write_detections_file({"known": [("dog", 0.9)]}, path)
     det = FileDetector(path)
     corpus = parse_vg_corpus(
         ["known\t1\t1\t2\t2\ta\tb", "missing\t1\t1\t2\t2\tc\td"]
@@ -263,7 +260,7 @@ def test_select_corpus_tags_one_per_image_in_first_seen_order():
     labels_by_image = select_corpus_tags(corpus, detector, k=3)
     assert list(labels_by_image) == ["b", "a"]
     for image_id, labels in labels_by_image.items():
-        assert labels == select_tags(detector.detect(image_id), k=3).labels
+        assert labels == select_tags(detector.detect(image_id), k=3)
 
 
 # -- vocabulary ---------------------------------------------------------------
@@ -290,7 +287,6 @@ def test_vocabulary_rejects_reserved_chars(tmp_path):
 
 
 def test_tagset_invariants_from_select():
-    ts = select_tags([TagRecord("b", 0.5), TagRecord("a", 0.5), TagRecord("b", 0.2)], k=10)
-    assert isinstance(ts, TagSet)
-    assert ts.labels == ["a", "b"]
-    assert len(set(ts.labels)) == len(ts.labels)
+    labels = select_tags([("b", 0.5), ("a", 0.5), ("b", 0.2)], k=10)
+    assert labels == ["a", "b"]
+    assert len(set(labels)) == len(labels)
