@@ -29,13 +29,11 @@ from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
 from .tagging import (
     inject_tags,
     load_tag_vocabulary,
+    make_detector,
     read_tagsets_file,
     select_corpus_tags,
     write_tagsets_file,
 )
-
-# the split names `corpus stats --split` accepts and echoes
-SPLIT_LABELS = ("train", "dtest", "etest", "ctest", "unspecified")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +78,6 @@ def _load_corpus_args(args):
 def cmd_corpus_stats(args):
     sentences, source_tokens, target_tokens = corpus_stats(_load_corpus_args(args))
     fields = [
-        ("split", args.split),
         ("sentences", sentences),
         ("source_tokens", source_tokens),
         ("target_tokens", target_tokens),
@@ -102,7 +99,9 @@ def cmd_corpus_validate(args):
 def cmd_tags_extract(args):
     config = _load_config(args)
     corpus = load_vg_corpus(args.corpus)
-    labels_by_image = select_corpus_tags(corpus, config.detector(), k=config.top_k)
+    vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
+    detector = make_detector(vocabulary, config.seed, config.paths.get("detections"))
+    labels_by_image = select_corpus_tags(corpus, detector, k=config.top_k)
     write_tagsets_file(labels_by_image, args.output)
     print(f"wrote {len(labels_by_image)} tag sets to {args.output}")
     return 0
@@ -277,7 +276,6 @@ def build_parser():
     corpus = parser_group(groups, "corpus", "corpus parsing, validation, statistics")
     p = sub(corpus, "stats", cmd_corpus_stats, "sentence and token counts")
     _add_corpus_inputs(p)
-    p.add_argument("--split", choices=SPLIT_LABELS, default="unspecified")
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p = sub(corpus, "validate", cmd_corpus_validate, "strict structural validation")
     _add_corpus_inputs(p)

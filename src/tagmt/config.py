@@ -17,8 +17,9 @@ stochastic stage: an ExperimentConfig applies it to both model configs when
 it is built, and per-model seed keys are rejected. The [tagging] and
 [decode] defaults are the constants of `tagging` and `mt.decode`.
 
-`run_pipeline` and every stage subcommand read the same ExperimentConfig,
-and `detector` and `decode_kwargs` turn its keys into the calls both make.
+`run_pipeline` and every stage subcommand read the same ExperimentConfig.
+Tags come from the [paths] detections file when it names one, else from the
+stub's hash of each image id at the experiment seed (`tagging.make_detector`).
 """
 
 import configparser
@@ -28,9 +29,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .mt.decode import DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, check_decode
 from .mt.model import ModelConfig
-from .tagging import (
-    DEFAULT_BACKEND, DEFAULT_TOP_K, check_backend, check_k, load_tag_vocabulary, make_detector
-)
+from .tagging import DEFAULT_TOP_K, check_k
 
 PATH_KEYS = (
     "train_corpus",
@@ -53,7 +52,6 @@ KEYS = {
     ("experiment", "task"): ("task_label", str),
     ("experiment", "corpus_name"): ("corpus_name", str),
     **{("paths", key): (key, PATH) for key in PATH_KEYS},
-    ("tagging", "backend"): ("tagging_backend", str),
     ("tagging", "k"): ("top_k", int),
     ("decode", "method"): ("decode_method", str),
     ("decode", "beam_width"): ("beam_width", int),
@@ -84,7 +82,6 @@ class ExperimentConfig:
     task_label: str = "toy"
     corpus_name: str = ""
     paths: dict = field(default_factory=dict)
-    tagging_backend: str = DEFAULT_BACKEND
     top_k: int = DEFAULT_TOP_K
     translator: ModelConfig = field(default_factory=ModelConfig)
     synthesizer: ModelConfig = field(default_factory=ModelConfig)
@@ -96,7 +93,6 @@ class ExperimentConfig:
         self.with_seed(self.seed)
 
     def validate(self):
-        in_section("tagging", check_backend, self.tagging_backend, self.paths.get("detections"))
         in_section("tagging", check_k, self.top_k)
         in_section("decode", check_decode, self.decode_method, self.beam_width, self.decode_max_len)
         for given, needed in (("bitext_source", "bitext_target"), ("bitext_target", "bitext_source")):
@@ -108,12 +104,6 @@ class ExperimentConfig:
         for section in MODEL_SECTIONS:
             in_section(section, getattr(self, section).validate)
         return self
-
-    def detector(self):
-        """The [tagging] backend over the [paths] tag vocabulary, seeded by the experiment."""
-        vocabulary = load_tag_vocabulary(self.paths.get("tag_vocabulary"))
-        detections = self.paths.get("detections")
-        return make_detector(self.tagging_backend, vocabulary, seed=self.seed, detections=detections)
 
     @property
     def decode_kwargs(self):
@@ -130,8 +120,9 @@ class ExperimentConfig:
 
 
 def _read_ini(path):
-    """Parse an INI file, turning every way it can be unreadable into a
-    ConfigError that names the file and, where known, the line."""
+    """Parse an INI file, less one leading byte-order mark, turning every way
+    it can be unreadable into a ConfigError that names the file and, where
+    known, the line."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -139,7 +130,7 @@ def _read_ini(path):
         raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(data.decode("utf-8"))
+        parser.read_string(data.decode("utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError as err:
         line, problem = data.count(b"\n", 0, err.start) + 1, "not valid UTF-8"
     except configparser.DuplicateOptionError as err:

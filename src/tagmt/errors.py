@@ -52,11 +52,10 @@ class LengthMismatch(DataError):
 
 
 class UnknownImage(DataError):
-    def __init__(self, image_id: str, record_index: int | None = None):
+    def __init__(self, image_id: str, record_index: int):
         self.image_id = image_id
         self.record_index = record_index
-        at = f" (record {record_index})" if record_index is not None else ""
-        super().__init__(f"no detections for image id {image_id!r}{at}")
+        super().__init__(f"no detections for image id {image_id!r} (record {record_index})")
 
 
 class SeparatorCollision(DataError):

@@ -49,9 +49,10 @@ def write_lines(lines, path):
 def read_lines(path):
     """Read a UTF-8 text file into a list of lines without line endings.
 
-    ``\n``, ``\r\n`` and a lone ``\r`` each end a line. An undecodable byte
-    raises MalformedLine naming the file and the line it sits on; silently
-    dropping bytes would corrupt line alignment between parallel files.
+    ``\n``, ``\r\n`` and a lone ``\r`` each end a line, and one leading
+    byte-order mark (U+FEFF) is dropped. An undecodable byte raises
+    MalformedLine naming the file and the line it sits on; silently dropping
+    bytes would corrupt line alignment between parallel files.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -60,7 +61,7 @@ def read_lines(path):
     except UnicodeDecodeError as err:
         line_number = _newlines(data[: err.start].decode("utf-8")).count("\n") + 1
         raise MalformedLine(line_number, f"{path} is not valid UTF-8") from None
-    lines = _newlines(text).split("\n")
+    lines = _newlines(text.removeprefix("\ufeff")).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -30,7 +30,7 @@ from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, train
 from .mt.vocab import vocab_from_pairs
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
-from .tagging import tag_corpus
+from .tagging import load_tag_vocabulary, make_detector, tag_corpus
 
 
 def run_pipeline(config, log=print):
@@ -48,8 +48,10 @@ def run_pipeline(config, log=print):
     def artifact(name):
         return os.path.join(out_dir, name)
 
-    log(f"[1/7] corpora + tags (backend={config.tagging_backend}, k={config.top_k})")
-    detector = config.detector()
+    backend = "file" if "detections" in config.paths else "stub"
+    log(f"[1/7] corpora + tags (backend={backend}, k={config.top_k})")
+    vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
+    detector = make_detector(vocabulary, config.seed, config.paths.get("detections"))
     train_rows = load_vg_corpus(config.paths["train_corpus"])
     test_rows = load_vg_corpus(config.paths["test_corpus"])
     valid_rows = []
@@ -85,7 +87,7 @@ def run_pipeline(config, log=print):
         log("[4/7] enrich text-only bitext with synthetic tags")
         enriched = []
         if bitext is not None:
-            enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=detector.vocabulary)
+            enriched = enrich_corpus(bitext, synth_ckpt, k=config.top_k, vocabulary=vocabulary)
             write_pairs_tsv(enriched, artifact("enriched.tsv"))
         else:
             log("      no bitext configured; multimodal training uses natural data only")

@@ -1,5 +1,5 @@
-"""Object tags as visual features: detection backends, top-k selection, and
-the separator protocol fusing a tag list with a source sentence.
+"""Object tags as visual features: detection, top-k selection, and the
+separator protocol fusing a tag list with a source sentence.
 
 A tagged source renders as ``<text> ## <label1>,<label2>,...`` with a single
 space on each side of ``##`` and no spaces around commas. An empty tag set
@@ -10,25 +10,25 @@ corpus is a list of ``(rendered source, target)`` string pairs, its TSV rows.
 A detection is a ``(label, confidence)`` pair, and `select_tags` turns a list
 of them into the labels of the top k.
 
+A detector (`make_detector`) is a function from an image id to its
+detections: the lookup of a detections file, or else `stub_detections`.
+
 The pipeline and the ``tags`` subcommands share one function per step over a
-VG corpus's ``(image_id, source, target)`` rows: `make_detector` builds the
-backend, `select_corpus_tags` maps each distinct image to its labels (``tags
-extract``), `inject_tags` fuses that image_id -> labels map into the rows
-(``tags inject``), and `tag_corpus` composes the two.
+VG corpus's ``(image_id, source, target)`` rows: `select_corpus_tags` maps
+each distinct image to its labels (``tags extract``), `inject_tags` fuses
+that image_id -> labels map into the rows (``tags inject``), and
+`tag_corpus` composes the two.
 """
 
 import hashlib
 from importlib import resources
 
-from .errors import (
-    ConfigError, DataError, MalformedLine, SeparatorCollision, UnknownImage, check_choice
-)
+from .errors import ConfigError, DataError, MalformedLine, SeparatorCollision, UnknownImage
 from .fileio import read_lines, tsv_rows, write_lines
 
 SEPARATOR = "##"
-BACKENDS = ("stub", "file")
-# the defaults of [tagging]; DEFAULT_TOP_K is every k argument's too
-DEFAULT_BACKEND, DEFAULT_TOP_K = "stub", 10
+# the default of [tagging] k, and of every k argument
+DEFAULT_TOP_K = 10
 
 
 def load_tag_vocabulary(path=None):
@@ -67,72 +67,47 @@ def _check_label(line_number, label):
         raise MalformedLine(line_number, f"label {label!r} contains a reserved character")
 
 
-class StubDetector:
-    """Deterministic detector stand-in: hashes the image id into 0-12
-    (label, confidence) pairs over the configured vocabulary.
+def stub_detections(image_id, vocabulary, seed):
+    """A deterministic detector stand-in: hash the image id into 0-12
+    ``(label, confidence)`` pairs over vocabulary.
 
     Identical across runs and platforms for a given seed; duplicates are
     possible by design so downstream deduplication gets exercised.
     """
-
-    def __init__(self, vocabulary=None, seed=0):
-        self.vocabulary = list(vocabulary) if vocabulary is not None else load_tag_vocabulary()
-        self.seed = int(seed)
-
-    def detect(self, image_id):
-        digest = hashlib.sha256(f"{self.seed}:{image_id}".encode("utf-8")).digest()
-        n = digest[0] % 13
-        detections = []
-        for i in range(n):
-            label_byte = digest[1 + (2 * i) % 30]
-            conf_byte = digest[2 + (2 * i) % 30]
-            label = self.vocabulary[label_byte % len(self.vocabulary)]
-            confidence = conf_byte / 255.0
-            detections.append((label, confidence))
-        return detections
+    digest = hashlib.sha256(f"{seed}:{image_id}".encode("utf-8")).digest()
+    n = digest[0] % 13
+    detections = []
+    for i in range(n):
+        label_byte = digest[1 + (2 * i) % 30]
+        conf_byte = digest[2 + (2 * i) % 30]
+        label = vocabulary[label_byte % len(vocabulary)]
+        confidence = conf_byte / 255.0
+        detections.append((label, confidence))
+    return detections
 
 
-class FileDetector:
-    """Precomputed detections read from a TSV file.
+def make_detector(vocabulary, seed=0, detections=None):
+    """A function from an image id to its ``(label, confidence)`` list.
+
+    With a ``detections`` file it gives the file's list, or None for an image
+    the file does not list; without one, `stub_detections` at seed.
+    """
+    if detections is None:
+        return lambda image_id: stub_detections(image_id, vocabulary, seed)
+    return read_detections_file(detections, vocabulary).get
+
+
+def read_detections_file(path, vocabulary):
+    """Read a detections file into an image_id -> [(label, confidence), ...]
+    mapping; the inverse of `write_detections_file`.
 
     One line per image: ``<image_id>\\t<label> <conf>[, <label> <conf>]...``.
-    Labels must belong to the configured vocabulary; multi-word labels are
-    allowed (the confidence is the last whitespace field of each entry).
+    Labels must belong to vocabulary; multi-word labels are allowed (the
+    confidence is the last whitespace field of each entry).
     """
-
-    def __init__(self, path, vocabulary=None):
-        self.vocabulary = list(vocabulary) if vocabulary is not None else load_tag_vocabulary()
-        self._by_image = _parse_detections_file(read_lines(path), set(self.vocabulary))
-
-    def detect(self, image_id):
-        try:
-            return list(self._by_image[image_id])
-        except KeyError:
-            raise UnknownImage(image_id) from None
-
-
-def check_backend(backend, detections):
-    """ConfigError, led by the key, unless backend is one of BACKENDS and the
-    'file' backend has a detections file."""
-    check_choice("backend", backend, BACKENDS)
-    if backend == "file" and not detections:
-        raise ConfigError("backend 'file' needs a detections file")
-
-
-def make_detector(backend, vocabulary=None, seed=0, detections=None):
-    """Build the 'stub' or 'file' detection backend (`check_backend`).
-
-    The file backend reads the detections TSV at ``detections``.
-    """
-    check_backend(backend, detections)
-    if backend == "file":
-        return FileDetector(detections, vocabulary=vocabulary)
-    return StubDetector(vocabulary=vocabulary, seed=seed)
-
-
-def _parse_detections_file(lines, known_labels):
+    known_labels = set(vocabulary)
     by_image = {}
-    for line_number, (image_id, entries) in tsv_rows(lines, 2):
+    for line_number, (image_id, entries) in tsv_rows(read_lines(path), 2):
         image_id = image_id.strip()
         if image_id in by_image:
             raise MalformedLine(line_number, f"repeated image id {image_id!r}")
@@ -156,7 +131,7 @@ def _parse_detections_file(lines, known_labels):
 
 
 def write_detections_file(by_image, path):
-    """Write an image_id -> [(label, confidence), ...] mapping in FileDetector format."""
+    """Write an image_id -> [(label, confidence), ...] map as a detections file."""
     write_lines(
         (f"{image_id}\t" + ", ".join(f"{label} {confidence:g}" for label, confidence in detections)
          for image_id, detections in by_image.items()),
@@ -230,23 +205,22 @@ def split_labels(text):
     return [label.strip() for label in text.split(",") if label.strip()]
 
 
-def select_corpus_tags(rows, detector_backend, k=DEFAULT_TOP_K):
+def select_corpus_tags(rows, detector, k=DEFAULT_TOP_K):
     """Map each distinct non-empty image_id of ``(image_id, source, target)``
-    rows to the labels of its top-k tags.
+    rows to the labels of the top-k tags that ``detector`` finds for it.
 
     k is checked before anything is detected. Images come in the order they
-    first appear. A detection error is re-raised with the index of the record
-    that first names the image.
+    first appear. An image the detector has no detections for raises
+    UnknownImage with the index of the record that first names it.
     """
     check_k(k)
     labels_by_image = {}
     for index, (image_id, _, _) in enumerate(rows):
         if not image_id or image_id in labels_by_image:
             continue
-        try:
-            detections = detector_backend.detect(image_id)
-        except UnknownImage as err:
-            raise UnknownImage(err.image_id, record_index=index) from None
+        detections = detector(image_id)
+        if detections is None:
+            raise UnknownImage(image_id, index)
         labels_by_image[image_id] = select_tags(detections, k=k)
     return labels_by_image
 
@@ -268,14 +242,14 @@ def inject_tags(rows, labels_by_image):
         elif image_id in labels_by_image:
             labels = labels_by_image[image_id]
         else:
-            raise UnknownImage(image_id, record_index=index)
+            raise UnknownImage(image_id, index)
         pairs.append((render_tagged(source, labels), target))
     return pairs
 
 
-def tag_corpus(rows, detector_backend, k=DEFAULT_TOP_K):
+def tag_corpus(rows, detector, k=DEFAULT_TOP_K):
     """Tag every row of a VG corpus: `select_corpus_tags` then `inject_tags`."""
-    return inject_tags(rows, select_corpus_tags(rows, detector_backend, k=k))
+    return inject_tags(rows, select_corpus_tags(rows, detector, k=k))
 
 
 def write_tagsets_file(labels_by_image, path):

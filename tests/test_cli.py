@@ -41,7 +41,6 @@ tag_vocabulary = {d}/tag_vocab.txt
 output_dir = {out}
 
 [tagging]
-backend = file
 k = 10
 
 [translator]
@@ -83,9 +82,9 @@ def write_mini_cfg(tmp_path, out_dir):
 
 
 def test_corpus_stats_table(capsys):
-    assert main(["corpus", "stats", "--vg", os.path.join(DISAMBIG, "train.tsv"), "--split", "train"]) == 0
+    assert main(["corpus", "stats", "--vg", os.path.join(DISAMBIG, "train.tsv")]) == 0
     out = capsys.readouterr().out
-    assert out == "split          train\nsentences      200\nsource_tokens  1260\ntarget_tokens  1260\n"
+    assert out == "sentences      200\nsource_tokens  1260\ntarget_tokens  1260\n"
 
 
 def test_corpus_stats_bitext_tsv(capsys):
@@ -457,6 +456,18 @@ def test_eval_report_missing_baseline_names_line_exit_2(tmp_path, capsys):
     assert "error: line 4: no text-only baseline score for task 'EN-HI C-Test'" in err
 
 
+def test_eval_report_scores_with_byte_order_mark(tmp_path, capsys):
+    text_only = tmp_path / "text.tsv"
+    text_only.write_bytes("\ufeffEN-HI E-Test\t36.2\n".encode("utf-8"))
+    multimodal = tmp_path / "mm.tsv"
+    multimodal.write_bytes("\ufeffEN-HI E-Test\t42.0\n".encode("utf-8"))
+    code = main(["eval", "report", "--text-only", str(text_only), "--multimodal", str(multimodal)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    line = next(l for l in out.splitlines() if l.startswith("EN-HI E-Test"))
+    assert "42.0" in line and "36.2" in line and "+5.8" in line
+
+
 def test_eval_report_unencodable_stdout_exit_1(tmp_path):
     text_only = tmp_path / "text.tsv"
     text_only.write_text("café\t36.2\n", encoding="utf-8")
@@ -604,7 +615,7 @@ def test_tags_extract_stub_backend(tmp_path, capsys):
             "--corpus",
             os.path.join(DISAMBIG, "valid.tsv"),
             "--config",
-            str(write_cfg(tmp_path, "[tagging]\nbackend = stub\nk = 3\n")),
+            str(write_cfg(tmp_path, "[tagging]\nk = 3\n")),
             "--output",
             str(out),
             "--seed",
@@ -625,9 +636,10 @@ def write_one_record_corpus(tmp_path, image_id):
     return str(path)
 
 
-def write_file_backend_cfg(tmp_path, detections, vocabulary):
-    """A config whose [tagging] backend is 'file', over these two files."""
-    body = f"[tagging]\nbackend = file\n\n[paths]\ndetections = {detections}\ntag_vocabulary = {vocabulary}\n"
+def write_detections_cfg(tmp_path, detections=os.path.join(DISAMBIG, "detections.tsv"),
+                         vocabulary=os.path.join(DISAMBIG, "tag_vocab.txt")):
+    """A config whose tags come from these detections, over this vocabulary."""
+    body = f"[paths]\ndetections = {detections}\ntag_vocabulary = {vocabulary}\n"
     return str(write_cfg(tmp_path, body))
 
 
@@ -640,17 +652,35 @@ def test_tags_inject_unknown_image_exit_2(tmp_path, capsys):
     assert "(record 0)" in capsys.readouterr().err
 
 
-def test_tags_extract_file_backend_needs_detections_exit_1(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[tagging]\nbackend = file\n")
-    code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"),
-                 "--config", str(cfg), "--output", str(tmp_path / "tagsets.tsv")])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+def test_tags_extract_takes_the_labels_of_the_named_detections(tmp_path, capsys, bom):
+    """Naming [paths] detections is what makes the file the tag source (the
+    config has no [tagging] section); a leading byte-order mark of the corpus
+    is not part of the first record's image id."""
+    corpus = tmp_path / "valid.tsv"
+    with open(os.path.join(DISAMBIG, "valid.tsv"), "rb") as handle:
+        corpus.write_bytes(bom.encode("utf-8") + handle.read())
+    out = tmp_path / "tagsets.tsv"
+    code = main(["tags", "extract", "--corpus", str(corpus), "--config", write_detections_cfg(tmp_path),
+                 "--output", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert read_lines(str(out))[0] == "img10000\tperson,winged_animal"
+
+
+def test_tags_extract_backend_key_is_unknown_exit_1(tmp_path, capsys):
+    cfg = write_detections_cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as handle:
+        handle.write("\n[tagging]\nbackend = file\n")
+    out = tmp_path / "tagsets.tsv"
+    code = main(["tags", "extract", "--corpus", os.path.join(DISAMBIG, "valid.tsv"),
+                 "--config", cfg, "--output", str(out)])
     assert code == 1
-    assert "detections" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown key 'backend' in [tagging]\n"
+    assert not out.exists()
 
 
 def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
-    cfg = write_file_backend_cfg(tmp_path, os.path.join(DISAMBIG, "detections.tsv"),
-                                 os.path.join(DISAMBIG, "tag_vocab.txt"))
+    cfg = write_detections_cfg(tmp_path)
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "no-such-image"),
                  "--config", cfg, "--output", str(tmp_path / "tagsets.tsv")])
     assert code == 2
@@ -659,10 +689,10 @@ def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("image_id", ["", "im1"])
 def test_tags_extract_k_below_one_exit_1_before_detecting(tmp_path, monkeypatch, capsys, image_id):
-    def no_detect(self, image_id):
+    def no_detect(image_id, vocabulary, seed):
         raise AssertionError("detected with k = 0")
 
-    monkeypatch.setattr(tagging.StubDetector, "detect", no_detect)
+    monkeypatch.setattr(tagging, "stub_detections", no_detect)
     out = tmp_path / "tagsets.tsv"
     cfg = write_cfg(tmp_path, "[tagging]\nk = 0\n")
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, image_id),
@@ -1110,7 +1140,7 @@ def test_tags_extract_bad_detections_exit_2(tmp_path, capsys, detections, messag
     err = _data_error(
         capsys,
         ["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "im1"),
-         "--config", write_file_backend_cfg(tmp_path, det, vocab), "--output", str(tmp_path / "out.tsv")],
+         "--config", write_detections_cfg(tmp_path, det, vocab), "--output", str(tmp_path / "out.tsv")],
     )
     assert message in err
 
@@ -1150,7 +1180,7 @@ def test_pipeline_stub_backend_empty_vocabulary_exit_2(tmp_path, capsys):
     cfg = tmp_path / "stub.cfg"
     cfg.write_text(
         f"[paths]\ntrain_corpus = {DISAMBIG}/train.tsv\ntest_corpus = {DISAMBIG}/test.tsv\n"
-        f"tag_vocabulary = {vocab}\noutput_dir = {tmp_path / 'out'}\n\n[tagging]\nbackend = stub\n",
+        f"tag_vocabulary = {vocab}\noutput_dir = {tmp_path / 'out'}\n",
         encoding="utf-8",
     )
     err = _data_error(capsys, ["pipeline", "run", "--config", str(cfg)])
@@ -1179,8 +1209,7 @@ def test_synth_build_pairs_separator_names_record_exit_2(tmp_path, capsys):
 # Every leaf command with a value for each flag it takes ("OUT" is replaced by
 # a path under the test's directory). A command takes only the flags it reads.
 LEAF_FLAGS = {
-    ("corpus", "stats"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt",
-                          "--split": "train", "--format": "tsv"},
+    ("corpus", "stats"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt", "--format": "tsv"},
     ("corpus", "validate"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt"},
     ("tags", "extract"): {"--config": "c.cfg", "--seed": "5", "--corpus": "x.tsv", "--output": "OUT"},
     ("tags", "inject"): {"--corpus": "x.tsv", "--tagsets": "t.tsv", "--output": "OUT"},
@@ -1220,7 +1249,7 @@ def _option_strings(parser):
     return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
 
 
-def test_build_parser_accepts_55_flags():
+def test_build_parser_accepts_54_flags():
     from tagmt.cli import build_parser
 
     parser = build_parser()
@@ -1234,7 +1263,7 @@ def test_build_parser_accepts_55_flags():
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 55
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 54
 
 
 @pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)

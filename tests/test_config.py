@@ -9,14 +9,14 @@ from tagmt.config import KEYS, MODEL_SECTIONS, PATH, ExperimentConfig, load_expe
 from tagmt.errors import ConfigError
 from tagmt.mt.decode import DECODE_METHODS, translate_corpus
 from tagmt.mt.model import ModelConfig
-from tagmt.tagging import BACKENDS, make_detector, select_tags
+from tagmt.tagging import select_tags
 
 
 def test_load_toy_config():
     config = load_experiment_config(fixture_path("toy.cfg"))
     assert config.seed == 13
     assert config.task_label == "toy-disambiguation"
-    assert config.tagging_backend == "file"
+    assert os.path.samefile(config.paths["detections"], fixture_path("disambig", "detections.tsv"))
     assert config.top_k == 10
     assert config.translator.model_dim == 32
     assert config.translator.seed == 13
@@ -65,7 +65,7 @@ def test_translator_synth_fit_threshold_is_unknown(tmp_path):
         load_experiment_config(path)
     path = write_cfg(tmp_path, "[synthesizer]\nsynth_fit_threshold = 0.5\n")
     assert load_experiment_config(path).synthesizer.synth_fit_threshold == 0.5
-    assert len(KEYS) == 45
+    assert len(KEYS) == 44
 
 
 def test_model_section_seed_rejected(tmp_path):
@@ -98,10 +98,6 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
 @pytest.mark.parametrize(
     "body, message, owner",
     [
-        ("[tagging]\nbackend = foo\n", r"\[tagging\] backend must be 'stub' or 'file', got 'foo'",
-         lambda: make_detector("foo")),
-        ("[tagging]\nbackend = file\n", r"\[tagging\] backend 'file' needs a detections file",
-         lambda: make_detector("file")),
         ("[tagging]\nk = 0\n", r"\[tagging\] k must be >= 1, got 0", lambda: select_tags([], k=0)),
         ("[decode]\nmethod = x\n", r"\[decode\] method must be 'greedy' or 'beam', got 'x'",
          lambda: translate_corpus(None, ["a"], decode="x")),
@@ -116,7 +112,7 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
         ("[paths]\nbitext_source = extra.src\n", r"\[paths\] bitext_target is needed with bitext_source",
          None),
     ],
-    ids=["tagging-backend", "tagging-backend-file", "tagging-k", "decode-method",
+    ids=["tagging-k", "decode-method",
          "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size",
          "paths-bitext_source"],
 )
@@ -143,11 +139,13 @@ def test_validate_checks_paths(tmp_path):
         config.validate()
 
 
-def test_file_backend_needs_detections(tmp_path):
-    path = write_cfg(tmp_path, "[tagging]\nbackend = file\n")
-    config = load_experiment_config(path)
-    with pytest.raises(ConfigError):
-        config.validate()
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes("\ufeff[experiment]\nseed = 7\n".encode("utf-8"))
+    assert load_experiment_config(path).seed == 7
+    path.write_bytes("\ufeff\ufeff[experiment]\nseed = 7\n".encode("utf-8"))
+    with pytest.raises(ConfigError, match=r"line 1: text before the first \[section\] header$"):
+        load_experiment_config(path)
 
 
 def test_relative_paths_resolve_against_config_dir(tmp_path):
@@ -181,13 +179,11 @@ def test_readme_lists_every_config_key_with_its_default():
             assert value is not None and kind(value[1]) == defaults[attribute], (section, key)
 
 
-@pytest.mark.parametrize(
-    "row, choices", [("`[tagging]` | `backend`", BACKENDS), ("`[decode]` | `method`", DECODE_METHODS)]
-)
-def test_readme_key_table_names_the_owners_choices(row, choices):
-    """The choices README's key table gives are the owning module's constant.
-    (That the table names exactly the keys of KEYS is checked above.)"""
+def test_readme_key_table_names_the_decode_methods():
+    """The choices README's key table gives for [decode] method are
+    `mt.decode`'s constant. (That the table names exactly the keys of KEYS is
+    checked above.)"""
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme, encoding="utf-8") as handle:
-        meaning = re.search(rf"^\| {re.escape(row)} \| [^|]+ \| ([^|]+) \|", handle.read(), re.M)[1]
-    assert tuple(re.findall(r"`(\w+)`", meaning)) == choices
+        meaning = re.search(r"^\| `\[decode\]` \| `method` \| [^|]+ \| ([^|]+) \|", handle.read(), re.M)[1]
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == DECODE_METHODS

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tagmt.corpus import (
     corpus_stats,
+    load_bitext,
     load_vg_corpus,
     parse_bitext,
     parse_vg_corpus,
@@ -167,6 +168,19 @@ def test_read_lines_universal_newlines_only(tmp_path, data, lines):
     assert read_lines(path) == lines
     with open(path, encoding="utf-8") as handle:
         assert [line.rstrip("\n") for line in handle] == lines
+
+
+def test_load_bitext_drops_a_leading_byte_order_mark(tmp_path):
+    src, tgt = tmp_path / "x.src", tmp_path / "x.tgt"
+    src.write_bytes("\ufeffthe cat\na dog\n".encode("utf-8"))
+    tgt.write_bytes("\ufeffdie katze\nein hund\n".encode("utf-8"))
+    assert load_bitext(src, tgt) == [("the cat", "die katze"), ("a dog", "ein hund")]
+
+
+def test_read_lines_drops_one_leading_byte_order_mark_and_no_other(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("\ufeff\ufeffa\n\ufeffb\n".encode("utf-8"))
+    assert read_lines(path) == ["\ufeffa", "\ufeffb"]
 
 
 def test_read_lines_names_undecodable_byte(tmp_path):

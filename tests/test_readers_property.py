@@ -39,8 +39,8 @@ CASES = {
     "pairs": ("pairs", read_pairs_tsv),
 }
 
-# the experiment config of `tags extract`: the file backend reads {damaged}
-DETECTIONS_CFG = "[tagging]\nbackend = file\n\n[paths]\ndetections = {damaged}\ntag_vocabulary = {vocab}\n"
+# the experiment config of `tags extract`: its tags come from {damaged}
+DETECTIONS_CFG = "[paths]\ndetections = {damaged}\ntag_vocabulary = {vocab}\n"
 
 DAMAGE = st.lists(
     st.tuples(

@@ -1,21 +1,27 @@
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagmt.corpus import parse_vg_corpus
 from tagmt.errors import ConfigError, DataError, MalformedLine, SeparatorCollision, UnknownImage
 from tagmt.tagging import (
-    FileDetector,
-    StubDetector,
     load_tag_vocabulary,
     make_detector,
     parse_tagged,
+    read_detections_file,
     render_tagged,
     select_corpus_tags,
     select_tags,
+    stub_detections,
     tag_corpus,
     write_detections_file,
 )
+
+COCO = load_tag_vocabulary()
 
 
 def brute_force_select(detections, k):
@@ -157,32 +163,27 @@ def test_render_parse_round_trip_random():
 
 
 def test_stub_detector_deterministic():
-    a = StubDetector(seed=3)
-    b = StubDetector(seed=3)
+    a = make_detector(COCO, seed=3)
+    b = make_detector(list(COCO), seed=3)
     for image_id in ("42", "za", ""):
-        assert a.detect(image_id) == b.detect(image_id)
-        assert a.detect(image_id) == a.detect(image_id)
-    assert StubDetector(seed=4).detect("42") != a.detect("42")
+        assert a(image_id) == b(image_id) == stub_detections(image_id, COCO, 3)
+        assert a(image_id) == a(image_id)
+    assert make_detector(COCO, seed=4)("42") != a("42")
+    # the sha256 of "<seed>:<image_id>" picks the labels and confidences
+    assert a("42") == [("surfboard", 0.9333333333333333), ("chair", 0.5725490196078431)]
 
 
 def test_stub_detector_ranges():
-    stub = StubDetector(seed=0)
-    vocab = set(stub.vocabulary)
+    vocab = set(COCO)
     sizes = set()
     for i in range(200):
-        dets = stub.detect(f"img{i}")
+        dets = stub_detections(f"img{i}", COCO, 0)
         sizes.add(len(dets))
         for label, confidence in dets:
             assert 0.0 <= confidence <= 1.0
             assert label in vocab
     assert min(sizes) >= 0 and max(sizes) <= 12
     assert len(sizes) > 3
-
-
-@pytest.mark.parametrize("backend", ["File", "", "files"])
-def test_make_detector_rejects_unknown_backend(backend):
-    with pytest.raises(ConfigError, match=rf"^backend must be 'stub' or 'file', got {backend!r}$"):
-        make_detector(backend)
 
 
 def test_file_detector_reads_and_errors(tmp_path):
@@ -195,26 +196,42 @@ def test_file_detector_reads_and_errors(tmp_path):
         },
         path,
     )
-    det = FileDetector(path)
-    assert det.detect("42") == [("person", 0.95), ("dog", 0.9)]
-    assert det.detect("43") == [("traffic light", 0.5)]
-    assert det.detect("44") == []
-    with pytest.raises(UnknownImage):
-        det.detect("45")
+    det = make_detector(COCO, detections=path)
+    assert det("42") == [("person", 0.95), ("dog", 0.9)]
+    assert det("43") == [("traffic light", 0.5)]
+    assert det("44") == []
+    assert det("45") is None
 
 
 def test_file_detector_rejects_unknown_label(tmp_path):
     path = tmp_path / "det.tsv"
     path.write_text("42\tnotalabel 0.5\n", encoding="utf-8")
     with pytest.raises(MalformedLine, match=r"^line 1: label 'notalabel' is not in the tag vocabulary$"):
-        FileDetector(path)
+        read_detections_file(path, COCO)
 
 
 def test_file_detector_malformed(tmp_path):
     path = tmp_path / "det.tsv"
     path.write_text("42\tperson zero\n", encoding="utf-8")
     with pytest.raises(MalformedLine):
-        FileDetector(path)
+        read_detections_file(path, COCO)
+
+
+@given(
+    st.dictionaries(
+        st.text("abcxyz0123_-.", min_size=1, max_size=8),
+        st.lists(st.tuples(st.sampled_from(COCO), st.integers(0, 10_000).map(lambda n: n / 10_000)),
+                 max_size=5),
+        max_size=6,
+    )
+)
+def test_read_detections_file_inverts_write(by_image):
+    """Labels of the vocabulary, multi-word ones included, and confidences
+    of four decimals survive a write and a read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "det.tsv")
+        write_detections_file(by_image, path)
+        assert read_detections_file(path, COCO) == by_image
 
 
 # -- tag_corpus ---------------------------------------------------------------
@@ -223,7 +240,7 @@ def test_file_detector_malformed(tmp_path):
 def test_tag_corpus_preserves_order_and_targets():
     lines = [f"im{i}\t1\t1\t4\t4\tsrc {i}\ttgt {i}" for i in range(3)]
     corpus = parse_vg_corpus(lines)
-    pairs = tag_corpus(corpus, StubDetector(seed=1), k=5)
+    pairs = tag_corpus(corpus, make_detector(COCO, seed=1), k=5)
     assert len(pairs) == 3
     for i, (source, target) in enumerate(pairs):
         text, labels = parse_tagged(source)
@@ -233,17 +250,17 @@ def test_tag_corpus_preserves_order_and_targets():
 
 
 def test_tag_corpus_empty_image_id():
-    assert tag_corpus([("", "a cat", "eine katze")], StubDetector(seed=1)) == [("a cat", "eine katze")]
+    assert tag_corpus([("", "a cat", "eine katze")], make_detector(COCO, seed=1)) == [("a cat", "eine katze")]
 
 
 def test_tag_corpus_empty_corpus():
-    assert tag_corpus([], StubDetector(seed=1)) == []
+    assert tag_corpus([], make_detector(COCO, seed=1)) == []
 
 
 def test_tag_corpus_attaches_record_index(tmp_path):
     path = tmp_path / "det.tsv"
     write_detections_file({"known": [("dog", 0.9)]}, path)
-    det = FileDetector(path)
+    det = make_detector(COCO, detections=path)
     corpus = parse_vg_corpus(
         ["known\t1\t1\t2\t2\ta\tb", "missing\t1\t1\t2\t2\tc\td"]
     )
@@ -256,11 +273,11 @@ def test_tag_corpus_attaches_record_index(tmp_path):
 def test_select_corpus_tags_one_per_image_in_first_seen_order():
     lines = [f"{image}\t1\t1\t2\t2\tsrc {i}\ttgt {i}" for i, image in enumerate("bab")]
     corpus = parse_vg_corpus(lines + ["\t1\t1\t2\t2\tno image\tkein bild"])
-    detector = StubDetector(seed=1)
+    detector = make_detector(COCO, seed=1)
     labels_by_image = select_corpus_tags(corpus, detector, k=3)
     assert list(labels_by_image) == ["b", "a"]
     for image_id, labels in labels_by_image.items():
-        assert labels == select_tags(detector.detect(image_id), k=3)
+        assert labels == select_tags(detector(image_id), k=3)
 
 
 # -- vocabulary ---------------------------------------------------------------
