@@ -1,4 +1,5 @@
-"""tagmt command line: each subcommand is one box or arrow of the pipeline.
+"""tagmt command line: a subcommand per pipeline step, calling that step's
+function and file writer, plus corpus checks and BLEU scoring.
 
 Exit codes: 0 success, a tagmt error's `exit_code` (see errors.py), and 1 for
 an OSError, output stdout cannot encode or an allocation failure. Any other
@@ -26,14 +27,7 @@ from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, fine_tune, train
 from .pipeline import run_pipeline
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
-from .tagging import (
-    inject_tags,
-    load_tag_vocabulary,
-    make_detector,
-    read_tagsets_file,
-    select_corpus_tags,
-    write_tagsets_file,
-)
+from .tagging import load_tag_vocabulary, make_detector, tag_corpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,15 +95,7 @@ def cmd_tags_extract(args):
     corpus = load_vg_corpus(args.corpus)
     vocabulary = load_tag_vocabulary(config.paths.get("tag_vocabulary"))
     detector = make_detector(vocabulary, config.seed, config.paths.get("detections"))
-    labels_by_image = select_corpus_tags(corpus, detector, k=config.top_k)
-    write_tagsets_file(labels_by_image, args.output)
-    print(f"wrote {len(labels_by_image)} tag sets to {args.output}")
-    return 0
-
-
-def cmd_tags_inject(args):
-    corpus = load_vg_corpus(args.corpus)
-    pairs = inject_tags(corpus, read_tagsets_file(args.tagsets))
+    pairs = tag_corpus(corpus, detector, k=config.top_k)
     write_pairs_tsv(pairs, args.output)
     print(f"wrote {len(pairs)} tagged pairs to {args.output}")
     return 0
@@ -281,14 +267,10 @@ def build_parser():
     _add_corpus_inputs(p)
 
     tags = parser_group(groups, "tags", "object-tag extraction and fusion")
-    p = sub(tags, "extract", cmd_tags_extract, "detect and select top-k tags per image")
+    p = sub(tags, "extract", cmd_tags_extract, "tag each source with its image's top-k tags")
     _add_config_flags(p)
     p.add_argument("--corpus", required=True, help="VG TSV corpus")
-    p.add_argument("--output", required=True)
-    p = sub(tags, "inject", cmd_tags_inject, "fuse selected tags with source sentences")
-    p.add_argument("--corpus", required=True, help="VG TSV corpus")
-    p.add_argument("--tagsets", required=True, help="tagsets file from 'tags extract'")
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, help="tagged corpus TSV")
 
     synth = parser_group(groups, "synth", "synthetic tag features for text-only data")
     p = sub(synth, "build-pairs", cmd_synth_build_pairs, "invert a tagged corpus into synthesizer pairs")

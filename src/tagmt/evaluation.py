@@ -131,7 +131,7 @@ def report_delta(text_only, multimodal, corpus_name="", split="", timestamp=None
             raise DataError(f"{at}no text-only baseline score for task {task!r}")
         system, baseline = float(mm_score), float(text_only[task])
         rows.append(ReportRow(task, system, baseline, system - baseline))
-    metadata = {"bleu_tokenization": "whitespace"}
+    metadata = {}
     if corpus_name:
         metadata["corpus"] = corpus_name
     if split:

@@ -22,7 +22,7 @@ import os
 
 from .config import in_section
 from .corpus import load_bitext, load_vg_corpus, write_pairs_tsv
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluation import bleu_from_texts, report_delta, write_report
 from .fileio import write_lines
 from .forking import alongside
@@ -54,6 +54,9 @@ def run_pipeline(config, log=print):
     detector = make_detector(vocabulary, config.seed, config.paths.get("detections"))
     train_rows = load_vg_corpus(config.paths["train_corpus"])
     test_rows = load_vg_corpus(config.paths["test_corpus"])
+    for key, rows in (("train_corpus", train_rows), ("test_corpus", test_rows)):
+        if not rows:
+            raise DataError(f"[paths] {key}: {config.paths[key]} holds no record")
     valid_rows = []
     if "valid_corpus" in config.paths:
         valid_rows = load_vg_corpus(config.paths["valid_corpus"])
@@ -115,6 +118,8 @@ def run_pipeline(config, log=print):
         corpus_name=config.corpus_name,
         split="etest",
     )
+    # the pipeline computed both scores, so it can name their tokenization
+    report.metadata["bleu_tokenization"] = "whitespace"
     write_report(report, artifact("report.tsv"), fmt="tsv")
     write_report(report, artifact("report.txt"), fmt="table")
     delta = mm_bleu.score - text_bleu.score

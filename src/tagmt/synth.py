@@ -77,7 +77,7 @@ def train_synthesizer(pairs, config, log=None):
     return checkpoint
 
 
-def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
+def tags_from_decoded(decoded, vocabulary, k=DEFAULT_TOP_K):
     """Turn a raw decoded string into a tuple of at most k labels (total on
     any string; k must be >= 1, as in select_tags).
 
@@ -86,10 +86,10 @@ def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
     truncated to k.
     """
     check_k(k)
-    known = set(vocabulary) if vocabulary is not None else None
+    known = set(vocabulary)
     labels = []
     for label in split_labels(decoded):
-        if label in labels or (known is not None and label not in known):
+        if label in labels or label not in known:
             continue
         labels.append(label)
         if len(labels) == k:
@@ -97,7 +97,7 @@ def tags_from_decoded(decoded, k=DEFAULT_TOP_K, vocabulary=None):
     return tuple(labels)
 
 
-def enrich_corpus(bitext, checkpoint, k=DEFAULT_TOP_K, vocabulary=None):
+def enrich_corpus(bitext, checkpoint, vocabulary, k=DEFAULT_TOP_K):
     """Decode synthetic tags for every ``(source, target)`` pair of a bitext
     into (rendered source, target) pairs.
 

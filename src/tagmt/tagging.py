@@ -13,11 +13,10 @@ of them into the labels of the top k.
 A detector (`make_detector`) is a function from an image id to its
 detections: the lookup of a detections file, or else `stub_detections`.
 
-The pipeline and the ``tags`` subcommands share one function per step over a
-VG corpus's ``(image_id, source, target)`` rows: `select_corpus_tags` maps
-each distinct image to its labels (``tags extract``), `inject_tags` fuses
-that image_id -> labels map into the rows (``tags inject``), and
-`tag_corpus` composes the two.
+`tag_corpus` turns a VG corpus's ``(image_id, source, target)`` rows into
+its tagged corpus; the pipeline's step 1 and ``tags extract`` both call it.
+Labels from outside a detector come in as a detections file
+(`write_detections_file`).
 """
 
 import hashlib
@@ -205,66 +204,26 @@ def split_labels(text):
     return [label.strip() for label in text.split(",") if label.strip()]
 
 
-def select_corpus_tags(rows, detector, k=DEFAULT_TOP_K):
-    """Map each distinct non-empty image_id of ``(image_id, source, target)``
-    rows to the labels of the top-k tags that ``detector`` finds for it.
+def tag_corpus(rows, detector, k=DEFAULT_TOP_K):
+    """Tag every ``(image_id, source, target)`` row of a VG corpus as a
+    (rendered source, target) pair, preserving order and target texts.
 
-    k is checked before anything is detected. Images come in the order they
-    first appear. An image the detector has no detections for raises
-    UnknownImage with the index of the record that first names it.
+    k is checked before anything is detected. Each distinct non-empty image
+    is detected once, and its source is rendered with the labels of its
+    top-k tags; a row with an empty image_id gets no tags. The first bad
+    record in row order raises, with its index: SeparatorCollision for a
+    source holding a standalone ``##``, UnknownImage for an image the
+    detector has no detections for.
     """
     check_k(k)
-    labels_by_image = {}
-    for index, (image_id, _, _) in enumerate(rows):
-        if not image_id or image_id in labels_by_image:
-            continue
-        detections = detector(image_id)
-        if detections is None:
-            raise UnknownImage(image_id, index)
-        labels_by_image[image_id] = select_tags(detections, k=k)
-    return labels_by_image
-
-
-def inject_tags(rows, labels_by_image):
-    """Fuse an image_id -> labels map into ``(image_id, source, target)``
-    rows as (rendered source, target) pairs, preserving order and target
-    texts.
-
-    Rows with an empty image_id get no tags. An image absent from the map
-    raises UnknownImage, and a source containing a standalone ``##`` raises
-    SeparatorCollision, each with the record index.
-    """
+    labels_by_image = {"": []}
     pairs = []
     for index, (image_id, source, target) in enumerate(rows):
         check_untagged(index, source)
-        if not image_id:
-            labels = ()
-        elif image_id in labels_by_image:
-            labels = labels_by_image[image_id]
-        else:
-            raise UnknownImage(image_id, index)
-        pairs.append((render_tagged(source, labels), target))
+        if image_id not in labels_by_image:
+            detections = detector(image_id)
+            if detections is None:
+                raise UnknownImage(image_id, index)
+            labels_by_image[image_id] = select_tags(detections, k=k)
+        pairs.append((render_tagged(source, labels_by_image[image_id]), target))
     return pairs
-
-
-def tag_corpus(rows, detector, k=DEFAULT_TOP_K):
-    """Tag every row of a VG corpus: `select_corpus_tags` then `inject_tags`."""
-    return inject_tags(rows, select_corpus_tags(rows, detector, k=k))
-
-
-def write_tagsets_file(labels_by_image, path):
-    """Write an image_id -> labels map as ``image_id\\tlabel1,label2,...`` lines."""
-    write_lines((f"{image}\t" + ",".join(labels) for image, labels in labels_by_image.items()), path)
-
-
-def read_tagsets_file(path):
-    """Read a tagsets file back into an image_id -> labels mapping."""
-    by_image = {}
-    for line_number, (image_id, labels) in tsv_rows(read_lines(path), 2):
-        image_id = image_id.strip()
-        if image_id in by_image:
-            raise MalformedLine(line_number, f"repeated image id {image_id!r}")
-        by_image[image_id] = split_labels(labels)
-        for label in by_image[image_id]:
-            _check_label(line_number, label)
-    return by_image

@@ -445,6 +445,17 @@ def test_eval_report_cli_matches_published_numbers(capsys):
     assert "42.0" in line and "36.2" in line and "+5.8" in line
 
 
+def test_eval_report_names_no_bleu_tokenization(capsys):
+    """The published WAT2022 scores were not computed by tagmt, so their
+    report does not say how their BLEU was tokenized."""
+    code = main(["eval", "report", "--text-only", fixture_path("wat2022_text_only.tsv"),
+                 "--multimodal", fixture_path("wat2022_multimodal.tsv"), "--format", "table"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "EN-HI E-Test" in out
+    assert "tokenization" not in out
+
+
 def test_eval_report_missing_baseline_names_line_exit_2(tmp_path, capsys):
     text_only = tmp_path / "text.tsv"
     text_only.write_text("EN-HI E-Test\t36.2\n", encoding="utf-8")
@@ -572,6 +583,23 @@ def test_pipeline_without_required_path_exit_1_creates_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["train_corpus", "test_corpus"])
+def test_pipeline_empty_corpus_names_key_and_file_exit_2_before_training(tmp_path, capsys, key):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "".join((f"{key} = {empty}" if line.startswith(key) else line) + "\n"
+                for line in read_lines(write_mini_cfg(tmp_path, out))),
+        encoding="utf-8",
+    )
+    err = _data_error(capsys, ["pipeline", "run", "--config", str(cfg)])
+    assert err.endswith(f"error: [paths] {key}: {empty} holds no record\n")
+    assert "[2/7]" not in err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("kind", ["training", "validation"])
 def test_mt_train_pair_over_max_len_names_its_set_exit_1(tmp_path, capsys, kind):
     cfg = tmp_path / "exp.cfg"
@@ -607,7 +635,7 @@ def test_eval_bleu_line_count_mismatch_names_files_exit_2(tmp_path, capsys):
 
 
 def test_tags_extract_stub_backend(tmp_path, capsys):
-    out = tmp_path / "tagsets.tsv"
+    out = tmp_path / "tagged.tsv"
     code = main(
         [
             "tags",
@@ -623,11 +651,14 @@ def test_tags_extract_stub_backend(tmp_path, capsys):
         ]
     )
     assert code == 0
+    rows = load_vg_corpus(os.path.join(DISAMBIG, "valid.tsv"))
     lines = read_lines(str(out))
-    assert len(lines) == 50
-    for line in lines:
-        image_id, labels = line.split("\t")
-        assert len([l for l in labels.split(",") if l]) <= 3
+    assert len(lines) == len(rows) == 50
+    for line, (_, source, target) in zip(lines, rows):
+        rendered, tagged_target = line.split("\t")
+        text, labels = tagging.parse_tagged(rendered)
+        assert (text, tagged_target) == (source, target)
+        assert len(labels) <= 3
 
 
 def write_one_record_corpus(tmp_path, image_id):
@@ -643,15 +674,6 @@ def write_detections_cfg(tmp_path, detections=os.path.join(DISAMBIG, "detections
     return str(write_cfg(tmp_path, body))
 
 
-def test_tags_inject_unknown_image_exit_2(tmp_path, capsys):
-    tagsets = tmp_path / "tagsets.tsv"
-    tagsets.write_text("other\tdog\n", encoding="utf-8")
-    code = main(["tags", "inject", "--corpus", write_one_record_corpus(tmp_path, "im1"),
-                 "--tagsets", str(tagsets), "--output", str(tmp_path / "tagged.tsv")])
-    assert code == 2
-    assert "(record 0)" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
 def test_tags_extract_takes_the_labels_of_the_named_detections(tmp_path, capsys, bom):
     """Naming [paths] detections is what makes the file the tag source (the
@@ -660,18 +682,21 @@ def test_tags_extract_takes_the_labels_of_the_named_detections(tmp_path, capsys,
     corpus = tmp_path / "valid.tsv"
     with open(os.path.join(DISAMBIG, "valid.tsv"), "rb") as handle:
         corpus.write_bytes(bom.encode("utf-8") + handle.read())
-    out = tmp_path / "tagsets.tsv"
+    out = tmp_path / "tagged.tsv"
     code = main(["tags", "extract", "--corpus", str(corpus), "--config", write_detections_cfg(tmp_path),
                  "--output", str(out)])
     assert code == 0, capsys.readouterr().err
-    assert read_lines(str(out))[0] == "img10000\tperson,winged_animal"
+    assert read_lines(str(out))[:2] == [
+        "the bat is near the girl ## person,winged_animal\tTHE BATWING IS NEAR THE GIRL",
+        "the bench chases the bird ## bench,bird\tTHE BENCH CHASES THE BIRD",
+    ]
 
 
 def test_tags_extract_backend_key_is_unknown_exit_1(tmp_path, capsys):
     cfg = write_detections_cfg(tmp_path)
     with open(cfg, "a", encoding="utf-8") as handle:
         handle.write("\n[tagging]\nbackend = file\n")
-    out = tmp_path / "tagsets.tsv"
+    out = tmp_path / "tagged.tsv"
     code = main(["tags", "extract", "--corpus", os.path.join(DISAMBIG, "valid.tsv"),
                  "--config", cfg, "--output", str(out)])
     assert code == 1
@@ -682,7 +707,7 @@ def test_tags_extract_backend_key_is_unknown_exit_1(tmp_path, capsys):
 def test_tags_extract_unknown_image_exit_2(tmp_path, capsys):
     cfg = write_detections_cfg(tmp_path)
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, "no-such-image"),
-                 "--config", cfg, "--output", str(tmp_path / "tagsets.tsv")])
+                 "--config", cfg, "--output", str(tmp_path / "tagged.tsv")])
     assert code == 2
     assert "(record 0)" in capsys.readouterr().err
 
@@ -693,7 +718,7 @@ def test_tags_extract_k_below_one_exit_1_before_detecting(tmp_path, monkeypatch,
         raise AssertionError("detected with k = 0")
 
     monkeypatch.setattr(tagging, "stub_detections", no_detect)
-    out = tmp_path / "tagsets.tsv"
+    out = tmp_path / "tagged.tsv"
     cfg = write_cfg(tmp_path, "[tagging]\nk = 0\n")
     code = main(["tags", "extract", "--corpus", write_one_record_corpus(tmp_path, image_id),
                  "--config", str(cfg), "--output", str(out)])
@@ -871,11 +896,7 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     test_vg = os.path.join(DISAMBIG, "test.tsv")
 
     for split, vg in (("train", train_vg), ("valid", valid_vg), ("test", test_vg)):
-        run(["tags", "extract", "--config", cfg, "--corpus", vg, "--output", p(f"tagsets_{split}.tsv")])
-        run(
-            ["tags", "inject", "--corpus", vg, "--tagsets", p(f"tagsets_{split}.tsv"),
-             "--output", p(f"tagged_{split}.tsv")]
-        )
+        run(["tags", "extract", "--config", cfg, "--corpus", vg, "--output", p(f"tagged_{split}.tsv")])
 
     # plain text views of the corpora (documented VG format -> pairs TSV)
     for split, vg in (("train", train_vg), ("valid", valid_vg)):
@@ -932,9 +953,15 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
          "--corpus-name", "toy", "--split", "etest", "--format", "tsv",
          "--output", p("report.tsv")])
 
-    for name in ("tagged_train.tsv", "synth_pairs.tsv", "enriched.tsv",
-                 "hypotheses_text.txt", "hypotheses_multimodal.txt", "report.tsv"):
+    for name in ("tagged_train.tsv", "tagged_test.tsv", "translator_text.ckpt", "synth_pairs.tsv",
+                 "synthesizer.ckpt", "enriched.tsv", "translator_multimodal.ckpt",
+                 "hypotheses_text.txt", "hypotheses_multimodal.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    # only the pipeline, which computed both scores, names their tokenization
+    tokenization = b"# bleu_tokenization: whitespace\n"
+    report = (out_a / "report.tsv").read_bytes()
+    assert report.count(tokenization) == 1
+    assert report.replace(tokenization, b"") == (out_b / "report.tsv").read_bytes()
 
 
 PIPELINE_ARTIFACTS = [
@@ -1145,28 +1172,22 @@ def test_tags_extract_bad_detections_exit_2(tmp_path, capsys, detections, messag
     assert message in err
 
 
-def test_tags_inject_repeated_image_exit_2(tmp_path, capsys):
-    tagsets = tmp_path / "tagsets.tsv"
-    tagsets.write_text("im1\tdog\nim1\tcat\n", encoding="utf-8")
-    err = _data_error(capsys, ["tags", "inject", "--corpus", write_one_record_corpus(tmp_path, "im1"),
-                               "--tagsets", str(tagsets), "--output", str(tmp_path / "tagged.tsv")])
-    assert "line 2: repeated image id 'im1'" in err
-
-
-def test_tags_inject_separator_names_record_exit_2(tmp_path, capsys):
+def test_tags_extract_separator_names_record_exit_2(tmp_path, capsys):
+    """A source's standalone ``##`` is a data error of `tags extract`, which
+    reads the sources it tags."""
     corpus = tmp_path / "vg.tsv"
-    corpus.write_text("im1\t1\t1\t2\t2\ta cat\tt\nim1\t1\t1\t2\t2\ta ## dog\tt\n", encoding="utf-8")
-    tagsets = tmp_path / "tagsets.tsv"
-    tagsets.write_text("im1\tdog\n", encoding="utf-8")
-    err = _data_error(capsys, ["tags", "inject", "--corpus", str(corpus), "--tagsets", str(tagsets),
-                               "--output", str(tmp_path / "tagged.tsv")])
-    assert err == "error: text contains the reserved separator '##': 'record 1: a ## dog'\n"
+    corpus.write_text("im1\t1\t1\t2\t2\ta ## dog\tt\nim1\t1\t1\t2\t2\ta cat\tt\n", encoding="utf-8")
+    out = tmp_path / "tagged.tsv"
+    err = _data_error(capsys, ["tags", "extract", "--corpus", str(corpus), "--config", write_detections_cfg(tmp_path),
+                               "--output", str(out)])
+    assert err == "error: text contains the reserved separator '##': 'record 0: a ## dog'\n"
+    assert not out.exists()
 
 
 def test_tags_extract_empty_vocabulary_exit_2(tmp_path, capsys):
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("# nothing\n", encoding="utf-8")
-    out = tmp_path / "tagsets.tsv"
+    out = tmp_path / "tagged.tsv"
     cfg = write_cfg(tmp_path, f"[paths]\ntag_vocabulary = {vocab}\n")
     err = _data_error(capsys, ["tags", "extract", "--corpus", os.path.join(DISAMBIG, "valid.tsv"),
                                "--config", str(cfg), "--output", str(out)])
@@ -1188,16 +1209,6 @@ def test_pipeline_stub_backend_empty_vocabulary_exit_2(tmp_path, capsys):
     assert err.count("error:") == 1
 
 
-def test_tags_inject_label_with_separator_exit_2_writes_nothing(tmp_path, capsys):
-    tagsets = tmp_path / "tagsets.tsv"
-    tagsets.write_text("im1\tdog ## cat\n", encoding="utf-8")
-    out = tmp_path / "tagged.tsv"
-    err = _data_error(capsys, ["tags", "inject", "--corpus", write_one_record_corpus(tmp_path, "im1"),
-                               "--tagsets", str(tagsets), "--output", str(out)])
-    assert err == "error: line 1: label 'dog ## cat' contains a reserved character\n"
-    assert not out.exists()
-
-
 def test_synth_build_pairs_separator_names_record_exit_2(tmp_path, capsys):
     tagged = tmp_path / "tagged.tsv"
     tagged.write_text("a cat ## cat\tt\nthe <sep> bat ## dog\tu\n", encoding="utf-8")
@@ -1212,7 +1223,6 @@ LEAF_FLAGS = {
     ("corpus", "stats"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt", "--format": "tsv"},
     ("corpus", "validate"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt"},
     ("tags", "extract"): {"--config": "c.cfg", "--seed": "5", "--corpus": "x.tsv", "--output": "OUT"},
-    ("tags", "inject"): {"--corpus": "x.tsv", "--tagsets": "t.tsv", "--output": "OUT"},
     ("synth", "build-pairs"): {"--tagged": "t.tsv", "--output": "OUT"},
     ("synth", "train"): {"--config": "c.cfg", "--seed": "5", "--pairs": "p.tsv", "--output": "OUT"},
     ("synth", "enrich"): {"--config": "c.cfg", "--checkpoint": "m.ckpt", "--source": "x.src",
@@ -1233,9 +1243,11 @@ LEAF_FLAGS = {
 
 
 # flags that copied a config key: every command reads the key from --config
-# instead (`mt finetune --max-steps` overrides its base checkpoint's config)
+# instead (`mt finetune --max-steps` overrides its base checkpoint's config);
+# and --tagsets, the file `tags extract` wrote before it wrote the tagged corpus
 REMOVED_FLAGS = {"--backend": "file", "--detections": "d.tsv", "--tag-vocabulary": "v.txt", "--k": "3",
-                 "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3"}
+                 "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3",
+                 "--tagsets": "t.tsv"}
 
 
 def _leaf_argv(leaf, flags, out):
@@ -1249,21 +1261,26 @@ def _option_strings(parser):
     return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
 
 
-def test_build_parser_accepts_54_flags():
-    from tagmt.cli import build_parser
-
-    parser = build_parser()
+def _leaves(parser):
+    """(group, command) -> the leaf parser, for every leaf of parser."""
     groups = parser._subparsers._group_actions[0].choices
-    leaves = {
+    return {
         (group, name): leaf
         for group, group_parser in groups.items()
         for name, leaf in group_parser._subparsers._group_actions[0].choices.items()
     }
+
+
+def test_build_parser_accepts_51_flags():
+    from tagmt.cli import build_parser
+
+    parser = build_parser()
+    leaves = _leaves(parser)
     assert sorted(leaves) == sorted(LEAF_FLAGS)
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 54
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 51
 
 
 @pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)
@@ -1331,7 +1348,8 @@ def test_translate_beam_width_above_vocabulary_exit_1(tmp_path):
 
 
 def test_readme_command_lines_parse():
-    """Every `tagmt ...` example in README's command block uses flags its command takes."""
+    """Every `tagmt ...` example in README's command block uses flags its
+    command takes, and every leaf command has an example."""
     import re
     import shlex
 
@@ -1343,9 +1361,12 @@ def test_readme_command_lines_parse():
     block = re.search(r"```bash\n(# end-to-end toy experiment.*?)```", text, re.S)[1]
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("tagmt ")]
     assert len(lines) == 12
+    invoked = set()
     for line in lines:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert hasattr(args, "func"), line
+        invoked.add((args.group, args.command))
+    assert invoked == set(_leaves(build_parser()))
 
 
 NON_FINITE = pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

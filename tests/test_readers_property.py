@@ -32,7 +32,6 @@ CASES = {
     "bitext-source": ("src", ["corpus", "validate", "--source", "{damaged}", "--target", "{tgt}"]),
     "bitext-target": ("tgt", ["corpus", "validate", "--source", "{src}", "--target", "{damaged}"]),
     "detections": ("detections", ["tags", "extract", "--corpus", "{train}", "--config", "{cfg}", "--output", "{out}"]),
-    "tagsets": ("tagsets", ["tags", "inject", "--corpus", "{train}", "--tagsets", "{damaged}", "--output", "{out}"]),
     "tagged": ("tagged", ["synth", "build-pairs", "--tagged", "{damaged}", "--output", "{out}"]),
     # the same file on both sides: every task has its baseline
     "scores": ("scores", ["eval", "report", "--text-only", "{damaged}", "--multimodal", "{damaged}"]),
@@ -74,9 +73,9 @@ def _read(case, paths, damaged):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Path of each input file: heads of the disambiguation fixtures, and the
-    tagsets, tagged corpus and pairs derived from them."""
+    tagged corpus and pairs derived from them."""
     work = tmp_path_factory.mktemp("readers")
-    names = ("train", "src", "tgt", "vocab", "detections", "tagsets", "tagged", "scores", "pairs", "out", "cfg")
+    names = ("train", "src", "tgt", "vocab", "detections", "tagged", "scores", "pairs", "out", "cfg")
     paths = {name: str(work / name) for name in names}
     heads = {"train": "train.tsv", "src": "extra.src", "tgt": "extra.tgt", "detections": "detections.tsv"}
     for name, fixture in heads.items():
@@ -86,7 +85,7 @@ def inputs(tmp_path_factory):
             handle.writelines(head)
     shutil.copy(fixture_path("disambig", "tag_vocab.txt"), paths["vocab"])
     shutil.copy(fixture_path("wat2022_text_only.tsv"), paths["scores"])
-    for case, output in (("detections", "tagsets"), ("tagsets", "tagged"), ("tagged", "pairs")):
+    for case, output in (("detections", "tagged"), ("tagged", "pairs")):
         code, err = _read(case, {**paths, "out": paths[output]}, paths[case])
         assert code == 0, err
     return paths

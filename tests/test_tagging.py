@@ -14,7 +14,6 @@ from tagmt.tagging import (
     parse_tagged,
     read_detections_file,
     render_tagged,
-    select_corpus_tags,
     select_tags,
     stub_detections,
     tag_corpus,
@@ -270,14 +269,30 @@ def test_tag_corpus_attaches_record_index(tmp_path):
     assert "missing" in str(err.value)
 
 
-def test_select_corpus_tags_one_per_image_in_first_seen_order():
+def test_tag_corpus_detects_each_image_once_in_first_seen_order():
     lines = [f"{image}\t1\t1\t2\t2\tsrc {i}\ttgt {i}" for i, image in enumerate("bab")]
     corpus = parse_vg_corpus(lines + ["\t1\t1\t2\t2\tno image\tkein bild"])
-    detector = make_detector(COCO, seed=1)
-    labels_by_image = select_corpus_tags(corpus, detector, k=3)
-    assert list(labels_by_image) == ["b", "a"]
-    for image_id, labels in labels_by_image.items():
-        assert labels == select_tags(detector(image_id), k=3)
+    stub = make_detector(COCO, seed=1)
+    detected = []
+
+    def detector(image_id):
+        detected.append(image_id)
+        return stub(image_id)
+
+    pairs = tag_corpus(corpus, detector, k=3)
+    assert detected == ["b", "a"]
+    assert pairs[-1] == ("no image", "kein bild")
+    for (image_id, source, target), pair in zip(corpus, pairs):
+        if image_id:
+            assert pair == (render_tagged(source, select_tags(stub(image_id), k=3)), target)
+
+
+def test_tag_corpus_first_bad_record_in_row_order_wins(tmp_path):
+    path = tmp_path / "det.tsv"
+    write_detections_file({"known": [("dog", 0.9)]}, path)
+    corpus = parse_vg_corpus(["known\t1\t1\t2\t2\ta ## b\tc", "missing\t1\t1\t2\t2\td\te"])
+    with pytest.raises(SeparatorCollision, match="record 0: a ## b"):
+        tag_corpus(corpus, make_detector(COCO, detections=path))
 
 
 # -- vocabulary ---------------------------------------------------------------
