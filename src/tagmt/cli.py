@@ -24,7 +24,7 @@ from .evaluation import (
 )
 from .fileio import read_lines, write_lines
 from .mt.decode import check_beam_width, translate_corpus
-from .mt.train import Checkpoint, fine_tune, train
+from .mt.train import Checkpoint, train
 from .pipeline import run_pipeline
 from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus
@@ -147,21 +147,6 @@ def cmd_mt_train(args):
         f"saved checkpoint to {args.output} "
         f"(steps {meta['steps']}, best step {meta['best_step']})"
     )
-    return 0
-
-
-def cmd_mt_finetune(args):
-    base = Checkpoint.load(args.base)
-    overrides = {}
-    if args.max_steps is not None:
-        overrides["max_steps"] = args.max_steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    pairs = read_pairs_tsv(args.train)
-    valid = read_pairs_tsv(args.valid) if args.valid else []
-    checkpoint = fine_tune(base, overrides, pairs, valid, log=_log)
-    checkpoint.save(args.output)
-    print(f"saved fine-tuned checkpoint to {args.output}")
     return 0
 
 
@@ -288,17 +273,10 @@ def build_parser():
     p.add_argument("--output", required=True)
 
     mt = parser_group(groups, "mt", "translator training and decoding")
-    p = sub(mt, "train", cmd_mt_train, "train a translator from scratch")
+    p = sub(mt, "train", cmd_mt_train, "train a translator")
     _add_config_flags(p)
     p.add_argument("--train", required=True, help="training pairs TSV (source, target)")
     p.add_argument("--valid", default=None, help="validation pairs TSV")
-    p.add_argument("--output", required=True)
-    p = sub(mt, "finetune", cmd_mt_finetune, "continue training from a checkpoint")
-    p.add_argument("--base", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the base checkpoint's seed")
     p.add_argument("--output", required=True)
     p = sub(mt, "translate", cmd_mt_translate, "translate a file of sentences")
     _add_config_flags(p, seed=False)

@@ -151,6 +151,9 @@ def _parse_value(section, key, kind, raw, base_dir):
     if kind is PATH:
         return os.path.normpath(os.path.join(base_dir, raw))
     try:
+        # int() and float() also take '1_000' and non-ASCII digits such as '３'
+        if kind in (int, float) and (not raw.isascii() or "_" in raw):
+            raise ValueError
         return kind(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} expects {kind.__name__}, got {raw!r}") from None

@@ -35,10 +35,9 @@ shapes of 128 row-positions, and the fork won at most of 256 and at all
 from 512 up; at d=32, where a row-position costs about a quarter as much,
 it lost up to ~1024 greedy and ~1536 beam row-positions. Scaling the
 row-positions by model_dim puts the break-even at 256 at d=128 and 1024 at
-d=32. The hypotheses are those of
-the in-place path wherever a GEMM row's bits do not depend on the row count
-(OpenBLAS at output widths that are multiples of 8), the same condition as
-batching.
+d=32. The split gives most sources other batch-mates and another padded
+length than in place, and both move logits in the last bits, so the forked
+hypotheses are the in-place ones except at near-ties, as with batching.
 """
 
 import numpy as np

@@ -17,9 +17,9 @@ validation and `decode_step`, and `_stack_bwd`.
 back in one flat vector with a named view per parameter. `forward_backward`
 writes every gradient through such views into the gradient vector of its
 `StepState`, which training keeps for the whole call and rewrites each step,
-and training holds the parameters the same way, so clipping and Adam act on
-one vector per step. A model built from a plain name -> array dict (a loaded
-checkpoint) uses it as is, with no copy.
+and a new model draws its parameters into such views, so clipping and Adam
+act on one vector per step. A model built from a plain name -> array dict (a
+loaded checkpoint) uses it as is, with no copy.
 
 Training and validation run every row-wise layer (embedding, linear layers,
 layer norm, dropout, residual adds, feed-forward, output projection and
@@ -66,6 +66,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -107,9 +108,9 @@ class ModelConfig:
     patience: int = 0
     synth_fit_threshold: float = 0.9
 
-    def validate(self, min_steps=1):
+    def validate(self):
         floors = {
-            "layers": 1, "heads": 1, "ff_dim": 1, "max_steps": min_steps, "validation_interval": 1,
+            "layers": 1, "heads": 1, "ff_dim": 1, "max_steps": 1, "validation_interval": 1,
             "warmup_steps": 1, "batch_size": 1, "max_len": 2, "patience": 0,
             "seed": 0,  # numpy's generators take no negative seed
         }
@@ -121,7 +122,7 @@ class ModelConfig:
                 f"model_dim ({self.model_dim}) must be positive and divisible "
                 f"by heads ({self.heads})"
             )
-        if self.max_steps >= 1 and self.validation_interval > self.max_steps:
+        if self.validation_interval > self.max_steps:
             raise ConfigError(
                 f"validation_interval ({self.validation_interval}) must not "
                 f"exceed max_steps ({self.max_steps})"
@@ -137,8 +138,6 @@ class ModelConfig:
                 f"synth_fit_threshold must be in (0, 1], got {self.synth_fit_threshold}"
             )
         return self
-
-    ARCHITECTURE_FIELDS = ("layers", "heads", "model_dim", "ff_dim", "max_len")
 
     def override(self, **overrides):
         known = {f.name for f in fields(self)}
@@ -166,7 +165,7 @@ class ModelConfig:
                 raise ConfigError(
                     f"config field {name!r} expects {kinds[name].__name__}, got {value!r}"
                 )
-        return cls(**data).validate(min_steps=0)
+        return cls(**data).validate()
 
 
 def sinusoid_positions(max_len, dim):
@@ -183,14 +182,42 @@ _SUBLAYERS = {
 }
 
 
+def param_count(config, vocab_size):
+    """The number of values `param_layout` lays out, plus the position table,
+    in closed form: the count of a model too large to build costs no layout."""
+    layers, d, f, v = config.layers, config.model_dim, config.ff_dim, vocab_size
+    attn, ff, norms = 4 * d * d + 4 * d, 2 * d * f + f + d, 10 * d
+    return layers * (3 * attn + 2 * ff + norms) + 4 * d + 2 * v * d + v + config.max_len * d
+
+
+def check_fits(config, vocab_size):
+    """Raise MemoryError, naming the fields that set the size, when the
+    parameters and the position table need more than the machine's memory."""
+    need = param_count(config, vocab_size) * np.dtype(DTYPE).itemsize
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise MemoryError(
+            f"layers {config.layers}, model_dim {config.model_dim}, ff_dim {config.ff_dim}, "
+            f"max_len {config.max_len} and vocabulary size {vocab_size} need {_gib(need)} GiB, "
+            f"more than the {_gib(memory)} GiB of memory"
+        )
+
+
+def _gib(nbytes):
+    # Decimal, since a float cannot hold every int a config value can be
+    return f"{Decimal(nbytes) / 2**30:.4g}"
+
+
 def param_layout(config, vocab_size):
     """Every parameter as (name, shape, init), in initialization order.
 
     init is "normal" (the embedding), "xavier" (weight matrices), "ones" or
     "zeros". It is the one definition of the model's parameters: the
     initializer draws from it, checkpoints are checked against it, and it
-    lays the parameters out in one flat vector (`FlatViews`).
+    lays the parameters out in one flat vector (`FlatViews`). A model no
+    memory holds fails `check_fits` first, before its layout is built.
     """
+    check_fits(config, vocab_size)
     d, f, v = config.model_dim, config.ff_dim, vocab_size
     layout = [("embed", (v, d), "normal")]
 
@@ -527,20 +554,11 @@ class Transformer:
     """Parameter container plus forward/backward over padded id batches."""
 
     def __init__(self, config, vocab_size, pad_id=0, params=None, rng=None):
-        config.validate(min_steps=0)
+        config.validate()
         self.config = config
         self.vocab_size = vocab_size
         self.pad_id = pad_id
         self.layout = param_layout(config, vocab_size)
-        # a model no memory holds fails here, before its first array is allocated
-        values = config.max_len * config.model_dim + sum(math.prod(s) for _, s, _ in self.layout)
-        need = values * np.dtype(DTYPE).itemsize
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > memory:
-            raise MemoryError(
-                f"model_dim {config.model_dim} and max_len {config.max_len} need "
-                f"{need / 2**30:.4g} GiB, more than the {memory / 2**30:.4g} GiB of memory"
-            )
         self.pos = sinusoid_positions(config.max_len, config.model_dim)
         if params is not None:
             self.params = params
@@ -552,16 +570,18 @@ class Transformer:
     # -- initialization ------------------------------------------------------
 
     def _init_params(self, rng):
+        """Fresh parameters: `FlatViews` of one zeroed vector, each view drawn
+        or filled in layout order."""
         d = self.config.model_dim
-        params = {}
+        params = FlatViews(self.layout)
         for name, shape, init in self.layout:
             if init == "normal":
-                params[name] = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape).astype(DTYPE)
+                params[name][...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape)
             elif init == "xavier":
                 limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-                params[name] = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
-            else:
-                params[name] = (np.ones if init == "ones" else np.zeros)(shape, dtype=DTYPE)
+                params[name][...] = rng.uniform(-limit, limit, size=shape)
+            elif init == "ones":
+                params[name].fill(1.0)
         return params
 
     # -- masks ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training, fine-tuning and checkpointing for the numpy transformer.
+"""Training and checkpointing for the numpy transformer.
 
 Adam with warmup + inverse-sqrt decay, global-norm gradient clipping, and
 best-validation checkpoint selection. Training holds the parameters, the
@@ -224,7 +224,6 @@ def train(
     training_pairs,
     validation_pairs=(),
     vocab=None,
-    init_params=None,
     log=None,
 ):
     """Optimize a transformer on (source, target) string pairs.
@@ -235,7 +234,7 @@ def train(
     With config.patience > 0, training stops early once that many
     consecutive validations pass without a new best loss.
     """
-    config.validate(min_steps=1)
+    config.validate()
     if not training_pairs:
         raise DataError("no training pairs")
     if vocab is None:
@@ -244,13 +243,7 @@ def train(
     encoded_valid = encode_pairs(validation_pairs, vocab, config, "validation")
 
     rng = np.random.default_rng(config.seed)
-    model = Transformer(config, len(vocab), pad_id=vocab.pad_id, params=init_params, rng=rng)
-    # From here on the parameters are views of one flat vector, which Adam
-    # updates in one call and the best-validation snapshot copies whole.
-    layout = model.layout
-    model.params = FlatViews(
-        layout, np.concatenate([model.params[name].ravel() for name, _, _ in layout], dtype=DTYPE)
-    )
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id, rng=rng)
     flat = model.params.vector
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
@@ -300,7 +293,7 @@ def train(
             if stopped_early:
                 break
 
-    final_params = model.params if best_flat is None else FlatViews(layout, best_flat)
+    final_params = model.params if best_flat is None else FlatViews(model.layout, best_flat)
     best_step, best_val_loss = min(val_trace, key=lambda entry: entry[1], default=(step, None))
     meta = {
         "steps": step,
@@ -314,38 +307,3 @@ def train(
     }
     return Checkpoint(config=config, params=final_params, vocab=vocab, training_meta=meta)
 
-
-def fine_tune(base, config_overrides, training_pairs, validation_pairs=(), log=None):
-    """Continue optimizing a checkpoint on new data.
-
-    Overrides may adjust schedule parameters but not the architecture. A
-    max_steps of 0 is allowed and returns a copy of the base parameters
-    unchanged. The base vocabulary is reused; out-of-vocabulary tokens in the
-    new data fall back to unk.
-    """
-    overrides = dict(config_overrides or {})
-    for name in ModelConfig.ARCHITECTURE_FIELDS:
-        if name in overrides and overrides[name] != getattr(base.config, name):
-            raise ConfigError(
-                f"fine-tuning may not change {name}: checkpoint has "
-                f"{getattr(base.config, name)}, override requests {overrides[name]}"
-            )
-    config = base.config.override(**overrides)
-    config.validate(min_steps=0)
-    if not training_pairs:
-        raise DataError("no fine-tuning pairs")
-    if config.max_steps == 0:
-        params = {k: v.copy() for k, v in base.params.items()}
-        meta = dict(base.training_meta)
-        meta.update({"steps": 0, "fine_tuned_from_steps": base.training_meta.get("steps")})
-        return Checkpoint(config=config, params=params, vocab=base.vocab, training_meta=meta)
-    ckpt = train(
-        config,
-        training_pairs,
-        validation_pairs,
-        vocab=base.vocab,
-        init_params=base.params,
-        log=log,
-    )
-    ckpt.training_meta["fine_tuned_from_steps"] = base.training_meta.get("steps")
-    return ckpt

@@ -217,9 +217,12 @@ def test_corrupt_checkpoint_exit_1(tmp_path, kind):
         ({"dropout": "0.1"}, "config field 'dropout' expects float, got '0.1'"),
         ({"colour": 1}, "unknown config fields: ['colour']"),
         ({"layers": 0}, "layers must be >= 1, got 0"),
+        # only `mt finetune --max-steps 0`, now gone, wrote such a checkpoint
+        ({"max_steps": 0}, "max_steps must be >= 1, got 0"),
         (None, "config is not a JSON object"),
     ],
-    ids=["str-int", "float-int", "bool-int", "str-float", "unknown", "invalid", "not-object"],
+    ids=["str-int", "float-int", "bool-int", "str-float", "unknown", "invalid", "zero-steps",
+         "not-object"],
 )
 def test_checkpoint_bad_config_exit_1(tmp_path, change, message):
     config = random_checkpoint(0).config.to_dict()
@@ -1229,8 +1232,6 @@ LEAF_FLAGS = {
                           "--target": "x.tgt", "--output": "OUT"},
     ("mt", "train"): {"--config": "c.cfg", "--seed": "5", "--train": "p.tsv", "--valid": "v.tsv",
                       "--output": "OUT"},
-    ("mt", "finetune"): {"--base": "m.ckpt", "--train": "p.tsv", "--valid": "v.tsv",
-                         "--max-steps": "3", "--seed": "5", "--output": "OUT"},
     ("mt", "translate"): {"--config": "c.cfg", "--checkpoint": "m.ckpt", "--input": "s.txt",
                           "--output": "OUT"},
     ("eval", "bleu"): {"--hypotheses": "h.txt", "--references": "r.txt", "--smooth": None,
@@ -1242,12 +1243,13 @@ LEAF_FLAGS = {
 }
 
 
-# flags that copied a config key: every command reads the key from --config
-# instead (`mt finetune --max-steps` overrides its base checkpoint's config);
-# and --tagsets, the file `tags extract` wrote before it wrote the tagged corpus
+# flags no command takes: those that copied a config key (every command reads
+# the key from --config instead), --tagsets, the file `tags extract` wrote
+# before it wrote the tagged corpus, and --base and --max-steps, which only the
+# `mt finetune` subcommand, now gone, still took
 REMOVED_FLAGS = {"--backend": "file", "--detections": "d.tsv", "--tag-vocabulary": "v.txt", "--k": "3",
                  "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3",
-                 "--tagsets": "t.tsv"}
+                 "--tagsets": "t.tsv", "--base": "m.ckpt"}
 
 
 def _leaf_argv(leaf, flags, out):
@@ -1271,7 +1273,7 @@ def _leaves(parser):
     }
 
 
-def test_build_parser_accepts_51_flags():
+def test_build_parser_accepts_45_flags():
     from tagmt.cli import build_parser
 
     parser = build_parser()
@@ -1280,7 +1282,7 @@ def test_build_parser_accepts_51_flags():
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 51
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 45
 
 
 @pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)
@@ -1305,6 +1307,15 @@ def test_leaf_takes_only_the_flags_it_reads(tmp_path, capsys, leaf):
         assert exit_info.value.code == 1
         assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_mt_finetune_is_gone_exit_1(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mt", "finetune", "--help"])
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument COMMAND: invalid choice: 'finetune'" in err
 
 
 def test_flag_before_the_subcommand_exit_1(tmp_path, capsys):
@@ -1360,7 +1371,7 @@ def test_readme_command_lines_parse():
         text = handle.read()
     block = re.search(r"```bash\n(# end-to-end toy experiment.*?)```", text, re.S)[1]
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("tagmt ")]
-    assert len(lines) == 12
+    assert len(lines) == 11
     invoked = set()
     for line in lines:
         args = build_parser().parse_args(shlex.split(line)[1:])
@@ -1475,17 +1486,17 @@ def test_error_class_exit_code(monkeypatch, tmp_path, capsys, err):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
-def test_train_model_beyond_memory_exit_1_before_allocating(tmp_path):
-    """At model_dim 10^8 the parameters need far more than any memory; the
-    size check fails before the first array, so a 1 GiB address-space limit,
-    set on the child alone, is never reached."""
+def _train_beyond_memory(tmp_path, translator, timeout=120):
+    """`mt train` in a child under a 1 GiB address-space limit, on a config
+    whose [translator] section is the given lines; it must exit 1 with one
+    out-of-memory line and write nothing. Returns that line."""
     import resource
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("[translator]\nmodel_dim = 100000000\nheads = 2\n", encoding="utf-8")
+    cfg.write_text(f"[translator]\n{translator}\n", encoding="utf-8")
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
     out = tmp_path / "model.ckpt"
@@ -1495,10 +1506,34 @@ def test_train_model_beyond_memory_exit_1_before_allocating(tmp_path):
         capture_output=True,
         text=True,
         preexec_fn=limit_address_space,
-        timeout=120,
+        timeout=timeout,
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
-    assert "model_dim 100000000" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+    return proc.stderr
+
+
+def test_train_model_beyond_memory_exit_1_before_allocating(tmp_path):
+    """At model_dim 10^8 the parameters need far more than any memory; the
+    size check fails before the first array, so a 1 GiB address-space limit,
+    set on the child alone, is never reached."""
+    err = _train_beyond_memory(tmp_path, "model_dim = 100000000\nheads = 2")
+    assert "model_dim 100000000" in err, err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("layers", 99999999999999999999999), ("ff_dim", 99999999999999999999999),
+     ("layers", 10**400)],  # more GiB than a float holds
+    ids=["layers", "ff_dim", "layers-400-digits"],
+)
+def test_train_model_beyond_memory_names_the_key(tmp_path, key, value):
+    """The size is counted in closed form before the parameter layout, ~42
+    entries a layer, is built: at 10^23 layers the check answers at once
+    where building the layout first would run until the address space is
+    full. The message names the key that set the size."""
+    err = _train_beyond_memory(tmp_path, f"{key} = {value}", timeout=60)
+    assert f"{key} {value}," in err, err
+    assert "vocabulary size " in err, err

@@ -87,6 +87,24 @@ def test_decode_int_error_names_section_and_key(tmp_path, key):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize(
+    "section, key, kind, raw",
+    [
+        ("translator", "layers", "int", "1_000"),
+        ("decode", "beam_width", "int", "\uff13"),  # full-width 3
+        ("synthesizer", "dropout", "float", "0.1_5"),
+        ("translator", "learning_rate", "float", "\u0661e-3"),  # Arabic-Indic 1
+    ],
+)
+def test_number_forms_int_and_float_accept_are_rejected(tmp_path, section, key, kind, raw):
+    """int() and float() take underscores and non-ASCII digits; a config
+    number is plain ASCII."""
+    path = write_cfg(tmp_path, f"[{section}]\n{key} = {raw}\n")
+    message = f"[{section}] {key} expects {kind}, got {raw!r}"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        load_experiment_config(path)
+
+
 @pytest.mark.parametrize("value", ["0", "1", "-3"])
 def test_decode_max_len_below_two_rejected(tmp_path, value):
     path = write_cfg(tmp_path, f"[decode]\nmax_len = {value}\n")

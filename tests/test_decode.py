@@ -267,9 +267,7 @@ def test_batched_search_properties(seed, sources, width, max_len):
 
 def random_wide_checkpoint(model_dim):
     """An untrained model at model_dim over a 32-token vocabulary, and 60
-    copy-task sources. OpenBLAS gives a GEMM row the same bits at any row
-    count where the output width is a multiple of 8, so at d=32 and d=128
-    with V=32 a hypothesis does not depend on the batch it is decoded in."""
+    copy-task sources."""
     pairs = make_copy_task(60, seed=4, vocab_size=25, min_len=2, max_len=9)
     vocab = vocab_from_pairs(pairs)
     assert len(vocab) == 32
@@ -286,6 +284,14 @@ def random_wide_checkpoint(model_dim):
 @pytest.mark.parametrize("model_dim", [32, 128])
 @pytest.mark.parametrize("decode", ["greedy", "beam"])
 def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
+    # Why these sizes pass, although the fork does move bits: at V=32 (a
+    # multiple of 8) OpenBLAS gives a GEMM row the same bits at any row count,
+    # so greedy at n=35 and 36, whose halves pad to the in-place length, gives
+    # equal logits. Elsewhere a half pads to another length, which moves the
+    # first-step logits of up to 3 sources by ~2e-15, while their top two
+    # logits lie at least 0.004 apart: no candidate ties within the rounding.
+    # A near-tie could flip a hypothesis; one batch plan for both paths would
+    # make the result exact (ROADMAP).
     ckpt, sources = random_wide_checkpoint(model_dim)
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
     for n in (2, 3, 35, 36):  # beam width 4 decodes 16 sources a batch: 35 and 36 take two a half

@@ -1,11 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagmt.errors import ConfigError
 from tagmt.mt.model import ModelConfig, Transformer, _Rows, masked_softmax, sinusoid_positions
-from tagmt.mt.model import param_layout
+from tagmt.mt.model import FlatViews, param_count, param_layout
 
 MICRO = ModelConfig(
     layers=2,
@@ -72,6 +75,43 @@ def test_gradients_cover_every_parameter():
     for name, g in grads.items():
         assert g.shape == model.params[name].shape
         assert np.isfinite(g).all(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layers=st.integers(1, 4),
+    heads=st.integers(1, 4),
+    head_dim=st.integers(1, 8),
+    ff_dim=st.integers(1, 40),
+    max_len=st.integers(2, 30),
+    vocab_size=st.integers(1, 50),
+)
+def test_param_count_is_the_layout_sum(layers, heads, head_dim, ff_dim, max_len, vocab_size):
+    config = ModelConfig(layers=layers, heads=heads, model_dim=heads * head_dim, ff_dim=ff_dim,
+                         max_len=max_len)
+    layout = param_layout(config, vocab_size)
+    values = sum(math.prod(shape) for _, shape, _ in layout) + max_len * config.model_dim
+    assert param_count(config, vocab_size) == values
+
+
+def test_fresh_parameters_are_the_draws_in_layout_order():
+    """A new model's parameters are views of one flat vector holding, back to
+    back, what drawing each parameter on its own in layout order gives."""
+    model = micro_model(seed=7)
+    rng = np.random.default_rng(7)
+    expected = []
+    for name, shape, init in model.layout:
+        if init == "normal":
+            expected.append(rng.normal(0.0, 1.0 / math.sqrt(MICRO.model_dim), size=shape))
+        elif init == "xavier":
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            expected.append(rng.uniform(-limit, limit, size=shape))
+        else:
+            expected.append((np.ones if init == "ones" else np.zeros)(shape))
+    assert isinstance(model.params, FlatViews)
+    assert list(model.params) == [name for name, _, _ in model.layout]
+    flat = np.concatenate([value.ravel() for value in expected])
+    assert model.params.vector.tobytes() == flat.tobytes()
 
 
 def test_param_layout_pinned():

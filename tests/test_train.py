@@ -7,13 +7,11 @@ import pytest
 
 from conftest import TINY_CONFIG
 from tagmt.errors import ConfigError, DataError, Divergence
-from tagmt.evaluation import bleu_from_texts
 from tagmt.mt.decode import translate_corpus
 from tagmt.mt.train import (
     Checkpoint,
     _clip_grads,
     encode_pairs,
-    fine_tune,
     learning_rate_at,
     train,
 )
@@ -194,51 +192,6 @@ def test_learning_rate_schedule_shape():
     assert abs(rates[9] - 1e-3) < 1e-12  # peak at warmup
     assert all(a <= b + 1e-15 for a, b in zip(rates[:9], rates[1:10]))
     assert all(a >= b - 1e-15 for a, b in zip(rates[9:], rates[10:]))
-
-
-# -- fine-tuning ---------------------------------------------------------------
-
-
-def test_finetune_zero_steps_identical_params(copy_checkpoint):
-    out = fine_tune(copy_checkpoint, {"max_steps": 0}, [("t01 t02", "t01 t02")])
-    for name in copy_checkpoint.params:
-        assert np.array_equal(out.params[name], copy_checkpoint.params[name])
-    assert out.training_meta["steps"] == 0
-
-
-def test_finetune_rejects_architecture_change(copy_checkpoint):
-    with pytest.raises(
-        ConfigError, match=r"^fine-tuning may not change layers: checkpoint has 2, override requests 4$"
-    ):
-        fine_tune(copy_checkpoint, {"layers": 4}, [("a", "b")])
-    with pytest.raises(
-        ConfigError,
-        match=r"^fine-tuning may not change model_dim: checkpoint has 32, override requests 64$",
-    ):
-        fine_tune(copy_checkpoint, {"model_dim": 64}, [("a", "b")])
-
-
-def test_finetune_rejects_empty_pairs(copy_checkpoint):
-    with pytest.raises(DataError, match=r"^no fine-tuning pairs$"):
-        fine_tune(copy_checkpoint, {}, [])
-
-
-def test_finetune_transfer_beats_scratch(copy_checkpoint):
-    # reversal task over the same token vocabulary; the pretrained embeddings
-    # and copy-ish attention give the fine-tuned model a head start at a
-    # small step budget
-    pairs = [(src, " ".join(reversed(src.split()))) for src, _ in make_copy_task(260, seed=31)]
-    train_pairs, test_pairs = pairs[:220], pairs[220:]
-    budget = {"max_steps": 60, "validation_interval": 20}
-    tuned = fine_tune(copy_checkpoint, budget, train_pairs, train_pairs[-20:])
-    scratch = train(
-        copy_checkpoint.config.override(**budget), train_pairs, train_pairs[-20:]
-    )
-    sources = [s for s, _ in test_pairs]
-    refs = [t for _, t in test_pairs]
-    tuned_bleu = bleu_from_texts(translate_corpus(tuned, sources), refs, smooth="add1")
-    scratch_bleu = bleu_from_texts(translate_corpus(scratch, sources), refs, smooth="add1")
-    assert tuned_bleu.score > scratch_bleu.score
 
 
 # -- checkpoint io -------------------------------------------------------------
