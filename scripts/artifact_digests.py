@@ -8,8 +8,13 @@ artifact in name order, then `<sha256>  (stage log)` over the lines the
 pipeline logs, each ended by a newline. Two checkouts that print the same
 lines wrote the same bytes.
 
+Under `taskset -c 0` the process may use one CPU, so the text-only training
+and every decode take the in-place path instead of a forked child; the lines
+must match those of a normal run.
+
 Run from the repository root:
     python3 scripts/artifact_digests.py [--config fixtures/toy.cfg] [--seed N]
+    taskset -c 0 python3 scripts/artifact_digests.py [--seed N]
 """
 
 import argparse

@@ -6,12 +6,16 @@ runs to max_len - 1 tokens, as in the benchmark's translate-long) at two
 shapes: the default (model_dim 128, max_len 64) and the toy experiment's
 translator (model_dim 32, max_len 48, fixtures/toy.cfg). At each, greedy and
 width-4 beam batches run whose work, rows x max_len, lies in 128..4096. Each
-batch runs REPEATS times each way, alternating which goes first, and checks
-that both ways give the same hypotheses. Prints one tab-separated row per
-batch: model_dim, mode, sources, rows, max_len, work (rows x max_len), the
-median in-place and forked times in ms, their ratio, and what
-decode.FORK_MIN_WORK's rule (work x model_dim >= FORK_MIN_WORK) picks there.
-Needs two CPUs.
+batch runs REPEATS times each way, alternating which goes first. The two ways
+are what setting decode.FORK_MIN_WORK to 0 or to sys.maxsize picks between:
+the batch plan rounded up to an even count, run forked, and the plan without
+rounding, run in place. The script stops if they give different hypotheses,
+which can happen only where the rounding regroups the sources and two
+candidates tie to within the last bits, as batching can. Prints one
+tab-separated row per batch: model_dim, mode, sources, rows, max_len, work
+(rows x max_len), the median in-place and forked times in ms, their ratio,
+and what decode.FORK_MIN_WORK's rule (work x model_dim >= FORK_MIN_WORK)
+picks there. Needs two CPUs.
 
 Run from the repository root:  python3 scripts/fork_break_even.py [REPEATS]
 """

@@ -194,13 +194,7 @@ def cmd_eval_bleu(args):
 def cmd_eval_report(args):
     text_only = read_scores_tsv(read_lines(args.text_only))
     multimodal = read_scores_tsv(read_lines(args.multimodal))
-    report = report_delta(
-        text_only,
-        multimodal,
-        corpus_name=args.corpus_name,
-        split=args.split,
-        timestamp=args.timestamp,
-    )
+    report = report_delta(text_only, multimodal, corpus_name=args.corpus_name, split=args.split)
     if args.output:
         write_report(report, args.output, fmt=args.format)
         print(f"wrote report to {args.output}")
@@ -297,7 +291,6 @@ def build_parser():
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.add_argument("--corpus-name", default="")
     p.add_argument("--split", default="")
-    p.add_argument("--timestamp", default=None)
 
     pipe = parser_group(groups, "pipeline", "end-to-end experiment")
     p = sub(pipe, "run", cmd_pipeline_run, "run the full multimodal experiment from --config")

@@ -69,11 +69,12 @@ SECTIONS = {section for section, _ in KEYS}
 
 
 def in_section(section, check, *args):
-    """Run an owner's `check(*args)`; its ConfigError gets the ``[section] `` prefix."""
+    """Run an owner's `check(*args)`; its ConfigError or MemoryError gets the
+    ``[section] `` prefix."""
     try:
         return check(*args)
-    except ConfigError as err:
-        raise ConfigError(f"[{section}] {err}") from None
+    except (ConfigError, MemoryError) as err:
+        raise type(err)(f"[{section}] {err}") from None
 
 
 @dataclass

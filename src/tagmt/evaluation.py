@@ -115,7 +115,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
 
-def report_delta(text_only, multimodal, corpus_name="", split="", timestamp=None):
+def report_delta(text_only, multimodal, corpus_name="", split=""):
     """Build a comparison report: one row per multimodal task.
 
     Deltas are exact subtractions (multimodal minus text-only); rendering
@@ -136,8 +136,6 @@ def report_delta(text_only, multimodal, corpus_name="", split="", timestamp=None
         metadata["corpus"] = corpus_name
     if split:
         metadata["split"] = split
-    if timestamp is not None:
-        metadata["timestamp"] = timestamp
     return EvalReport(rows=rows, metadata=metadata)
 
 

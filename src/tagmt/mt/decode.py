@@ -23,21 +23,22 @@ open hypotheses: score descending, then shorter, then the smaller id list.
 No length normalization is applied.
 
 Decoding is bound by small numpy calls that hold the GIL, so a second thread
-gains nothing; `translate_corpus` uses a second process instead. When the
-process may use two CPUs (`forking.can_fork`) and the work, decoder
-row-positions times model_dim, is at least FORK_MIN_WORK, a forked child
-decodes the first half of the sources while this process decodes the
-second, each half in batches as before. A call made inside
-`forking.alongside`'s block or child, as the pipeline's synthesizer decodes
-are, runs in place. On 2 vCPUs (scripts/fork_break_even.py) the fork's
-cost, tens of milliseconds, outweighed the half it saves at d=128 at most
-shapes of 128 row-positions, and the fork won at most of 256 and at all
-from 512 up; at d=32, where a row-position costs about a quarter as much,
-it lost up to ~1024 greedy and ~1536 beam row-positions. Scaling the
-row-positions by model_dim puts the break-even at 256 at d=128 and 1024 at
-d=32. The split gives most sources other batch-mates and another padded
-length than in place, and both move logits in the last bits, so the forked
-hypotheses are the in-place ones except at near-ties, as with batching.
+gains nothing; `translate_corpus` uses a second process instead. Its batch
+plan is a function of the call alone: ceil(n / (BATCH_ROWS // width))
+contiguous batches of equal size (within one source), their count rounded up
+to even (never above n) when the work, decoder row-positions times
+model_dim, is at least FORK_MIN_WORK. From there, when `forking.can_fork()`
+(two CPUs, and not inside `forking.alongside`, as the pipeline's synthesizer
+decodes are), a forked child decodes the first half of the batches while
+this process decodes the second. Each batch has the same input on either
+path and BLAS runs one thread in both processes, so the forked hypotheses
+equal the in-place ones, by construction. On 2 vCPUs
+(scripts/fork_break_even.py) the fork's cost, tens of milliseconds,
+outweighed the half it saves at d=128 at most shapes of 128 row-positions,
+and the fork won at most of 256 and at all from 512 up; at d=32, where a
+row-position costs about a quarter as much, it lost up to ~1024 greedy and
+~1536 beam row-positions. Scaling the row-positions by model_dim puts the
+break-even at 256 at d=128 and 1024 at d=32.
 """
 
 import numpy as np
@@ -52,9 +53,10 @@ DEFAULT_DECODE, DEFAULT_BEAM_WIDTH = "greedy", 4
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
-# fewest decoder row-positions (sources x width x max_len) times model_dim that
-# translate_corpus splits between two processes: 256 row-positions at d=128,
-# the fork's measured break-even there, and 1024 at d=32
+# fewest decoder row-positions (sources x width x max_len) times model_dim for
+# which translate_corpus plans an even batch count, to split between two
+# processes: 256 row-positions at d=128, the fork's measured break-even
+# there, and 1024 at d=32
 FORK_MIN_WORK = 256 * 128
 
 
@@ -138,15 +140,16 @@ def translate_corpus(
 ):
     """Translate a list of sources by batched beam search; greedy is width 1.
 
-    Sources are decoded BATCH_ROWS // width at a time (at least one).
-    max_len caps source and hypothesis lengths at the checkpoint's max_len;
-    None means the checkpoint's own. A bad decode mode, width or max_len
-    raises ConfigError (`check_decode`), and so does a beam search wider
-    than the checkpoint's vocabulary (`check_beam_width`), before anything
-    is allocated. From FORK_MIN_WORK decoder row-positions (sources x width
-    x max_len) times model_dim up, when `forking.can_fork()`, a forked
-    child decodes the first half of the sources while this process decodes
-    the second.
+    Sources are decoded in the module docstring's batch plan, at most
+    BATCH_ROWS // width a batch (at least one). max_len caps source and
+    hypothesis lengths at the checkpoint's max_len; None means the
+    checkpoint's own. A bad decode mode, width or max_len raises ConfigError
+    (`check_decode`), and so does a beam search wider than the checkpoint's
+    vocabulary (`check_beam_width`), before anything is allocated. From
+    FORK_MIN_WORK decoder row-positions (sources x width x max_len) times
+    model_dim up, when `forking.can_fork()`, a forked child decodes the
+    first half of the batches while this process decodes the second, with
+    the hypotheses of the plan run in place.
     """
     check_decode(decode, beam_width, max_len)
     vocab = checkpoint.vocab
@@ -155,21 +158,22 @@ def translate_corpus(
     model = checkpoint.build_model()
     limit = checkpoint.config.max_len
     max_len = limit if max_len is None else min(max_len, limit)
-    chunk = max(1, BATCH_ROWS // width)
+    n = len(source_texts)
+    forkable = n * width * max_len * checkpoint.config.model_dim >= FORK_MIN_WORK
+    count = -(-n // max(1, BATCH_ROWS // width))
+    count = min(count + count % 2, n) if forkable else count
+    batches = [source_texts[i * n // count : (i + 1) * n // count] for i in range(count)]
 
-    def translate(texts):
+    def translate(plan):
         results = []
-        for start in range(0, len(texts), chunk):
-            encoded = [_encode_source(vocab, t, max_len) for t in texts[start : start + chunk]]
-            src = pad_rows(encoded, vocab.pad_id)
+        for texts in plan:
+            src = pad_rows([_encode_source(vocab, t, max_len) for t in texts], vocab.pad_id)
             results.extend(vocab.decode(ids) for ids in beam_search(model, src, vocab, max_len, width))
         return results
 
-    n = len(source_texts)
-    work = n * width * max_len * checkpoint.config.model_dim
-    if n < 2 or work < FORK_MIN_WORK or not can_fork():
-        return translate(source_texts)
-    half = n // 2
-    with alongside(lambda: translate(source_texts[:half])) as first:
-        second = translate(source_texts[half:])
+    half = count // 2
+    if not (forkable and half and can_fork()):
+        return translate(batches)
+    with alongside(lambda: translate(batches[:half])) as first:
+        second = translate(batches[half:])
     return first.value + second

@@ -1121,6 +1121,24 @@ def test_pipeline_beam_wider_than_vocabulary_exit_1_before_training(tmp_path, mo
     assert not [name for name in os.listdir(out) if name.endswith(".ckpt")]
 
 
+def test_pipeline_translator_beyond_memory_exit_1_before_training(tmp_path, monkeypatch, capsys):
+    """The translator's size is checked at the text-only vocabulary, a lower
+    bound on the multimodal one, before step 2 trains anything."""
+    with open(fixture_path("toy.cfg"), encoding="utf-8") as toy:
+        body = toy.read().replace("disambig/", DISAMBIG + "/")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(body.replace("layers = 2", "layers = 99999999999999999999999", 1), encoding="utf-8")
+    out = tmp_path / "out"
+    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), out, 2)
+    assert code == 1, err
+    assert forks == 0
+    assert err.splitlines()[-1].startswith(
+        "error: out of memory: [translator] layers 99999999999999999999999, model_dim 32,"
+    )
+    assert "Traceback" not in err
+    assert not (out / "synthesizer.ckpt").exists()
+
+
 def test_non_utf8_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "latin1.tsv"
     bad.write_bytes("a\t1\t1\t2\t2\tcafé\ttgt\n".encode("latin-1"))
@@ -1237,19 +1255,19 @@ LEAF_FLAGS = {
     ("eval", "bleu"): {"--hypotheses": "h.txt", "--references": "r.txt", "--smooth": None,
                        "--format": "tsv"},
     ("eval", "report"): {"--text-only": "a.tsv", "--multimodal": "b.tsv", "--output": "OUT",
-                         "--format": "tsv", "--corpus-name": "toy", "--split": "etest",
-                         "--timestamp": "now"},
+                         "--format": "tsv", "--corpus-name": "toy", "--split": "etest"},
     ("pipeline", "run"): {"--config": "c.cfg", "--seed": "5", "--output-dir": "OUT"},
 }
 
 
 # flags no command takes: those that copied a config key (every command reads
 # the key from --config instead), --tagsets, the file `tags extract` wrote
-# before it wrote the tagged corpus, and --base and --max-steps, which only the
-# `mt finetune` subcommand, now gone, still took
+# before it wrote the tagged corpus, --base and --max-steps, which only the
+# `mt finetune` subcommand, now gone, still took, and `eval report`'s
+# --timestamp, which only echoed its value into the report
 REMOVED_FLAGS = {"--backend": "file", "--detections": "d.tsv", "--tag-vocabulary": "v.txt", "--k": "3",
                  "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3",
-                 "--tagsets": "t.tsv", "--base": "m.ckpt"}
+                 "--tagsets": "t.tsv", "--base": "m.ckpt", "--timestamp": "now"}
 
 
 def _leaf_argv(leaf, flags, out):
@@ -1273,7 +1291,7 @@ def _leaves(parser):
     }
 
 
-def test_build_parser_accepts_45_flags():
+def test_build_parser_accepts_44_flags():
     from tagmt.cli import build_parser
 
     parser = build_parser()
@@ -1282,7 +1300,7 @@ def test_build_parser_accepts_45_flags():
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 45
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 44
 
 
 @pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)

@@ -1,14 +1,17 @@
 import os
 import re
+import tempfile
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path
 from tagmt.config import KEYS, MODEL_SECTIONS, PATH, ExperimentConfig, load_experiment_config
 from tagmt.errors import ConfigError
 from tagmt.mt.decode import DECODE_METHODS, translate_corpus
-from tagmt.mt.model import ModelConfig
+from tagmt.mt.model import ModelConfig, param_layout
 from tagmt.tagging import select_tags
 
 
@@ -205,3 +208,53 @@ def test_readme_key_table_names_the_decode_methods():
     with open(readme, encoding="utf-8") as handle:
         meaning = re.search(r"^\| `\[decode\]` \| `method` \| [^|]+ \| ([^|]+) \|", handle.read(), re.M)[1]
     assert tuple(re.findall(r"`(\w+)`", meaning)) == DECODE_METHODS
+
+
+# what an int or float key may be handed: huge and negative ints, non-finite
+# and extreme floats, a negative zero, nothing at all and non-ASCII digits
+HOSTILE_VALUES = st.one_of(
+    st.integers(min_value=2**31).map(str),
+    st.integers(max_value=-1).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "0", "1e308", "-1e308", "1e309", "5e-324", "", " "]),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4),
+)
+
+
+def _with_value(body, section, key, value):
+    """body, an INI text, with `key = value` first in its [section], in place
+    of the key's own line there."""
+    lines, current = [], None
+    for line in body.splitlines():
+        if line.startswith("["):
+            current = line
+        elif current == f"[{section}]" and line.startswith(f"{key} = "):
+            continue
+        lines.append(line)
+        if line == f"[{section}]":
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=2000)
+@given(
+    key=st.sampled_from(sorted(key for key, (_, kind) in KEYS.items() if kind is not PATH)),
+    value=HOSTILE_VALUES,
+)
+def test_hostile_value_is_a_config_or_memory_error_or_loads(key, value):
+    """Any hostile value of any non-path key, written into toy.cfg, is
+    rejected as a ConfigError, or its model found too large for memory, or
+    accepted, and quickly: loading, validating and laying out the section's
+    parameters (not allocating them) never raise anything else or hang."""
+    section, name = key
+    with open(fixture_path("toy.cfg"), encoding="utf-8") as toy:
+        body = toy.read().replace("disambig/", fixture_path("disambig") + "/")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "hostile.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_with_value(body, section, name, value))
+        try:
+            config = load_experiment_config(path).validate()
+            if section in MODEL_SECTIONS:
+                param_layout(getattr(config, section), 64)
+        except (ConfigError, MemoryError):
+            pass

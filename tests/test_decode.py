@@ -265,12 +265,12 @@ def test_batched_search_properties(seed, sources, width, max_len):
     assert translate_corpus(ckpt, sources, max_len=max_len) == [vocab.decode(g) for g in greedy]
 
 
-def random_wide_checkpoint(model_dim):
-    """An untrained model at model_dim over a 32-token vocabulary, and 60
-    copy-task sources."""
-    pairs = make_copy_task(60, seed=4, vocab_size=25, min_len=2, max_len=9)
+def random_wide_checkpoint(model_dim, words=25):
+    """An untrained model at model_dim over a vocabulary of `words` copy-task
+    tokens and the 7 reserved ones, and 60 copy-task sources."""
+    pairs = make_copy_task(60, seed=4, vocab_size=words, min_len=2, max_len=9)
     vocab = vocab_from_pairs(pairs)
-    assert len(vocab) == 32
+    assert len(vocab) == words + 7
     config = ModelConfig(
         layers=1, heads=2, model_dim=model_dim, ff_dim=2 * model_dim, dropout=0.0,
         max_len=10, max_steps=1, validation_interval=1, seed=model_dim,
@@ -281,20 +281,51 @@ def random_wide_checkpoint(model_dim):
     return Checkpoint(config=config, params=model.params, vocab=vocab), [src for src, _ in pairs]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    sources=st.integers(0, 150).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from(WORDS), max_size=14).map(" ".join), min_size=n, max_size=n)
+    ),
+    width=st.integers(1, 5),
+    max_len=st.integers(2, 12),
+    fork_min_rows=st.integers(0, 2048),
+)
+def test_batch_plan_does_not_depend_on_the_fork(seed, sources, width, max_len, fork_min_rows):
+    """translate_corpus decodes the same batches, in the same order, with the
+    same hypotheses, whether it would fork or not: here `decode.can_fork` says
+    yes while `forking` sees one CPU, so `alongside` runs the child's half of
+    the plan first, in this process."""
+    ckpt = random_checkpoint(seed)
+    kwargs = dict(decode="greedy" if width == 1 else "beam", beam_width=width, max_len=max_len)
+
+    def run(fork):
+        batches = []
+
+        def recording(model, src, vocab, max_len, width):
+            batches.append((src.shape, src.tobytes()))
+            return beam_search(model, src, vocab, max_len, width)
+
+        with pytest.MonkeyPatch.context() as patch:
+            forks = counting_forks(patch, 1)
+            patch.setattr(decode_module, "FORK_MIN_WORK", fork_min_rows * ckpt.config.model_dim)
+            patch.setattr(decode_module, "beam_search", recording)
+            patch.setattr(decode_module, "can_fork", lambda: fork)
+            hypotheses = translate_corpus(ckpt, sources, **kwargs)
+        assert not forks
+        return hypotheses, batches
+
+    assert run(True) == run(False)
+
+
 @pytest.mark.parametrize("model_dim", [32, 128])
 @pytest.mark.parametrize("decode", ["greedy", "beam"])
 def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
-    # Why these sizes pass, although the fork does move bits: at V=32 (a
-    # multiple of 8) OpenBLAS gives a GEMM row the same bits at any row count,
-    # so greedy at n=35 and 36, whose halves pad to the in-place length, gives
-    # equal logits. Elsewhere a half pads to another length, which moves the
-    # first-step logits of up to 3 sources by ~2e-15, while their top two
-    # logits lie at least 0.004 apart: no candidate ties within the rounding.
-    # A near-tie could flip a hypothesis; one batch plan for both paths would
-    # make the result exact (ROADMAP).
-    ckpt, sources = random_wide_checkpoint(model_dim)
+    """A real fork gives the in-place hypotheses, at a vocabulary of 27, not a
+    multiple of 8, and at source counts that split unevenly."""
+    ckpt, sources = random_wide_checkpoint(model_dim, words=20)
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 0)
-    for n in (2, 3, 35, 36):  # beam width 4 decodes 16 sources a batch: 35 and 36 take two a half
+    for n in (2, 3, 35, 60):  # beam width 4 decodes at most 16 sources a batch
         with monkeypatch.context() as patch:
             forks = counting_forks(patch, 1)
             in_place = translate_corpus(ckpt, sources[:n], decode=decode, beam_width=4)

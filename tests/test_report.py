@@ -76,13 +76,6 @@ def test_negative_delta_rendering():
     assert math.isclose(report.rows[0].delta, -1.5)
 
 
-def test_timestamp_only_when_given():
-    plain = report_delta({"t": 1.0}, {"t": 2.0})
-    stamped = report_delta({"t": 1.0}, {"t": 2.0}, timestamp="2022-06-01")
-    assert "timestamp" not in render_report_tsv(plain)
-    assert "timestamp: 2022-06-01" in render_report_tsv(stamped)
-
-
 def test_rows_follow_multimodal_order():
     text = {"a": 1.0, "b": 2.0, "c": 3.0}
     mm = {"c": 3.5, "a": 1.5}
