@@ -3,10 +3,11 @@
 
 Runs `run_pipeline` on --config (default fixtures/toy.cfg), with --seed in
 place of the config's [experiment] seed when given, into a temporary
-directory that is removed afterwards. Prints `<sha256>  <name>` for each
-artifact in name order, then `<sha256>  (stage log)` over the lines the
-pipeline logs, each ended by a newline. Two checkouts that print the same
-lines wrote the same bytes.
+directory that is removed afterwards. No `tagmt` flag overrides a config
+key, so this --seed is the way to run the pipeline at another seed without
+editing a config. Prints `<sha256>  <name>` for each artifact in name order,
+then `<sha256>  (stage log)` over the lines the pipeline logs, each ended by
+a newline. Two checkouts that print the same lines wrote the same bytes.
 
 Under `taskset -c 0` the process may use one CPU, so the text-only training
 and every decode take the in-place path instead of a forked child; the lines

@@ -36,6 +36,7 @@ from tagmt.mt.train import Checkpoint  # noqa: E402
 from tagmt.mt.vocab import vocab_from_pairs  # noqa: E402
 from tagmt.toy import make_copy_task  # noqa: E402
 
+# mode -> (beam width, source counts decoded)
 SHAPES = {"greedy": (1, (2, 4, 8, 16, 32, 64)), "beam": (4, (2, 4, 8, 16))}
 # model_dim -> (config, max_lens decoded)
 MODELS = {
@@ -62,10 +63,10 @@ def main(repeats):
 def sweep(checkpoint, sources, max_lens, repeats):
     dim = checkpoint.config.model_dim
 
-    def run(n, mode, max_len, fork):
+    def run(n, width, max_len, fork):
         decode.FORK_MIN_WORK = 0 if fork else sys.maxsize
         start = time.perf_counter()
-        out = decode.translate_corpus(checkpoint, sources[:n], decode=mode, beam_width=4, max_len=max_len)
+        out = decode.translate_corpus(checkpoint, sources[:n], beam_width=width, max_len=max_len)
         return time.perf_counter() - start, out
 
     for mode, (width, counts) in SHAPES.items():
@@ -74,12 +75,12 @@ def sweep(checkpoint, sources, max_lens, repeats):
                 work = n * width * max_len
                 if not 128 <= work <= 4096:
                     continue
-                run(n, mode, max_len, False)  # warm-up
+                run(n, width, max_len, False)  # warm-up
                 times = {False: [], True: []}
                 for r in range(repeats):
                     outs = {}
                     for fork in (False, True) if r % 2 == 0 else (True, False):
-                        elapsed, outs[fork] = run(n, mode, max_len, fork)
+                        elapsed, outs[fork] = run(n, width, max_len, fork)
                         times[fork].append(elapsed)
                     if outs[False] != outs[True]:
                         sys.exit(f"d={dim} {mode} {n} sources, max_len {max_len}: forked hypotheses differ")

@@ -1,5 +1,6 @@
 """tagmt command line: a subcommand per pipeline step, calling that step's
-function and file writer, plus corpus checks and BLEU scoring.
+function and file writer, plus corpus statistics and BLEU scoring. Every
+setting comes from the --config file; no flag overrides a config key.
 
 Exit codes: 0 success, a tagmt error's `exit_code` (see errors.py), and 1 for
 an OSError, output stdout cannot encode or an allocation failure. Any other
@@ -40,11 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args):
-    """The --config file's experiment (the defaults without one), --seed
-    applied, validated whole before the command reads any input."""
+    """The --config file's experiment (the defaults without one), validated
+    whole before the command reads any input."""
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        config.with_seed(args.seed)
     return config.validate()
 
 
@@ -77,13 +76,6 @@ def cmd_corpus_stats(args):
         ("target_tokens", target_tokens),
     ]
     print(_kv_lines(fields, args.format))
-    return 0
-
-
-def cmd_corpus_validate(args):
-    pairs = _load_corpus_args(args)
-    kind = "records" if args.vg else "aligned sentence pairs"
-    print(f"OK: {len(pairs)} {kind}")
     return 0
 
 
@@ -153,7 +145,7 @@ def cmd_mt_train(args):
 def cmd_mt_translate(args):
     config = _load_config(args)
     checkpoint = Checkpoint.load(args.checkpoint)
-    in_section("decode", check_beam_width, config.decode_method, config.beam_width, checkpoint.vocab)
+    in_section("decode", check_beam_width, config.beam_width, checkpoint.vocab)
     hypotheses = translate_corpus(checkpoint, read_lines(args.input), **config.decode_kwargs)
     if args.output:
         write_lines(hypotheses, args.output)
@@ -207,10 +199,7 @@ def cmd_eval_report(args):
 
 
 def cmd_pipeline_run(args):
-    config = _load_config(args)
-    if args.output_dir:
-        config.paths["output_dir"] = args.output_dir
-    run_pipeline(config, log=_log)
+    run_pipeline(_load_config(args), log=_log)
     return 0
 
 
@@ -221,12 +210,9 @@ def _log(message):
 # -- parser ------------------------------------------------------------------
 
 
-def _add_config_flags(p, required=False, seed=True):
-    """--config, the experiment config that every setting of the command
-    comes from, and, for a command that uses the seed, --seed to override it."""
+def _add_config_flags(p, required=False):
+    """--config, the experiment config every setting of the command comes from."""
     p.add_argument("--config", required=required, help="experiment config file (INI)")
-    if seed:
-        p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
 
 
 def build_parser():
@@ -238,12 +224,12 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    corpus = parser_group(groups, "corpus", "corpus parsing, validation, statistics")
-    p = sub(corpus, "stats", cmd_corpus_stats, "sentence and token counts")
-    _add_corpus_inputs(p)
+    corpus = parser_group(groups, "corpus", "corpus checks and statistics")
+    p = sub(corpus, "stats", cmd_corpus_stats, "check a corpus; print its sentence and token counts")
+    p.add_argument("--vg", default=None, help="VG TSV corpus file")
+    p.add_argument("--source", default=None, help="bitext source file")
+    p.add_argument("--target", default=None, help="bitext target file")
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
-    p = sub(corpus, "validate", cmd_corpus_validate, "strict structural validation")
-    _add_corpus_inputs(p)
 
     tags = parser_group(groups, "tags", "object-tag extraction and fusion")
     p = sub(tags, "extract", cmd_tags_extract, "tag each source with its image's top-k tags")
@@ -260,7 +246,7 @@ def build_parser():
     p.add_argument("--pairs", required=True, help="synthesizer pairs TSV")
     p.add_argument("--output", required=True)
     p = sub(synth, "enrich", cmd_synth_enrich, "decode synthetic tags for a bitext")
-    _add_config_flags(p, seed=False)
+    _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
@@ -273,7 +259,7 @@ def build_parser():
     p.add_argument("--valid", default=None, help="validation pairs TSV")
     p.add_argument("--output", required=True)
     p = sub(mt, "translate", cmd_mt_translate, "translate a file of sentences")
-    _add_config_flags(p, seed=False)
+    _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
@@ -295,7 +281,6 @@ def build_parser():
     pipe = parser_group(groups, "pipeline", "end-to-end experiment")
     p = sub(pipe, "run", cmd_pipeline_run, "run the full multimodal experiment from --config")
     _add_config_flags(p, required=True)
-    p.add_argument("--output-dir", default=None, help="override the configured output directory")
 
     return parser
 
@@ -303,12 +288,6 @@ def build_parser():
 def parser_group(groups, name, help_text):
     group = groups.add_parser(name, help=help_text)
     return group.add_subparsers(dest="command", metavar="COMMAND")
-
-
-def _add_corpus_inputs(p):
-    p.add_argument("--vg", default=None, help="VG TSV corpus file")
-    p.add_argument("--source", default=None, help="bitext source file")
-    p.add_argument("--target", default=None, help="bitext target file")
 
 
 def main(argv=None):

@@ -15,11 +15,14 @@ Relative paths are resolved against the config file's directory, so a config
 can travel with its fixtures. A single [experiment] seed governs every
 stochastic stage: an ExperimentConfig applies it to both model configs when
 it is built, and per-model seed keys are rejected. The [tagging] and
-[decode] defaults are the constants of `tagging` and `mt.decode`.
+[decode] defaults are the constants of `tagging` and `mt.decode`; the one
+search setting is [decode] beam_width, and width 1 is greedy search.
 
-`run_pipeline` and every stage subcommand read the same ExperimentConfig.
-Tags come from the [paths] detections file when it names one, else from the
-stub's hash of each image id at the experiment seed (`tagging.make_detector`).
+`run_pipeline` and every stage subcommand read the same ExperimentConfig,
+and no command-line flag overrides one of its keys, so the file describes
+the whole run. Tags come from the [paths] detections file when it names one,
+else from the stub's hash of each image id at the experiment seed
+(`tagging.make_detector`).
 """
 
 import configparser
@@ -27,7 +30,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .mt.decode import DEFAULT_BEAM_WIDTH, DEFAULT_DECODE, check_decode
+from .mt.decode import DEFAULT_BEAM_WIDTH, check_decode
 from .mt.model import ModelConfig
 from .tagging import DEFAULT_TOP_K, check_k
 
@@ -53,7 +56,6 @@ KEYS = {
     ("experiment", "corpus_name"): ("corpus_name", str),
     **{("paths", key): (key, PATH) for key in PATH_KEYS},
     ("tagging", "k"): ("top_k", int),
-    ("decode", "method"): ("decode_method", str),
     ("decode", "beam_width"): ("beam_width", int),
     ("decode", "max_len"): ("decode_max_len", int),
     **{
@@ -86,7 +88,6 @@ class ExperimentConfig:
     top_k: int = DEFAULT_TOP_K
     translator: ModelConfig = field(default_factory=ModelConfig)
     synthesizer: ModelConfig = field(default_factory=ModelConfig)
-    decode_method: str = DEFAULT_DECODE
     beam_width: int = DEFAULT_BEAM_WIDTH
     decode_max_len: int | None = None
 
@@ -95,7 +96,7 @@ class ExperimentConfig:
 
     def validate(self):
         in_section("tagging", check_k, self.top_k)
-        in_section("decode", check_decode, self.decode_method, self.beam_width, self.decode_max_len)
+        in_section("decode", check_decode, self.beam_width, self.decode_max_len)
         for given, needed in (("bitext_source", "bitext_target"), ("bitext_target", "bitext_source")):
             if given in self.paths and needed not in self.paths:
                 raise ConfigError(f"[paths] {needed} is needed with {given}")
@@ -109,7 +110,7 @@ class ExperimentConfig:
     @property
     def decode_kwargs(self):
         """`translate_corpus`'s keyword arguments, from [decode]."""
-        return dict(decode=self.decode_method, beam_width=self.beam_width, max_len=self.decode_max_len)
+        return dict(beam_width=self.beam_width, max_len=self.decode_max_len)
 
     def with_seed(self, seed):
         if seed < 0:  # numpy's generators take no negative seed

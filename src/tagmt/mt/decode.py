@@ -1,7 +1,8 @@
 """Decoding over a trained checkpoint: one batched beam search.
 
 `beam_search` decodes a padded batch of sources at once, and greedy search is
-beam width 1. Every live sentence holds `width` consecutive rows of one
+beam width 1: the beam width is the one search setting ([decode] beam_width,
+default 1). Every live sentence holds `width` consecutive rows of one
 `DecodeState`: `Transformer.start_decode` computes the encoder side once, each
 step feeds only the newest token of every row to `Transformer.decode_step`,
 which keeps a per-layer self-attention K/V cache, and `DecodeState.reorder`
@@ -47,9 +48,10 @@ from ..errors import ConfigError, TagmtError, check_choice
 from ..forking import alongside, can_fork
 from .vocab import pad_rows
 
+# what translate_corpus's decode= may name; "greedy" is beam width 1
 DECODE_METHODS = ("greedy", "beam")
-# the defaults of translate_corpus and of the [decode] section
-DEFAULT_DECODE, DEFAULT_BEAM_WIDTH = "greedy", 4
+# the beam width of translate_corpus and of [decode] by default: greedy search
+DEFAULT_BEAM_WIDTH = 1
 
 # most decoder rows per batch in translate_corpus: BATCH_ROWS // width sources
 BATCH_ROWS = 64
@@ -118,43 +120,42 @@ def beam_search(model, src, vocab, max_len, width):
     return [min(pool, key=lambda c: (-c[0], len(c[1]), c[1]))[1] for pool in pools]
 
 
-def check_decode(method, beam_width, max_len):
+def check_decode(beam_width, max_len):
     """The one check of the [decode] settings and `translate_corpus`'s arguments:
-    ConfigError, led by the key, unless method is one of DECODE_METHODS,
-    beam_width >= 1 (under greedy too) and max_len is None or >= 2."""
-    check_choice("method", method, DECODE_METHODS)
+    ConfigError, led by the key, unless beam_width >= 1 and max_len is None
+    or >= 2."""
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
     if max_len is not None and max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
 
-def check_beam_width(method, beam_width, vocab):
-    """ConfigError unless a beam search is at most as wide as the vocabulary."""
-    if method == "beam" and beam_width > len(vocab):
+def check_beam_width(beam_width, vocab):
+    """ConfigError unless the beam is at most as wide as the vocabulary."""
+    if beam_width > len(vocab):
         raise ConfigError(f"beam_width must be <= the vocabulary size {len(vocab)}, got {beam_width}")
 
 
-def translate_corpus(
-    checkpoint, source_texts, decode=DEFAULT_DECODE, beam_width=DEFAULT_BEAM_WIDTH, max_len=None
-):
-    """Translate a list of sources by batched beam search; greedy is width 1.
+def translate_corpus(checkpoint, source_texts, decode="beam", beam_width=DEFAULT_BEAM_WIDTH, max_len=None):
+    """Translate a list of sources by batched beam search of beam_width;
+    width 1 is greedy search, and decode="greedy" sets it.
 
     Sources are decoded in the module docstring's batch plan, at most
     BATCH_ROWS // width a batch (at least one). max_len caps source and
     hypothesis lengths at the checkpoint's max_len; None means the
-    checkpoint's own. A bad decode mode, width or max_len raises ConfigError
-    (`check_decode`), and so does a beam search wider than the checkpoint's
-    vocabulary (`check_beam_width`), before anything is allocated. From
-    FORK_MIN_WORK decoder row-positions (sources x width x max_len) times
-    model_dim up, when `forking.can_fork()`, a forked child decodes the
-    first half of the batches while this process decodes the second, with
-    the hypotheses of the plan run in place.
+    checkpoint's own. A decode outside DECODE_METHODS, a bad width or
+    max_len (`check_decode`) and a beam wider than the checkpoint's
+    vocabulary (`check_beam_width`) raise ConfigError before anything is
+    allocated. From FORK_MIN_WORK decoder row-positions (sources x width x
+    max_len) times model_dim up, when `forking.can_fork()`, a forked child
+    decodes the first half of the batches while this process decodes the
+    second, with the hypotheses of the plan run in place.
     """
-    check_decode(decode, beam_width, max_len)
-    vocab = checkpoint.vocab
-    check_beam_width(decode, beam_width, vocab)
+    check_choice("decode", decode, DECODE_METHODS)
     width = 1 if decode == "greedy" else beam_width
+    check_decode(width, max_len)
+    vocab = checkpoint.vocab
+    check_beam_width(width, vocab)
     model = checkpoint.build_model()
     limit = checkpoint.config.max_len
     max_len = limit if max_len is None else min(max_len, limit)

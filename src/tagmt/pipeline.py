@@ -15,8 +15,8 @@ while the parent runs the synthesizer, enrichment and multimodal stages, whose
 decodes therefore stay in the parent. The child logs nothing, and the
 artifacts and the error raised are those of the serial order. Step 6's two
 decodes may each fork a child of their own (`translate_corpus`). A beam wider
-than the smaller, text-only vocabulary, and a translator too large for memory
-at that vocabulary, fail before step 2.
+than the smaller, text-only vocabulary, and a translator or synthesizer too
+large for memory at a lower bound of its vocabulary, fail before step 2.
 """
 
 import os
@@ -31,7 +31,7 @@ from .mt.decode import check_beam_width, translate_corpus
 from .mt.model import check_fits
 from .mt.train import Checkpoint, train
 from .mt.vocab import vocab_from_pairs
-from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
+from .synth import build_synth_pairs, enrich_corpus, split_heldout, train_synthesizer
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus
 
 
@@ -75,9 +75,13 @@ def run_pipeline(config, log=print):
     text_train = [(source, target) for _, source, target in train_rows]
     text_valid = [(source, target) for _, source, target in valid_rows]
     text_vocab = vocab_from_pairs(text_train)
-    in_section("decode", check_beam_width, config.decode_method, config.beam_width, text_vocab)
+    in_section("decode", check_beam_width, config.beam_width, text_vocab)
     # the multimodal vocabulary holds every text-only token: a lower bound on its size
     in_section("translator", check_fits, config.translator, len(text_vocab))
+    # the synthesizer's holds every token of the rows it trains on, whose
+    # inputs are `source <sep> target`: a lower bound on its size
+    synth_rows, _ = split_heldout(text_train)
+    in_section("synthesizer", check_fits, config.synthesizer, len(vocab_from_pairs(synth_rows)))
 
     log("[2/7] text-only translator")
     text_path = artifact("translator_text.ckpt")

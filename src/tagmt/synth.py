@@ -42,10 +42,17 @@ def build_synth_pairs(tagged_corpus):
     return pairs
 
 
+def split_heldout(pairs):
+    """The (training, held-out) parts of synthesizer pairs: the tail
+    HELDOUT_FRACTION is held out, at least one pair of two or more."""
+    n_held = max(1, round(len(pairs) * HELDOUT_FRACTION)) if len(pairs) > 1 else 0
+    return pairs[: len(pairs) - n_held], pairs[len(pairs) - n_held :]
+
+
 def train_synthesizer(pairs, config, log=None):
     """Train the tag synthesizer and measure held-out exact-match fit.
 
-    The tail HELDOUT_FRACTION of the pairs is split off before training and
+    The pairs `split_heldout` holds out are split off before training and
     used both as the validation set and for an exact-match check of decoded
     tag sets. The measured fit is stored in training_meta["synth_fit"]; a
     value below config.synth_fit_threshold is reported through log but not
@@ -53,9 +60,7 @@ def train_synthesizer(pairs, config, log=None):
     """
     if not pairs:
         raise DataError("no synthesizer training pairs")
-    n_held = max(1, round(len(pairs) * HELDOUT_FRACTION)) if len(pairs) > 1 else 0
-    held = pairs[len(pairs) - n_held :]
-    used = pairs[: len(pairs) - n_held]
+    used, held = split_heldout(pairs)
     checkpoint = train(config, used, held, log=log)
 
     if held:

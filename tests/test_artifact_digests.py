@@ -9,7 +9,9 @@ SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "artifact_dige
 
 
 def test_two_runs_print_the_same_digests(tmp_path):
-    cfg = write_mini_cfg(tmp_path, "unused")
+    # the script writes into a temporary directory of its own, never out
+    out = tmp_path / "out"
+    cfg = write_mini_cfg(tmp_path, out)
     runs = [
         subprocess.run([sys.executable, SCRIPT, "--config", cfg, "--seed", "3"],
                        capture_output=True, text=True, check=True).stdout
@@ -19,3 +21,4 @@ def test_two_runs_print_the_same_digests(tmp_path):
     lines = runs[0].splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines
     assert [line[66:] for line in lines] == sorted(PIPELINE_ARTIFACTS) + ["(stage log)"]
+    assert not out.exists()

@@ -70,13 +70,12 @@ batch_size = 32
 max_len = 48
 
 [decode]
-method = greedy
 max_len = 48
 """
 
 
-def write_mini_cfg(tmp_path, out_dir):
-    path = tmp_path / "mini.cfg"
+def write_mini_cfg(tmp_path, out_dir, name="mini.cfg"):
+    path = tmp_path / name
     path.write_text(MINI_CFG.format(d=DISAMBIG, out=out_dir), encoding="utf-8")
     return str(path)
 
@@ -104,33 +103,29 @@ def test_corpus_stats_bitext_tsv(capsys):
     assert "sentences\t100" in capsys.readouterr().out
 
 
-def test_corpus_validate_ok(capsys):
-    assert main(["corpus", "validate", "--vg", os.path.join(DISAMBIG, "test.tsv")]) == 0
-    assert "OK: 100" in capsys.readouterr().out
-
-
-def test_corpus_validate_bad_line_exit_2(tmp_path, capsys):
+def test_corpus_stats_bad_line_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\t1\t1\t2\t2\tsrc\ttgt\nbroken\t1\t2\n", encoding="utf-8")
-    assert main(["corpus", "validate", "--vg", str(bad)]) == 2
+    assert main(["corpus", "stats", "--vg", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
 
 
-def test_corpus_validate_bitext_tab_exit_2(tmp_path, capsys):
+def test_corpus_stats_bitext_tab_exit_2(tmp_path, capsys):
     src = tmp_path / "extra.src"
     tgt = tmp_path / "extra.tgt"
     src.write_text("aa bb\nx\ty\n", encoding="utf-8")
     tgt.write_text("cc dd\nee ff\n", encoding="utf-8")
-    assert main(["corpus", "validate", "--source", str(src), "--target", str(tgt)]) == 2
+    assert main(["corpus", "stats", "--source", str(src), "--target", str(tgt)]) == 2
     assert "error: line 2: source sentence contains a tab character" in capsys.readouterr().err
 
 
-def test_corpus_validate_needs_input(capsys):
-    assert main(["corpus", "validate"]) == 1
+def test_corpus_stats_needs_input(capsys):
+    assert main(["corpus", "stats"]) == 1
+    assert capsys.readouterr().err == "error: need --vg or both --source and --target\n"
 
 
-@pytest.mark.parametrize("command", ["stats", "validate"])
+@pytest.mark.parametrize("command", ["stats"])
 @pytest.mark.parametrize(
     "bitext", [["--source", "a.src"], ["--target", "a.tgt"], ["--source", "a.src", "--target", "a.tgt"]],
     ids=["source", "target", "both"],
@@ -344,7 +339,7 @@ def test_translate_non_finite_scores_exit_1(tmp_path, decode):
     width = 1 if decode == "greedy" else 4
     c = checkpoint.config
     many = max(2, -(-FORK_MIN_WORK // (width * c.max_len * c.model_dim)))
-    cfg = write_cfg(tmp_path, f"[decode]\nmethod = {decode}\n")
+    cfg = write_cfg(tmp_path, f"[decode]\nbeam_width = {width}\n")
     for lines, launcher, forks in [(1, ["-m", "tagmt.cli"], ""), (many, ["-c", FORCED_FORK_CLI], "1\n")]:
         sources = tmp_path / "sources.txt"
         sources.write_text("aa bb\n" * lines, encoding="utf-8")
@@ -518,27 +513,27 @@ def test_unanticipated_value_error_propagates(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "command",
     [
-        ["mt", "train", "--train", "{pairs}", "--seed", "-1", "--output", "{out}"],
-        ["synth", "train", "--pairs", "{pairs}", "--seed", "-1", "--output", "{out}"],
-        ["pipeline", "run", "--config", "{mini_cfg}", "--seed", "-1", "--output-dir", "{out}"],
-        ["mt", "train", "--train", "{pairs}", "--config", "{seed_cfg}", "--output", "{out}"],
-        ["pipeline", "run", "--config", "{seed_cfg}", "--output-dir", "{out}"],
-        ["tags", "extract", "--corpus", "{corpus}", "--seed", "-1", "--output", "{out}"],
+        ["mt", "train", "--train", "{pairs}", "--output", "{out}"],
+        ["synth", "train", "--pairs", "{pairs}", "--output", "{out}"],
+        ["synth", "enrich", "--checkpoint", "{missing}", "--source", "{missing}", "--target", "{missing}",
+         "--output", "{out}"],
+        ["mt", "translate", "--checkpoint", "{missing}", "--input", "{missing}", "--output", "{out}"],
+        ["pipeline", "run"],
+        ["tags", "extract", "--corpus", "{corpus}", "--output", "{out}"],
     ],
 )
 def test_negative_seed_exit_1(tmp_path, capsys, command):
-    """A negative seed, by --seed or by the config file, is the [experiment]
-    seed's error, and nothing is written."""
+    """A negative [experiment] seed is the config's error, reported by every
+    command that takes --config before it reads an input, and nothing is
+    written."""
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("aa bb\tcc dd\n", encoding="utf-8")
-    seed_cfg = tmp_path / "seed.cfg"
-    seed_cfg.write_text("[experiment]\nseed = -1\n", encoding="utf-8")
     out = tmp_path / "out"
-    mini_cfg = write_mini_cfg(tmp_path, out)
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("[experiment]\nseed = -1\n[paths]\noutput_dir = out\n", encoding="utf-8")
     corpus = os.path.join(DISAMBIG, "valid.tsv")
-    argv = [arg.format(pairs=pairs, out=out, mini_cfg=mini_cfg, seed_cfg=seed_cfg, corpus=corpus)
-            for arg in command]
-    assert main(argv) == 1
+    argv = [arg.format(pairs=pairs, out=out, missing=tmp_path / "missing", corpus=corpus) for arg in command]
+    assert main([*argv, "--config", str(seed_cfg)]) == 1
     assert capsys.readouterr().err == "error: [experiment] seed must be >= 0, got -1\n"
     assert not out.exists()
 
@@ -547,7 +542,7 @@ def test_negative_seed_exit_1(tmp_path, capsys, command):
     "body, message",
     [
         ("[tagging]\nk = 0\n", "[tagging] k must be >= 1, got 0"),
-        ("[decode]\nmethod = bogus\n", "[decode] method must be 'greedy' or 'beam', got 'bogus'"),
+        ("[decode]\nmethod = greedy\n", "unknown key 'method' in [decode]"),
     ],
     ids=["tagging-k", "decode-method"],
 )
@@ -564,7 +559,8 @@ def test_negative_seed_exit_1(tmp_path, capsys, command):
 )
 def test_stage_rejects_any_config_section_before_its_inputs_exit_1(tmp_path, capsys, command, body, message):
     """A stage validates the whole config, not only the sections it uses,
-    before it opens an input: none of these inputs exists."""
+    before it opens an input: none of these inputs exists. The beam width is
+    the one search setting, so `[decode] method` is an unknown key."""
     cfg = write_cfg(tmp_path, body)
     argv = [arg.format(missing=tmp_path / "missing") for arg in command]
     assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 1
@@ -646,11 +642,9 @@ def test_tags_extract_stub_backend(tmp_path, capsys):
             "--corpus",
             os.path.join(DISAMBIG, "valid.tsv"),
             "--config",
-            str(write_cfg(tmp_path, "[tagging]\nk = 3\n")),
+            str(write_cfg(tmp_path, "[experiment]\nseed = 5\n[tagging]\nk = 3\n")),
             "--output",
             str(out),
-            "--seed",
-            "5",
         ]
     )
     assert code == 0
@@ -812,10 +806,10 @@ def test_train_config_error_names_section(tmp_path, capsys, command, body, messa
 @pytest.mark.parametrize(
     "body, line",
     [
-        (b"[decode]\nmethod = greedy\nmethod = beam\n", 3),
-        (b"[decode]\nmethod = greedy\n[decode]\n", 3),
+        (b"[decode]\nbeam_width = 1\nbeam_width = 4\n", 3),
+        (b"[decode]\nbeam_width = 1\n[decode]\n", 3),
         (b"seed = 1\n[experiment]\n", 1),
-        (b"[decode]\nmethod = greedy\nnot a key value line\n", 3),
+        (b"[decode]\nbeam_width = 1\nnot a key value line\n", 3),
         (b"[experiment]\ntask = caf\xe9\n", 2),
     ],
     ids=["duplicate-key", "duplicate-section", "no-section-header", "unparsable-line", "non-utf8"],
@@ -865,10 +859,11 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_a2 = tmp_path / "a2"
     out_b = tmp_path / "b"
-    cfg = write_mini_cfg(tmp_path, "unused")
+    # two configs that differ only in [paths] output_dir; the stages read the first
+    cfg = write_mini_cfg(tmp_path, out_a, "a.cfg")
 
-    assert main(["pipeline", "run", "--config", cfg, "--output-dir", str(out_a)]) == 0
-    assert main(["pipeline", "run", "--config", cfg, "--output-dir", str(out_a2)]) == 0
+    assert main(["pipeline", "run", "--config", cfg]) == 0
+    assert main(["pipeline", "run", "--config", write_mini_cfg(tmp_path, out_a2, "a2.cfg")]) == 0
 
     compare = [
         "tagged_train.tsv",
@@ -982,13 +977,13 @@ PIPELINE_ARTIFACTS = [
 ]
 
 
-def _pipeline_run(monkeypatch, capsys, cfg, out_dir, cpus):
+def _pipeline_run(monkeypatch, capsys, cfg, cpus):
     """`pipeline run` as if `cpus` CPUs were available; returns the exit
     code, the stderr and how many times the pipeline forked."""
     capsys.readouterr()
     with monkeypatch.context() as patch:
         forks = counting_forks(patch, cpus)
-        code = main(["pipeline", "run", "--config", cfg, "--output-dir", str(out_dir)])
+        code = main(["pipeline", "run", "--config", cfg])
     return code, capsys.readouterr().err, len(forks)
 
 
@@ -1013,12 +1008,12 @@ def test_pipeline_concurrent_equals_serial(tmp_path, monkeypatch, capsys):
     # order that depends on OpenBLAS's thread count (1 versus 2 changes
     # synthesizer.ckpt), so a concurrent path that changed that count would
     # show here on a machine with two or more CPUs and unpinned BLAS.
-    cfg = tmp_path / "wide_ff.cfg"
-    cfg.write_text(MINI_CFG.replace("ff_dim = 48", "ff_dim = 64").format(d=DISAMBIG, out="unused"), encoding="utf-8")
     runs = {}
     for cpus in (1, 2):
         out = tmp_path / f"cpus{cpus}"
-        code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), out, cpus)
+        cfg = tmp_path / f"wide_ff{cpus}.cfg"
+        cfg.write_text(MINI_CFG.replace("ff_dim = 48", "ff_dim = 64").format(d=DISAMBIG, out=out), encoding="utf-8")
+        code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), cpus)
         assert code == 0, err
         # the text-only training, then each of step 6's two decodes
         assert forks == 3 * (cpus - 1)
@@ -1038,9 +1033,9 @@ DIVERGING_TRANSLATOR = (
 )
 
 
-def _mini_cfg_variant(tmp_path, diverging=False, bad_bitext=False):
-    """MINI_CFG with the diverging translator and/or a bitext source whose
-    third line holds the reserved separator."""
+def _mini_cfg_variant(tmp_path, out, diverging=False, bad_bitext=False):
+    """MINI_CFG writing to out, with the diverging translator and/or a bitext
+    source whose third line holds the reserved separator."""
     body = MINI_CFG
     if diverging:
         body = body[: body.index("[translator]")] + DIVERGING_TRANSLATOR + body[body.index("[synthesizer]") :]
@@ -1050,8 +1045,8 @@ def _mini_cfg_variant(tmp_path, diverging=False, bad_bitext=False):
         source = tmp_path / "extra.src"
         source.write_text("\n".join(lines) + "\n", encoding="utf-8")
         body = body.replace("bitext_source = {d}/extra.src", f"bitext_source = {source}")
-    cfg = tmp_path / "variant.cfg"
-    cfg.write_text(body.format(d=DISAMBIG, out="unused"), encoding="utf-8")
+    cfg = tmp_path / f"{out.name}.cfg"
+    cfg.write_text(body.format(d=DISAMBIG, out=out), encoding="utf-8")
     return str(cfg)
 
 
@@ -1061,10 +1056,10 @@ def test_pipeline_text_divergence_exit_3(tmp_path, monkeypatch, capsys, bad_bite
     # The multimodal translator diverges too, and with a bad bitext line the
     # parent's chain fails at step 4; either way the text-only divergence
     # comes first in the serial order, so it is the error reported.
-    cfg = _mini_cfg_variant(tmp_path, diverging=True, bad_bitext=bad_bitext)
     errs = []
     for cpus in (1, 2):
-        code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, tmp_path / f"cpus{cpus}", cpus)
+        cfg = _mini_cfg_variant(tmp_path, tmp_path / f"cpus{cpus}", diverging=True, bad_bitext=bad_bitext)
+        code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, cpus)
         assert code == 3, err
         assert forks == (cpus - 1)
         errs.append(err)
@@ -1077,8 +1072,8 @@ def test_pipeline_text_divergence_exit_3(tmp_path, monkeypatch, capsys, bad_bite
 
 
 def test_pipeline_bad_bitext_line_exit_2(tmp_path, monkeypatch, capsys):
-    cfg = _mini_cfg_variant(tmp_path, bad_bitext=True)
-    code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, tmp_path / "out", 2)
+    cfg = _mini_cfg_variant(tmp_path, tmp_path / "out", bad_bitext=True)
+    code, err, forks = _pipeline_run(monkeypatch, capsys, cfg, 2)
     assert code == 2, err
     assert forks == 1
     assert "error: text contains the reserved separator '<sep>': 'record 2: the boy <sep> the bat'" in err
@@ -1098,9 +1093,9 @@ def test_pipeline_bad_bitext_file_exit_2_before_training(tmp_path, monkeypatch, 
     source.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = tmp_path / "tab.cfg"
     body = MINI_CFG.replace("bitext_source = {d}/extra.src", f"bitext_source = {source}")
-    cfg.write_text(body.format(d=DISAMBIG, out="unused"), encoding="utf-8")
+    cfg.write_text(body.format(d=DISAMBIG, out=tmp_path / "out"), encoding="utf-8")
     monkeypatch.setattr(pipeline, "train", no_training)
-    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), tmp_path / "out", 2)
+    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), 2)
     assert code == 2, err
     assert forks == 0
     assert err.splitlines()[-1] == "error: line 3: source sentence contains a tab character"
@@ -1110,9 +1105,9 @@ def test_pipeline_beam_wider_than_vocabulary_exit_1_before_training(tmp_path, mo
     with open(fixture_path("toy.cfg"), encoding="utf-8") as toy:
         body = toy.read().replace("disambig/", DISAMBIG + "/")
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text(body.replace("method = greedy", "method = beam\nbeam_width = 100000"), encoding="utf-8")
-    out = tmp_path / "out"
-    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), out, 2)
+    cfg.write_text(body.replace("[decode]\n", "[decode]\nbeam_width = 100000\n"), encoding="utf-8")
+    out = tmp_path / "out"  # toy.cfg's output_dir, next to the config
+    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), 2)
     assert code == 1, err
     assert forks == 0
     assert err.splitlines()[-1] == (
@@ -1129,7 +1124,7 @@ def test_pipeline_translator_beyond_memory_exit_1_before_training(tmp_path, monk
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(body.replace("layers = 2", "layers = 99999999999999999999999", 1), encoding="utf-8")
     out = tmp_path / "out"
-    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), out, 2)
+    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), 2)
     assert code == 1, err
     assert forks == 0
     assert err.splitlines()[-1].startswith(
@@ -1139,10 +1134,30 @@ def test_pipeline_translator_beyond_memory_exit_1_before_training(tmp_path, monk
     assert not (out / "synthesizer.ckpt").exists()
 
 
+def test_pipeline_synthesizer_beyond_memory_exit_1_before_training(tmp_path, monkeypatch, capsys):
+    """The synthesizer's size is checked before step 2 too, at the vocabulary
+    of the rows it trains on, a lower bound on its own."""
+    with open(fixture_path("toy.cfg"), encoding="utf-8") as toy:
+        body = toy.read().replace("disambig/", DISAMBIG + "/")
+    head, synthesizer = body.split("[synthesizer]")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{head}[synthesizer]{synthesizer.replace('layers = 2', 'layers = 99999999999999999999999')}",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code, err, forks = _pipeline_run(monkeypatch, capsys, str(cfg), 2)
+    assert code == 1, err
+    assert forks == 0
+    assert err.splitlines()[-1].startswith(
+        "error: out of memory: [synthesizer] layers 99999999999999999999999, model_dim 32,"
+    )
+    assert "Traceback" not in err
+    assert not (out / "translator_text.ckpt").exists()
+
+
 def test_non_utf8_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "latin1.tsv"
     bad.write_bytes("a\t1\t1\t2\t2\tcafé\ttgt\n".encode("latin-1"))
-    assert main(["corpus", "validate", "--vg", str(bad)]) == 2
+    assert main(["corpus", "stats", "--vg", str(bad)]) == 2
 
 
 # A VG file whose third line holds an invalid UTF-8 byte; the first two end
@@ -1152,8 +1167,8 @@ NON_UTF8_VG = b"a\t1\t1\t2\t2\tsrc\ttgt\rb\t1\t1\t2\t2\tsrc\ttgt\r\nc\t1\t1\t2\t
 
 @pytest.mark.parametrize(
     "argv",
-    [["corpus", "validate", "--vg", "{bad}"], ["eval", "bleu", "--hypotheses", "{bad}", "--references", "{good}"]],
-    ids=["corpus-validate", "eval-bleu"],
+    [["corpus", "stats", "--vg", "{bad}"], ["eval", "bleu", "--hypotheses", "{bad}", "--references", "{good}"]],
+    ids=["corpus-stats", "eval-bleu"],
 )
 def test_non_utf8_names_file_and_line_exit_2(tmp_path, capsys, argv):
     bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
@@ -1242,32 +1257,31 @@ def test_synth_build_pairs_separator_names_record_exit_2(tmp_path, capsys):
 # a path under the test's directory). A command takes only the flags it reads.
 LEAF_FLAGS = {
     ("corpus", "stats"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt", "--format": "tsv"},
-    ("corpus", "validate"): {"--vg": "x.tsv", "--source": "x.src", "--target": "x.tgt"},
-    ("tags", "extract"): {"--config": "c.cfg", "--seed": "5", "--corpus": "x.tsv", "--output": "OUT"},
+    ("tags", "extract"): {"--config": "c.cfg", "--corpus": "x.tsv", "--output": "OUT"},
     ("synth", "build-pairs"): {"--tagged": "t.tsv", "--output": "OUT"},
-    ("synth", "train"): {"--config": "c.cfg", "--seed": "5", "--pairs": "p.tsv", "--output": "OUT"},
+    ("synth", "train"): {"--config": "c.cfg", "--pairs": "p.tsv", "--output": "OUT"},
     ("synth", "enrich"): {"--config": "c.cfg", "--checkpoint": "m.ckpt", "--source": "x.src",
                           "--target": "x.tgt", "--output": "OUT"},
-    ("mt", "train"): {"--config": "c.cfg", "--seed": "5", "--train": "p.tsv", "--valid": "v.tsv",
-                      "--output": "OUT"},
+    ("mt", "train"): {"--config": "c.cfg", "--train": "p.tsv", "--valid": "v.tsv", "--output": "OUT"},
     ("mt", "translate"): {"--config": "c.cfg", "--checkpoint": "m.ckpt", "--input": "s.txt",
                           "--output": "OUT"},
     ("eval", "bleu"): {"--hypotheses": "h.txt", "--references": "r.txt", "--smooth": None,
                        "--format": "tsv"},
     ("eval", "report"): {"--text-only": "a.tsv", "--multimodal": "b.tsv", "--output": "OUT",
                          "--format": "tsv", "--corpus-name": "toy", "--split": "etest"},
-    ("pipeline", "run"): {"--config": "c.cfg", "--seed": "5", "--output-dir": "OUT"},
+    ("pipeline", "run"): {"--config": "c.cfg"},
 }
 
 
-# flags no command takes: those that copied a config key (every command reads
-# the key from --config instead), --tagsets, the file `tags extract` wrote
-# before it wrote the tagged corpus, --base and --max-steps, which only the
-# `mt finetune` subcommand, now gone, still took, and `eval report`'s
-# --timestamp, which only echoed its value into the report
+# flags no command takes: those that copied or overrode a config key (every
+# command reads the key from --config instead), --tagsets, the file `tags
+# extract` wrote before it wrote the tagged corpus, --base, which only the
+# `mt finetune` subcommand, now gone, took, and `eval report`'s --timestamp,
+# which only echoed its value into the report
 REMOVED_FLAGS = {"--backend": "file", "--detections": "d.tsv", "--tag-vocabulary": "v.txt", "--k": "3",
                  "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3",
-                 "--tagsets": "t.tsv", "--base": "m.ckpt", "--timestamp": "now"}
+                 "--seed": "5", "--output-dir": "OUT", "--tagsets": "t.tsv", "--base": "m.ckpt",
+                 "--timestamp": "now"}
 
 
 def _leaf_argv(leaf, flags, out):
@@ -1291,7 +1305,7 @@ def _leaves(parser):
     }
 
 
-def test_build_parser_accepts_44_flags():
+def test_build_parser_accepts_36_flags():
     from tagmt.cli import build_parser
 
     parser = build_parser()
@@ -1300,7 +1314,21 @@ def test_build_parser_accepts_44_flags():
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 44
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 36
+
+
+def test_no_flag_of_a_config_command_spells_a_config_key():
+    """A command that reads --config takes no flag named after a config key
+    (`--` plus the key, `_` as `-`): the file is the one source of every
+    setting, so no flag overrides one."""
+    from tagmt.cli import build_parser
+    from tagmt.config import KEYS
+
+    key_flags = {"--" + key.replace("_", "-") for _, key in KEYS}
+    for leaf, parser in _leaves(build_parser()).items():
+        flags = _option_strings(parser)
+        if "--config" in flags:
+            assert not flags & key_flags, leaf
 
 
 @pytest.mark.parametrize("leaf", LEAF_FLAGS, ids="-".join)
@@ -1315,8 +1343,7 @@ def test_leaf_takes_only_the_flags_it_reads(tmp_path, capsys, leaf):
     for flag, value in LEAF_FLAGS[leaf].items():
         got = getattr(args, flag.lstrip("-").replace("-", "_"))
         assert str(got) == (out if value == "OUT" else value or "True"), flag
-    foreign = {"--config": fixture_path("toy.cfg"), "--seed": "3", "--output-dir": out, "--split": "train",
-               **REMOVED_FLAGS}
+    foreign = {"--config": fixture_path("toy.cfg"), "--split": "train", **REMOVED_FLAGS}
     for flag, value in foreign.items():
         if flag in LEAF_FLAGS[leaf]:
             continue
@@ -1340,11 +1367,11 @@ def test_flag_before_the_subcommand_exit_1(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("a b\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exit_info:
-        main(["--seed", "3", "eval", "bleu", "--hypotheses", str(hyp), "--references", str(hyp)])
+        main(["--format", "tsv", "eval", "bleu", "--hypotheses", str(hyp), "--references", str(hyp)])
     assert exit_info.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error: unrecognized arguments: --seed (a flag goes after the subcommand)" in err
+    assert "error: unrecognized arguments: --format (a flag goes after the subcommand)" in err
     assert os.listdir(tmp_path) == ["hyp.txt"]
 
 
@@ -1361,7 +1388,7 @@ def test_translate_beam_width_above_vocabulary_exit_1(tmp_path):
     random_checkpoint(0).save(str(ckpt))
     sources = tmp_path / "sources.txt"
     sources.write_text("aa bb\n", encoding="utf-8")
-    cfg = write_cfg(tmp_path, "[decode]\nmethod = beam\nbeam_width = 100000000000000000000\n")
+    cfg = write_cfg(tmp_path, "[decode]\nbeam_width = 100000000000000000000\n")
     proc = subprocess.run(
         [sys.executable, "-m", "tagmt.cli", "mt", "translate", "--checkpoint", str(ckpt),
          "--input", str(sources), "--config", str(cfg)],
@@ -1389,7 +1416,7 @@ def test_readme_command_lines_parse():
         text = handle.read()
     block = re.search(r"```bash\n(# end-to-end toy experiment.*?)```", text, re.S)[1]
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("tagmt ")]
-    assert len(lines) == 11
+    assert len(lines) == 10
     invoked = set()
     for line in lines:
         args = build_parser().parse_args(shlex.split(line)[1:])

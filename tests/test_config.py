@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import fixture_path
 from tagmt.config import KEYS, MODEL_SECTIONS, PATH, ExperimentConfig, load_experiment_config
 from tagmt.errors import ConfigError
-from tagmt.mt.decode import DECODE_METHODS, translate_corpus
+from tagmt.mt.decode import translate_corpus
 from tagmt.mt.model import ModelConfig, param_layout
 from tagmt.tagging import select_tags
 
@@ -24,7 +24,7 @@ def test_load_toy_config():
     assert config.translator.model_dim == 32
     assert config.translator.seed == 13
     assert config.synthesizer.seed == 13
-    assert config.decode_method == "greedy"
+    assert config.beam_width == 1  # greedy search
     for key, path in config.paths.items():
         assert os.path.isabs(path), key
     config.validate()
@@ -68,7 +68,7 @@ def test_translator_synth_fit_threshold_is_unknown(tmp_path):
         load_experiment_config(path)
     path = write_cfg(tmp_path, "[synthesizer]\nsynth_fit_threshold = 0.5\n")
     assert load_experiment_config(path).synthesizer.synth_fit_threshold == 0.5
-    assert len(KEYS) == 44
+    assert len(KEYS) == 43
 
 
 def test_model_section_seed_rejected(tmp_path):
@@ -120,10 +120,8 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
     "body, message, owner",
     [
         ("[tagging]\nk = 0\n", r"\[tagging\] k must be >= 1, got 0", lambda: select_tags([], k=0)),
-        ("[decode]\nmethod = x\n", r"\[decode\] method must be 'greedy' or 'beam', got 'x'",
-         lambda: translate_corpus(None, ["a"], decode="x")),
         ("[decode]\nbeam_width = 0\n", r"\[decode\] beam_width must be >= 1, got 0",
-         lambda: translate_corpus(None, ["a"], decode="greedy", beam_width=0)),
+         lambda: translate_corpus(None, ["a"], beam_width=0)),
         ("[decode]\nmax_len = 1\n", r"\[decode\] max_len must be >= 2, got 1",
          lambda: translate_corpus(None, ["a"], max_len=1)),
         ("[translator]\nlayers = 0\n", r"\[translator\] layers must be >= 1, got 0",
@@ -133,8 +131,7 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
         ("[paths]\nbitext_source = extra.src\n", r"\[paths\] bitext_target is needed with bitext_source",
          None),
     ],
-    ids=["tagging-k", "decode-method",
-         "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size",
+    ids=["tagging-k", "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size",
          "paths-bitext_source"],
 )
 def test_validation_error_names_section_and_key(tmp_path, body, message, owner):
@@ -198,16 +195,6 @@ def test_readme_lists_every_config_key_with_its_default():
             assert value is None, (section, key)
         else:
             assert value is not None and kind(value[1]) == defaults[attribute], (section, key)
-
-
-def test_readme_key_table_names_the_decode_methods():
-    """The choices README's key table gives for [decode] method are
-    `mt.decode`'s constant. (That the table names exactly the keys of KEYS is
-    checked above.)"""
-    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-    with open(readme, encoding="utf-8") as handle:
-        meaning = re.search(r"^\| `\[decode\]` \| `method` \| [^|]+ \| ([^|]+) \|", handle.read(), re.M)[1]
-    assert tuple(re.findall(r"`(\w+)`", meaning)) == DECODE_METHODS
 
 
 # what an int or float key may be handed: huge and negative ints, non-finite

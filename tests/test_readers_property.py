@@ -28,9 +28,9 @@ HEAD = 8  # lines taken from each fixture
 # {damaged} is the damaged copy, the other names are files of `inputs`, and
 # {cfg} holds DETECTIONS_CFG
 CASES = {
-    "vg": ("train", ["corpus", "validate", "--vg", "{damaged}"]),
-    "bitext-source": ("src", ["corpus", "validate", "--source", "{damaged}", "--target", "{tgt}"]),
-    "bitext-target": ("tgt", ["corpus", "validate", "--source", "{src}", "--target", "{damaged}"]),
+    "vg": ("train", ["corpus", "stats", "--vg", "{damaged}"]),
+    "bitext-source": ("src", ["corpus", "stats", "--source", "{damaged}", "--target", "{tgt}"]),
+    "bitext-target": ("tgt", ["corpus", "stats", "--source", "{src}", "--target", "{damaged}"]),
     "detections": ("detections", ["tags", "extract", "--corpus", "{train}", "--config", "{cfg}", "--output", "{out}"]),
     "tagged": ("tagged", ["synth", "build-pairs", "--tagged", "{damaged}", "--output", "{out}"]),
     # the same file on both sides: every task has its baseline
