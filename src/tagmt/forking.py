@@ -57,9 +57,14 @@ except (AttributeError, OSError):  # numpy's BLAS does not export the setter
     BLAS_PINNED = False
 
 
+def two_cpus():
+    """Whether this process may use two CPUs or more."""
+    return len(os.sched_getaffinity(0)) >= 2
+
+
 def can_fork():
     """Whether `alongside` would run its work in a forked child now."""
-    return BLAS_PINNED and not _busy and len(os.sched_getaffinity(0)) >= 2
+    return BLAS_PINNED and not _busy and two_cpus()
 
 
 def _error_payload(err):

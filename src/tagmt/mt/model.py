@@ -15,11 +15,10 @@ validation and `decode_step`, and `_stack_bwd`.
 
 `param_layout` defines the parameters, and `FlatViews` lays them out back to
 back in one flat vector with a named view per parameter. `forward_backward`
-writes every gradient through such views into the gradient vector of its
-`StepState`, which training keeps for the whole call and rewrites each step,
-and a new model draws its parameters into such views, so clipping and Adam
-act on one vector per step. A model built from a plain name -> array dict (a
-loaded checkpoint) uses it as is, with no copy.
+writes every gradient through such views into a gradient vector of its own
+call, and a new model draws its parameters into such views, so clipping and
+Adam act on one vector per step. A model built from a plain name -> array
+dict (a loaded checkpoint) uses it as is, with no copy.
 
 Training and validation run every row-wise layer (embedding, linear layers,
 layer norm, dropout, residual adds, feed-forward, output projection and
@@ -34,20 +33,20 @@ bits, since BLAS blocks a sum over fewer rows differently. Loss traces and
 checkpoints stay bitwise reproducible from run to run.
 
 From model_dim SHARD_MIN_DIM (128) up, with BLAS pinned to one thread
-(`forking.BLAS_PINNED`), a training step splits a batch of two or more
-sentences into two contiguous sentence shards: synchronous data parallelism
-inside the step. Each shard runs that packed pass over its own columns into
-a gradient vector of its own, and the vectors are added in shard order. The
-second shard runs on the worker thread of the `StepState` when the process
-may use two CPUs (`os.sched_getaffinity`), else after the first, on the same
+(`splits_batches`), a training step splits a batch of two or more sentences
+into two contiguous sentence shards: synchronous data parallelism inside the
+step. Each shard runs that packed pass over its own columns into a gradient
+vector of its own, and the vectors are added in shard order. The second
+shard runs on the caller's worker thread (a `Worker`, which `train` opens
+when the process may use two CPUs), else after the first, on the same
 thread; each shard's arithmetic is the same either way, so the bits do not
 depend on the CPU count. The same worker takes half of each elementwise
 operation over the flat vectors (`halves`: the gradient add, and in training
-the clip scale and Adam) and every other validation batch. Against one
-shard, the loss and the gradients differ by rounding only. Every other step
-keeps one shard, the exact pass it ran before sharding existed. Two shards
-run every layer's Python code twice, which pays only where the GEMMs
-dominate a step and a second CPU is free. On 2 vCPUs, two shards made a
+the clip scale and Adam) and every other validation batch (`run_pair`).
+Against one shard, the loss and the gradients differ by rounding only. Every
+other step keeps one shard, the exact pass it ran before sharding existed.
+Two shards run every layer's Python code twice, which pays only where the
+GEMMs dominate a step and a second CPU is free. On 2 vCPUs, two shards made a
 d=32 training 8% slower and a d=64 one 9% faster alone, but a d=64
 `pipeline run`, whose two trainings already fill both CPUs, 11% slower; a
 d=128 `pipeline run` was 10% faster.
@@ -64,7 +63,6 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 
@@ -79,6 +77,12 @@ NEG = -1e9
 LN_EPS = 1e-5
 # the smallest model_dim at which a training step splits its batch into two shards
 SHARD_MIN_DIM = 128
+
+
+def splits_batches(config):
+    """Whether a training step splits a batch of two or more sentences into
+    two shards: from model_dim SHARD_MIN_DIM up, with BLAS pinned."""
+    return config.model_dim >= SHARD_MIN_DIM and forking.BLAS_PINNED
 
 
 @dataclass(frozen=True)
@@ -247,21 +251,21 @@ class FlatViews(dict):
 
     The parameters of a `param_layout` lie back to back in `vector`, in
     layout order, so one operation on `vector` (the Adam update, gradient
-    clipping, a snapshot copy) acts on every parameter. Without a vector, a
-    zeroed one is made.
+    clipping, a snapshot copy) acts on every parameter. Without a vector, an
+    uninitialized one is made, for a caller that writes every view.
     """
 
     def __init__(self, layout, vector=None):
         super().__init__()
         sizes = [math.prod(shape) for _, shape, _ in layout]
-        self.vector = np.zeros(sum(sizes), dtype=DTYPE) if vector is None else vector
+        self.vector = np.empty(sum(sizes), dtype=DTYPE) if vector is None else vector
         start = 0
         for (name, shape, _), size in zip(layout, sizes):
             self[name] = self.vector[start : start + size].reshape(shape)
             start += size
 
 
-class _Worker(ThreadPoolExecutor):
+class Worker(ThreadPoolExecutor):
     """An executor of one thread whose calls run in a copy of the submitting
     thread's context, which carries the caller's np.errstate."""
 
@@ -272,7 +276,7 @@ class _Worker(ThreadPoolExecutor):
         return super().submit(contextvars.copy_context().run, fn, *args)
 
 
-def _pair(pool, first, second):
+def run_pair(pool, first, second):
     """(first(), second()): second on the pool's worker while first runs here,
     or after first without a pool. The worker's call has ended when this
     returns or raises; first's error wins, as it would raise first in order."""
@@ -295,43 +299,7 @@ def halves(pool, fn, *vectors):
         fn(*vectors)
         return
     mid = len(vectors[0]) // 2
-    _pair(pool, lambda: fn(*(v[:mid] for v in vectors)), lambda: fn(*(v[mid:] for v in vectors)))
-
-
-class StepState:
-    """What training steps share for one `train` call; a context manager.
-
-    `pool` is one worker thread (made from model_dim SHARD_MIN_DIM up, with
-    BLAS pinned, when the process may use two CPUs; else None), which starts
-    at its first task and is joined when the block leaves, so no thread
-    outlives it. The gradient `FlatViews` of each shard are made at their
-    first use and rewritten by every later step; `release` drops them (before
-    validation, say) and the next step makes them anew.
-    """
-
-    def __init__(self, model):
-        self.layout = model.layout
-        two_cpus = len(os.sched_getaffinity(0)) >= 2
-        wide = model.config.model_dim >= SHARD_MIN_DIM and forking.BLAS_PINNED
-        self.pool = _Worker() if wide and two_cpus else None
-        self._grads = {}
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def gradients(self, shard):
-        """The gradient `FlatViews` of shard 0 or 1."""
-        if shard not in self._grads:
-            self._grads[shard] = FlatViews(self.layout)
-        return self._grads[shard]
-
-    def release(self):
-        """Drop the gradient vectors; views a step returned keep theirs alive."""
-        self._grads = {}
+    run_pair(pool, lambda: fn(*(v[:mid] for v in vectors)), lambda: fn(*(v[mid:] for v in vectors)))
 
 
 # --- primitive layers: each fwd returns (out, cache), bwd consumes it -------
@@ -570,8 +538,8 @@ class Transformer:
     # -- initialization ------------------------------------------------------
 
     def _init_params(self, rng):
-        """Fresh parameters: `FlatViews` of one zeroed vector, each view drawn
-        or filled in layout order."""
+        """Fresh parameters: `FlatViews` of one vector, each view drawn or
+        filled in layout order."""
         d = self.config.model_dim
         params = FlatViews(self.layout)
         for name, shape, init in self.layout:
@@ -580,8 +548,8 @@ class Transformer:
             elif init == "xavier":
                 limit = math.sqrt(6.0 / (shape[0] + shape[1]))
                 params[name][...] = rng.uniform(-limit, limit, size=shape)
-            elif init == "ones":
-                params[name].fill(1.0)
+            else:
+                params[name].fill(1.0 if init == "ones" else 0.0)
         return params
 
     # -- masks ---------------------------------------------------------------
@@ -737,25 +705,23 @@ class Transformer:
 
     # -- public entry points ---------------------------------------------------
 
-    def forward_backward(self, src, tgt_in, tgt_out, rng=None, step=None):
+    def forward_backward(self, src, tgt_in, tgt_out, rng=None, pool=None):
         """One training step's loss, token count and parameter gradients.
 
         rng enables dropout (training mode); pass None for a deterministic
         evaluation pass. Loss is the mean label-smoothed cross entropy over
         non-pad target positions. The gradients are a `FlatViews`, one view
-        per parameter name, every one written: the gradient vector of the
-        `StepState` step, which its next call rewrites, or, without a step,
-        of a state opened and closed within this call.
+        per parameter name, every one written, over a vector that this call
+        allocates and no later call touches.
 
-        From model_dim SHARD_MIN_DIM up, with BLAS pinned, a batch of two or
-        more sentences is split into two shards that run on two threads
-        where two CPUs are available (see `_forward_backward`).
+        Where `splits_batches`, a batch of two or more sentences is split
+        into two shards, the second of which runs on the pool's worker
+        thread when a pool is given (see `_forward_backward`).
         """
-        wide = self.config.model_dim >= SHARD_MIN_DIM and len(src) >= 2
-        shards = 2 if wide and forking.BLAS_PINNED else 1
-        return self._forward_backward(src, tgt_in, tgt_out, rng, shards, step)
+        shards = 2 if len(src) >= 2 and splits_batches(self.config) else 1
+        return self._forward_backward(src, tgt_in, tgt_out, rng, shards, pool)
 
-    def _forward_backward(self, src, tgt_in, tgt_out, rng, shards, step=None):
+    def _forward_backward(self, src, tgt_in, tgt_out, rng, shards, pool=None):
         """`forward_backward` over `shards` contiguous sentence shards of the batch.
 
         Every dropout mask is drawn first, at the whole batch's shapes, and
@@ -764,12 +730,13 @@ class Transformer:
         with its logits' gradient divided by the whole batch's token count;
         the vectors and the loss sums are then added in shard order. shards
         is 1 or 2. Shard 0 runs on the calling thread; shard 1 runs on the
-        step's worker when it has one (numpy releases the GIL in GEMMs, ufunc
-        loops and `take`), else after shard 0, and the vectors are added
-        half on each thread (`halves`). Either way each shard's arithmetic
-        is the same, so the result does not depend on the CPU count. One
-        shard is the whole batch as is, since a batch `make_batch` pads has
-        no all-pad column.
+        pool's worker when there is one (numpy releases the GIL in GEMMs,
+        ufunc loops and `take`), else after shard 0, and the vectors are
+        added half on each thread (`halves`). Either way each shard's
+        arithmetic is the same, so the result does not depend on the CPU
+        count. One shard is the whole batch as is, since a batch `make_batch`
+        pads has no all-pad column. Each shard's gradient vector is
+        allocated uninitialized: `_backward` writes every view.
         """
         pad = self.pad_id
         count = int(np.count_nonzero(tgt_out != pad))
@@ -778,7 +745,7 @@ class Transformer:
         masks = self._dropout_masks(rng, src.shape, tgt_in.shape)
         bounds = [len(src) * k // shards for k in range(shards + 1)]
 
-        def shard(k, grads):
+        def shard(k):
             lo, hi = bounds[k], bounds[k + 1]
             s = _width(src[lo:hi] != pad)
             t = _width((tgt_in[lo:hi] != pad) | (tgt_out[lo:hi] != pad))
@@ -795,19 +762,17 @@ class Transformer:
             )
             del logits  # freed before the backward
             dlogits /= count
-            return loss_sum, self._backward(dlogits, cache, grads)
+            return loss_sum, self._backward(dlogits, cache, FlatViews(self.layout))
 
-        with StepState(self) if step is None else nullcontext(step) as step:
-            views = [step.gradients(k) for k in range(shards)]
-            if shards == 1:
-                loss_sum, grads = shard(0, views[0])
-            else:
-                (loss_sum, grads), (part_sum, part_grads) = _pair(
-                    step.pool, lambda: shard(0, views[0]), lambda: shard(1, views[1])
-                )
-                loss_sum += part_sum
-                # grads += part_grads
-                halves(step.pool, np.add, grads.vector, part_grads.vector, grads.vector)
+        if shards == 1:
+            loss_sum, grads = shard(0)
+        else:
+            (loss_sum, grads), (part_sum, part_grads) = run_pair(
+                pool, lambda: shard(0), lambda: shard(1)
+            )
+            loss_sum += part_sum
+            # grads += part_grads
+            halves(pool, np.add, grads.vector, part_grads.vector, grads.vector)
         return loss_sum / count, count, grads
 
     def loss_on(self, src, tgt_in, tgt_out):

@@ -9,23 +9,29 @@ vectors. A single numpy Generator seeded from the config drives init, batch
 shuffling and dropout, so the whole loss trace is reproducible bit for bit
 given (seed, config, data), at the one BLAS thread `forking` pins and on any
 CPU count, also where `Transformer.forward_backward` splits a step into two
-sentence shards on two threads (`model.SHARD_MIN_DIM`). There `train` keeps
-one `model.StepState` for the whole call: its one worker thread also runs
-half of the scale and of Adam (`model.halves`, elementwise, so the same bits)
-and every other validation batch, and no thread outlives the call. A
-checkpoint file still stores one `param:<name>` array per parameter.
+sentence shards (`model.splits_batches`). There, when the process may use
+two CPUs, `train` opens one `model.Worker` for the whole call, which runs
+the second shard, half of the scale and of Adam (`model.halves`,
+elementwise, so the same bits) and every other validation batch; no thread
+outlives the call. A step keeps nothing for the next: its gradient vectors
+are freed once Adam has used them. A checkpoint file still stores one
+`param:<name>` array per parameter.
 """
 
 import json
 import zipfile
-from concurrent.futures import wait
+from contextlib import nullcontext
 
 import numpy as np
 
+from .. import forking
 from ..errors import ConfigError, DataError, Divergence
 from ..fileio import atomic_write
 from . import kernels
-from .model import DTYPE, FlatViews, ModelConfig, StepState, Transformer, halves, param_layout
+from .model import (
+    DTYPE, FlatViews, ModelConfig, Transformer, Worker, halves, param_layout, run_pair,
+    splits_batches,
+)
 from .vocab import Vocab, pad_rows, vocab_from_pairs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -186,9 +192,10 @@ def _clip_grads(grad, clip, pool=None):
 def evaluate_loss(model, encoded, vocab, batch_size, pool=None):
     """Mean per-token loss over a dataset, deterministic order, no dropout.
 
-    With a pool (a `model.StepState`'s), every other batch runs on its
-    worker; the sums are added in batch order either way, and a failing
-    batch raises as the first to fail in that order would.
+    The batches run two at a time (`model.run_pair`): with a pool, the
+    second of each two on its worker. The sums are added in batch order
+    either way, and a failing batch raises as the first to fail in that
+    order would.
     """
     starts = range(0, len(encoded), batch_size)
 
@@ -196,13 +203,13 @@ def evaluate_loss(model, encoded, vocab, batch_size, pool=None):
         idx = range(start, min(start + batch_size, len(encoded)))
         return model.loss_on(*make_batch(encoded, idx, vocab))
 
-    odd = {i: pool.submit(loss_at, s) for i, s in enumerate(starts) if pool is not None and i % 2}
-    try:
-        sums = [odd[i].result() if i in odd else loss_at(start) for i, start in enumerate(starts)]
-    finally:
-        for future in odd.values():
-            future.cancel()
-        wait(odd.values())
+    sums = []
+    for k in range(0, len(starts), 2):
+        if k + 1 < len(starts):
+            first, second = starts[k], starts[k + 1]
+            sums.extend(run_pair(pool, lambda: loss_at(first), lambda: loss_at(second)))
+        else:
+            sums.append(loss_at(starts[k]))
     total, count = 0.0, 0
     for loss_sum, n in sums:
         total += loss_sum
@@ -254,33 +261,31 @@ def train(
     stopped_early = False
     batches = _batches(len(encoded_train), config.batch_size, rng)
 
-    def update(step, idx, state):
+    def update(step, idx, pool):
         """One Adam step on the batch idx; returns its loss."""
         src, tgt_in, tgt_out = make_batch(encoded_train, idx, vocab)
-        loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng, step=state)
+        loss, _, grads = model.forward_backward(src, tgt_in, tgt_out, rng=rng, pool=pool)
         if not np.isfinite(loss):
             raise Divergence(step, loss)
-        _clip_grads(grads.vector, config.grad_clip, state.pool)
+        _clip_grads(grads.vector, config.grad_clip, pool)
         lr = learning_rate_at(step, config)
 
         def adam(p, g, m, v):
             kernels.adam_update(p, g, m, v, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step)
 
-        halves(state.pool, adam, flat, grads.vector, adam_m, adam_v)
+        halves(pool, adam, flat, grads.vector, adam_m, adam_v)
         return loss
 
-    with StepState(model) as state:
+    two_threads = splits_batches(config) and forking.two_cpus()
+    with Worker() if two_threads else nullcontext() as pool:
         for step, idx in zip(range(1, config.max_steps + 1), batches):
-            loss = update(step, idx, state)
+            loss = update(step, idx, pool)
             train_trace.append(float(loss))
             if step % config.validation_interval:
                 continue
             line = f"step {step}: train {loss:.4f}"
             if encoded_valid:
-                state.release()  # validation's peak memory does without the gradients
-                vloss = float(
-                    evaluate_loss(model, encoded_valid, vocab, config.batch_size, state.pool)
-                )
+                vloss = float(evaluate_loss(model, encoded_valid, vocab, config.batch_size, pool))
                 line += f" valid {vloss:.4f}"
                 val_trace.append([step, vloss])
                 best_step = min(val_trace, key=lambda entry: entry[1])[0]  # the first minimum

@@ -2,10 +2,11 @@
 
 From `model.SHARD_MIN_DIM` up, with numpy's BLAS pinned to one thread,
 `Transformer.forward_backward` splits a batch into two sentence shards, runs
-them on two threads where two CPUs are available and adds their gradients in
-shard order. Each shard drops its trailing all-pad columns, so its GEMMs and
-softmax sums run over other shapes than the whole batch's: the loss may move in the last bits and the
-gradients, summed in another order, a little more. The dropout masks are
+the second on the worker thread of the pool it is given, if any, and adds
+their gradients in shard order. Each shard drops its trailing all-pad
+columns, so its GEMMs and softmax sums run over other shapes than the whole
+batch's: the loss may move in the last bits and the gradients, summed in
+another order, a little more. The dropout masks are
 drawn for the whole batch before any shard runs, so both steps see the
 same ones.
 """
@@ -27,7 +28,7 @@ from test_packing import batches
 from tagmt import forking
 from tagmt.mt import kernels
 from tagmt.mt import model as model_module
-from tagmt.mt.model import FlatViews, ModelConfig, StepState, Transformer
+from tagmt.mt.model import FlatViews, ModelConfig, Transformer, Worker
 from tagmt.mt.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -86,9 +87,9 @@ def count_shards(monkeypatch):
     shard_counts = []
     sharded = Transformer._forward_backward
 
-    def counting(self, src, tgt_in, tgt_out, rng, shards, step=None):
+    def counting(self, src, tgt_in, tgt_out, rng, shards, pool=None):
         shard_counts.append(shards)
-        return sharded(self, src, tgt_in, tgt_out, rng, shards, step)
+        return sharded(self, src, tgt_in, tgt_out, rng, shards, pool)
 
     monkeypatch.setattr(Transformer, "_forward_backward", counting)
     return shard_counts
@@ -118,25 +119,43 @@ def test_gradient_check_sharded_micro_model(monkeypatch):
     assert set(shard_counts) == {2}
 
 
-def default_shape_step(cpus, monkeypatch):
-    """One two-shard step of a default-shape model (d=128) with dropout, as if
-    `cpus` CPUs were there."""
+def default_shape_world():
+    """A default-shape model (d=128) with dropout and a 32-sentence batch."""
     config = ModelConfig(dropout=0.1, seed=2)
     pairs = make_copy_task(32, seed=8, vocab_size=60, min_len=2, max_len=20)
     vocab = vocab_from_pairs(pairs)
     batch = make_batch(encode_pairs(pairs, vocab, config), range(32), vocab)
-    model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
+    return Transformer(config, len(vocab), pad_id=vocab.pad_id), batch
+
+
+def default_shape_step(pool, monkeypatch, seed=5):
+    """One two-shard step of `default_shape_world`, the second shard on the
+    pool's worker when a pool is given."""
+    model, batch = default_shape_world()
     with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         patch.setattr(forking, "BLAS_PINNED", True)
-        return model.forward_backward(*batch, rng=np.random.default_rng(5))
+        return model.forward_backward(*batch, rng=np.random.default_rng(seed), pool=pool)
 
 
 def test_two_shards_same_bits_on_one_and_two_cpus(monkeypatch):
-    loss_one, count_one, grads_one = default_shape_step(1, monkeypatch)
-    loss_two, count_two, grads_two = default_shape_step(2, monkeypatch)
+    # `train` opens a worker with two CPUs and none with one
+    loss_one, count_one, grads_one = default_shape_step(None, monkeypatch)
+    with Worker() as pool:
+        loss_two, count_two, grads_two = default_shape_step(pool, monkeypatch)
     assert (loss_one, count_one) == (loss_two, count_two)
     assert np.array_equal(grads_one.vector, grads_two.vector)
+
+
+def test_step_gradients_outlive_the_next_step(monkeypatch):
+    """A step's gradient vector is its own: a later step on the same pool
+    leaves it as it was."""
+    with Worker() as pool:
+        first = default_shape_step(pool, monkeypatch)[2].vector
+        kept = first.copy()
+        second = default_shape_step(pool, monkeypatch, seed=6)[2].vector
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() != kept.tobytes()  # other dropout masks, other gradients
 
 
 def test_worker_shard_error_reaches_caller(monkeypatch):
@@ -150,8 +169,8 @@ def test_worker_shard_error_reaches_caller(monkeypatch):
         return xent(*args)
 
     monkeypatch.setattr(kernels, "xent_loss_grad", fails_off_main_thread)
-    with pytest.raises(FloatingPointError, match="^shard failed$"):
-        default_shape_step(2, monkeypatch)
+    with Worker() as pool, pytest.raises(FloatingPointError, match="^shard failed$"):
+        default_shape_step(pool, monkeypatch)
 
 
 
@@ -181,11 +200,12 @@ def test_caller_shard_error_waits_for_worker_shard(monkeypatch):
 
     monkeypatch.setattr(kernels, "xent_loss_grad", caller_fails)
     monkeypatch.setattr(Transformer, "_backward", marking_backward)
-    with pytest.raises(FloatingPointError, match="^caller shard failed$"):
-        default_shape_step(2, monkeypatch)
-    # the error left the step only once the worker's shard was done; the
-    # autouse no_leaked_threads fixture checks that its thread is gone too
-    assert worker_done.is_set()
+    with Worker() as pool:
+        with pytest.raises(FloatingPointError, match="^caller shard failed$"):
+            default_shape_step(pool, monkeypatch)
+        # the error left the step only once the worker's shard was done; the
+        # autouse no_leaked_threads fixture checks that its thread is gone too
+        assert worker_done.is_set()
 
 
 def test_both_shards_fail_shard_zero_error_wins(monkeypatch):
@@ -201,31 +221,36 @@ def test_both_shards_fail_shard_zero_error_wins(monkeypatch):
         raise FloatingPointError("shard 0 failed")
 
     monkeypatch.setattr(kernels, "xent_loss_grad", both_fail)
-    with pytest.raises(FloatingPointError, match="^shard 0 failed$"):
-        default_shape_step(2, monkeypatch)
+    with Worker() as pool, pytest.raises(FloatingPointError, match="^shard 0 failed$"):
+        default_shape_step(pool, monkeypatch)
 
 
-def test_step_state_rewrites_every_gradient_view(monkeypatch):
-    """A step writes every view of reused gradient vectors, whatever they held:
-    NaN left in any view would reach the result."""
-    config = ModelConfig(dropout=0.1, seed=2)
-    pairs = make_copy_task(32, seed=8, vocab_size=60, min_len=2, max_len=20)
-    vocab = vocab_from_pairs(pairs)
-    batch = make_batch(encode_pairs(pairs, vocab, config), range(32), vocab)
-    model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(forking, "BLAS_PINNED", True)
-    fresh = model.forward_backward(*batch, rng=np.random.default_rng(5))[2].vector
-    with StepState(model) as step:
-        assert step.pool is not None
-        for shard in (0, 1):
-            step.gradients(shard).vector.fill(np.nan)
-        loss, _, grads = model.forward_backward(*batch, rng=np.random.default_rng(5), step=step)
-        assert grads is step.gradients(0)
-        assert np.isfinite(loss)
-        assert np.isfinite(step.gradients(0).vector).all()
-        assert np.isfinite(step.gradients(1).vector).all()
-        assert np.array_equal(grads.vector, fresh)
+def test_step_writes_every_gradient_view(monkeypatch):
+    """A step writes every view of the gradient vectors it allocates
+    uninitialized: NaN left in any view would reach the result, which must
+    equal that of zero-filled vectors, at one shard and at two on a pool."""
+    model, batch = default_shape_world()
+    made = []
+
+    def step(shards, fill):
+        class Filled(FlatViews):
+            def __init__(self, layout):
+                super().__init__(layout)
+                self.vector.fill(fill)
+                made.append(self)
+
+        with monkeypatch.context() as patch, Worker() as pool:
+            patch.setattr(model_module, "FlatViews", Filled)
+            return model._forward_backward(*batch, np.random.default_rng(5), shards, pool)
+
+    for shards in (1, 2):
+        made.clear()
+        nan_loss, _, nan_grads = step(shards, np.nan)
+        zero_loss, _, zero_grads = step(shards, 0.0)
+        assert len(made) == 2 * shards
+        assert np.isfinite(nan_loss) and nan_loss == zero_loss
+        assert np.isfinite(nan_grads.vector).all()
+        assert nan_grads.vector.tobytes() == zero_grads.vector.tobytes()
 
 
 def sharded_world(monkeypatch):
@@ -240,7 +265,7 @@ def sharded_world(monkeypatch):
 
 
 def test_sharded_train_equals_stateless_steps(monkeypatch):
-    """`train`'s reused vectors, worker-side add, clip scale and Adam halves
+    """`train`'s worker-side shard, gradient add, clip scale and Adam halves
     against a loop of stateless `forward_backward` calls and whole-vector
     clip and Adam."""
     config, training, validation = sharded_world(monkeypatch)
@@ -274,11 +299,13 @@ def test_evaluate_loss_on_worker_equals_serial(monkeypatch):
     vocab = vocab_from_pairs(training)
     encoded = encode_pairs(training, vocab, config)
     model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
-    batch_size = 24  # 64 pairs: three batches, the last one short
-    serial = evaluate_loss(model, encoded, vocab, batch_size)
-    with StepState(model) as step:
-        assert step.pool is not None
-        assert evaluate_loss(model, encoded, vocab, batch_size, step.pool) == serial
+    batch_size = 24  # 64 pairs: three batches, the last one short and alone
+    sums = [model.loss_on(*make_batch(encoded, range(s, min(s + 24, 64)), vocab))
+            for s in (0, 24, 48)]
+    serial = sum(loss_sum for loss_sum, _ in sums) / sum(n for _, n in sums)
+    assert evaluate_loss(model, encoded, vocab, batch_size) == serial
+    with Worker() as pool:
+        assert evaluate_loss(model, encoded, vocab, batch_size, pool) == serial
 
 
 def test_evaluate_loss_worker_error_reaches_caller(monkeypatch):
@@ -294,8 +321,29 @@ def test_evaluate_loss_worker_error_reaches_caller(monkeypatch):
         return xent(*args)
 
     monkeypatch.setattr(kernels, "xent_loss", fails_off_main_thread)
-    with StepState(model) as step, pytest.raises(FloatingPointError, match="^batch 1 failed$"):
-        evaluate_loss(model, encoded, vocab, 24, step.pool)
+    with Worker() as pool, pytest.raises(FloatingPointError, match="^batch 1 failed$"):
+        evaluate_loss(model, encoded, vocab, 24, pool)
+
+
+def test_evaluate_loss_both_batches_fail_earlier_error_wins(monkeypatch):
+    config, training, _ = sharded_world(monkeypatch)
+    vocab = vocab_from_pairs(training)
+    encoded = encode_pairs(training, vocab, config)
+    model = Transformer(config, len(vocab), pad_id=vocab.pad_id)
+    worker_done = threading.Event()
+
+    def both_fail(*args):
+        if on_worker():
+            time.sleep(0.2)  # still running when the calling thread's batch fails
+            worker_done.set()
+            raise FloatingPointError("batch 1 failed")
+        raise FloatingPointError("batch 0 failed")
+
+    monkeypatch.setattr(kernels, "xent_loss", both_fail)
+    with Worker() as pool:
+        with pytest.raises(FloatingPointError, match="^batch 0 failed$"):
+            evaluate_loss(model, encoded, vocab, 24, pool)
+        assert worker_done.is_set()  # raised only once the worker's batch had ended
 
 
 def test_sharded_train_leaves_no_thread(monkeypatch):
