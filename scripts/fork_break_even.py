@@ -4,8 +4,10 @@
 Decodes with random checkpoints (V=1000, eos pushed down so every hypothesis
 runs to max_len - 1 tokens, as in the benchmark's translate-long) at two
 shapes: the default (model_dim 128, max_len 64) and the toy experiment's
-translator (model_dim 32, max_len 48, fixtures/toy.cfg). At each, greedy and
-width-4 beam batches run whose work, rows x max_len, lies in 128..4096. Each
+translator (model_dim 32, max_len 48, fixtures/toy.cfg). A decode's length
+is its checkpoint's max_len, so shorter ones run the same parameters under the
+config with a smaller max_len. At each shape, greedy and width-4 beam batches
+run whose work, rows x max_len, lies in 128..4096. Each
 batch runs REPEATS times each way, alternating which goes first. The two ways
 are what setting decode.FORK_MIN_WORK to 0 or to sys.maxsize picks between:
 the batch plan rounded up to an even count, run forked, and the plan without
@@ -24,6 +26,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -57,16 +60,19 @@ def main(repeats):
     for dim, (config, max_lens) in MODELS.items():
         model = Transformer(config, len(vocab), pad_id=vocab.pad_id, rng=np.random.default_rng(11))
         model.params["out.b"][vocab.eos_id] = -1e4
-        sweep(Checkpoint(config, model.params, vocab), sources, max_lens, repeats)
+        sweep(config, model.params, vocab, sources, max_lens, repeats)
 
 
-def sweep(checkpoint, sources, max_lens, repeats):
-    dim = checkpoint.config.model_dim
+def sweep(config, params, vocab, sources, max_lens, repeats):
+    dim = config.model_dim
 
     def run(n, width, max_len, fork):
+        # a decode's length is its checkpoint's max_len; the position table is
+        # computed from it, so the same parameters serve every max_len
+        checkpoint = Checkpoint(replace(config, max_len=max_len), params, vocab)
         decode.FORK_MIN_WORK = 0 if fork else sys.maxsize
         start = time.perf_counter()
-        out = decode.translate_corpus(checkpoint, sources[:n], beam_width=width, max_len=max_len)
+        out = decode.translate_corpus(checkpoint, sources[:n], beam_width=width)
         return time.perf_counter() - start, out
 
     for mode, (width, counts) in SHAPES.items():

@@ -20,6 +20,7 @@ from .evaluation import (
     bleu_from_texts,
     read_scores_tsv,
     render_report,
+    render_rows,
     report_delta,
     write_report,
 )
@@ -27,7 +28,7 @@ from .fileio import read_lines, write_lines
 from .mt.decode import check_beam_width, translate_corpus
 from .mt.train import Checkpoint, train
 from .pipeline import run_pipeline
-from .synth import build_synth_pairs, enrich_corpus, train_synthesizer
+from .synth import build_synth_pairs, enrich_corpus, low_fit, train_synthesizer
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus
 
 
@@ -45,13 +46,6 @@ def _load_config(args):
     whole before the command reads any input."""
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
     return config.validate()
-
-
-def _kv_lines(pairs, fmt):
-    if fmt == "tsv":
-        return "\n".join(f"{key}\t{value}" for key, value in pairs)
-    width = max(len(key) for key, _ in pairs)
-    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in pairs)
 
 
 # -- corpus ------------------------------------------------------------------
@@ -75,7 +69,7 @@ def cmd_corpus_stats(args):
         ("source_tokens", source_tokens),
         ("target_tokens", target_tokens),
     ]
-    print(_kv_lines(fields, args.format))
+    print(render_rows(fields, args.format), end="")
     return 0
 
 
@@ -107,6 +101,9 @@ def cmd_synth_train(args):
     model_config = _load_config(args).synthesizer
     pairs = read_pairs_tsv(args.pairs)
     checkpoint = train_synthesizer(pairs, model_config, log=_log)
+    warning = low_fit(checkpoint, model_config)
+    if warning:
+        _log(warning)
     checkpoint.save(args.output)
     fit = checkpoint.training_meta.get("synth_fit")
     fit_text = "n/a" if fit is None else f"{fit:.3f}"
@@ -146,7 +143,7 @@ def cmd_mt_translate(args):
     config = _load_config(args)
     checkpoint = Checkpoint.load(args.checkpoint)
     in_section("decode", check_beam_width, config.beam_width, checkpoint.vocab)
-    hypotheses = translate_corpus(checkpoint, read_lines(args.input), **config.decode_kwargs)
+    hypotheses = translate_corpus(checkpoint, read_lines(args.input), beam_width=config.beam_width)
     if args.output:
         write_lines(hypotheses, args.output)
         print(f"wrote {len(hypotheses)} translations to {args.output}")
@@ -177,7 +174,7 @@ def cmd_eval_bleu(args):
             ("hyp_length", score.hyp_length),
             ("ref_length", score.ref_length),
         ]
-        print(_kv_lines(fields, "tsv"))
+        print(render_rows(fields, "tsv"), end="")
     else:
         print(score)
     return 0
@@ -186,7 +183,7 @@ def cmd_eval_bleu(args):
 def cmd_eval_report(args):
     text_only = read_scores_tsv(read_lines(args.text_only))
     multimodal = read_scores_tsv(read_lines(args.multimodal))
-    report = report_delta(text_only, multimodal, corpus_name=args.corpus_name, split=args.split)
+    report = report_delta(text_only, multimodal)
     if args.output:
         write_report(report, args.output, fmt=args.format)
         print(f"wrote report to {args.output}")
@@ -275,8 +272,6 @@ def build_parser():
     p.add_argument("--multimodal", required=True, help="TSV of (task, score)")
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
-    p.add_argument("--corpus-name", default="")
-    p.add_argument("--split", default="")
 
     pipe = parser_group(groups, "pipeline", "end-to-end experiment")
     p = sub(pipe, "run", cmd_pipeline_run, "run the full multimodal experiment from --config")

@@ -16,7 +16,9 @@ can travel with its fixtures. A single [experiment] seed governs every
 stochastic stage: an ExperimentConfig applies it to both model configs when
 it is built, and per-model seed keys are rejected. The [tagging] and
 [decode] defaults are the constants of `tagging` and `mt.decode`; the one
-search setting is [decode] beam_width, and width 1 is greedy search.
+search setting is [decode] beam_width, and width 1 is greedy search. A
+decode's length limit is its checkpoint's own max_len, and [experiment] task
+names the report's one row.
 
 `run_pipeline` and every stage subcommand read the same ExperimentConfig,
 and no command-line flag overrides one of its keys, so the file describes
@@ -53,11 +55,9 @@ PATH = "path"  # value type: a path relative to the config file's directory
 KEYS = {
     ("experiment", "seed"): ("seed", int),
     ("experiment", "task"): ("task_label", str),
-    ("experiment", "corpus_name"): ("corpus_name", str),
     **{("paths", key): (key, PATH) for key in PATH_KEYS},
     ("tagging", "k"): ("top_k", int),
     ("decode", "beam_width"): ("beam_width", int),
-    ("decode", "max_len"): ("decode_max_len", int),
     **{
         (section, f.name): (f.name, type(f.default))
         for section in MODEL_SECTIONS
@@ -83,20 +83,18 @@ def in_section(section, check, *args):
 class ExperimentConfig:
     seed: int = 13
     task_label: str = "toy"
-    corpus_name: str = ""
     paths: dict = field(default_factory=dict)
     top_k: int = DEFAULT_TOP_K
     translator: ModelConfig = field(default_factory=ModelConfig)
     synthesizer: ModelConfig = field(default_factory=ModelConfig)
     beam_width: int = DEFAULT_BEAM_WIDTH
-    decode_max_len: int | None = None
 
     def __post_init__(self):
         self.with_seed(self.seed)
 
     def validate(self):
         in_section("tagging", check_k, self.top_k)
-        in_section("decode", check_decode, self.beam_width, self.decode_max_len)
+        in_section("decode", check_decode, self.beam_width)
         for given, needed in (("bitext_source", "bitext_target"), ("bitext_target", "bitext_source")):
             if given in self.paths and needed not in self.paths:
                 raise ConfigError(f"[paths] {needed} is needed with {given}")
@@ -106,11 +104,6 @@ class ExperimentConfig:
         for section in MODEL_SECTIONS:
             in_section(section, getattr(self, section).validate)
         return self
-
-    @property
-    def decode_kwargs(self):
-        """`translate_corpus`'s keyword arguments, from [decode]."""
-        return dict(beam_width=self.beam_width, max_len=self.decode_max_len)
 
     def with_seed(self, seed):
         if seed < 0:  # numpy's generators take no negative seed

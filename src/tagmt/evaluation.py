@@ -19,6 +19,7 @@ from .fileio import atomic_write, tsv_rows
 MAX_ORDER = 4
 SMOOTHING = ("none", "add1")
 REPORT_FORMATS = ("tsv", "table")
+REPORT_HEADER = ("task", "system", "baseline", "delta")
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
 
-def report_delta(text_only, multimodal, corpus_name="", split=""):
+def report_delta(text_only, multimodal):
     """Build a comparison report: one row per multimodal task.
 
     Deltas are exact subtractions (multimodal minus text-only); rendering
@@ -131,47 +132,35 @@ def report_delta(text_only, multimodal, corpus_name="", split=""):
             raise DataError(f"{at}no text-only baseline score for task {task!r}")
         system, baseline = float(mm_score), float(text_only[task])
         rows.append(ReportRow(task, system, baseline, system - baseline))
-    metadata = {}
-    if corpus_name:
-        metadata["corpus"] = corpus_name
-    if split:
-        metadata["split"] = split
-    return EvalReport(rows=rows, metadata=metadata)
+    return EvalReport(rows=rows)
 
 
-def _cells(row):
-    return (row.task, f"{row.system_score:.1f}", f"{row.baseline_score:.1f}", f"{row.delta:+.1f}")
-
-
-def render_report_tsv(report):
-    lines = ["task\tsystem\tbaseline\tdelta"]
-    lines.extend("\t".join(_cells(row)) for row in report.rows)
-    for key in sorted(report.metadata):
-        lines.append(f"# {key}: {report.metadata[key]}")
-    return "\n".join(lines) + "\n"
-
-
-def render_report_table(report):
-    header = ("Task", "System", "Baseline", "Delta")
-    body = [_cells(row) for row in report.rows]
-    widths = [
-        max(len(header[col]), *(len(line[col]) for line in body)) if body else len(header[col])
-        for col in range(4)
-    ]
-    def fmt_line(cells):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
-
-    lines = [fmt_line(header), fmt_line(tuple("-" * w for w in widths))]
-    lines.extend(fmt_line(line) for line in body)
-    for key in sorted(report.metadata):
-        lines.append(f"{key}: {report.metadata[key]}")
-    return "\n".join(lines) + "\n"
+def render_rows(rows, fmt, header=None):
+    """Rows of cells, under an optional header, in one of REPORT_FORMATS:
+    tab-separated, or a "table" whose columns are left-aligned two spaces
+    apart and whose header is underlined with dashes. Every line, trailing
+    spaces stripped, ends in a newline."""
+    check_choice("fmt", fmt, REPORT_FORMATS)
+    lines = [[str(cell) for cell in row] for row in ([header] if header else []) + list(rows)]
+    if fmt == "tsv":
+        return "".join("\t".join(line) + "\n" for line in lines)
+    widths = [max(len(line[col]) for line in lines) for col in range(len(lines[0]))]
+    if header:
+        lines.insert(1, ["-" * width for width in widths])
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
 
 
 def render_report(report, fmt):
-    """The report in one of REPORT_FORMATS: "tsv" or the aligned "table"."""
-    check_choice("fmt", fmt, REPORT_FORMATS)
-    return render_report_tsv(report) if fmt == "tsv" else render_report_table(report)
+    """The report in one of REPORT_FORMATS: "tsv" or the aligned "table",
+    its metadata last, as ``# key: value`` comments in TSV."""
+    header = REPORT_HEADER if fmt == "tsv" else [name.capitalize() for name in REPORT_HEADER]
+    cells = [
+        (row.task, f"{row.system_score:.1f}", f"{row.baseline_score:.1f}", f"{row.delta:+.1f}")
+        for row in report.rows
+    ]
+    comment = "# " if fmt == "tsv" else ""
+    notes = "".join(f"{comment}{key}: {report.metadata[key]}\n" for key in sorted(report.metadata))
+    return render_rows(cells, fmt, header) + notes
 
 
 def write_report(report, path, fmt="tsv"):

@@ -2,7 +2,9 @@
 
 `beam_search` decodes a padded batch of sources at once, and greedy search is
 beam width 1: the beam width is the one search setting ([decode] beam_width,
-default 1). Every live sentence holds `width` consecutive rows of one
+default 1). Lengths come from the checkpoint's max_len: a source keeps its
+first max_len - 1 tokens and eos, and a hypothesis holds at most max_len - 1
+tokens. Every live sentence holds `width` consecutive rows of one
 `DecodeState`: `Transformer.start_decode` computes the encoder side once, each
 step feeds only the newest token of every row to `Transformer.decode_step`,
 which keeps a per-layer self-attention K/V cache, and `DecodeState.reorder`
@@ -120,14 +122,11 @@ def beam_search(model, src, vocab, max_len, width):
     return [min(pool, key=lambda c: (-c[0], len(c[1]), c[1]))[1] for pool in pools]
 
 
-def check_decode(beam_width, max_len):
-    """The one check of the [decode] settings and `translate_corpus`'s arguments:
-    ConfigError, led by the key, unless beam_width >= 1 and max_len is None
-    or >= 2."""
+def check_decode(beam_width):
+    """The one check of [decode] beam_width and `translate_corpus`'s width:
+    ConfigError, led by the key, unless beam_width >= 1."""
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
-    if max_len is not None and max_len < 2:
-        raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
 
 def check_beam_width(beam_width, vocab):
@@ -136,15 +135,14 @@ def check_beam_width(beam_width, vocab):
         raise ConfigError(f"beam_width must be <= the vocabulary size {len(vocab)}, got {beam_width}")
 
 
-def translate_corpus(checkpoint, source_texts, decode="beam", beam_width=DEFAULT_BEAM_WIDTH, max_len=None):
+def translate_corpus(checkpoint, source_texts, decode="beam", beam_width=DEFAULT_BEAM_WIDTH):
     """Translate a list of sources by batched beam search of beam_width;
     width 1 is greedy search, and decode="greedy" sets it.
 
     Sources are decoded in the module docstring's batch plan, at most
-    BATCH_ROWS // width a batch (at least one). max_len caps source and
-    hypothesis lengths at the checkpoint's max_len; None means the
-    checkpoint's own. A decode outside DECODE_METHODS, a bad width or
-    max_len (`check_decode`) and a beam wider than the checkpoint's
+    BATCH_ROWS // width a batch (at least one). The checkpoint's max_len
+    bounds source and hypothesis lengths. A decode outside DECODE_METHODS, a
+    bad width (`check_decode`) and a beam wider than the checkpoint's
     vocabulary (`check_beam_width`) raise ConfigError before anything is
     allocated. From FORK_MIN_WORK decoder row-positions (sources x width x
     max_len) times model_dim up, when `forking.can_fork()`, a forked child
@@ -153,12 +151,11 @@ def translate_corpus(checkpoint, source_texts, decode="beam", beam_width=DEFAULT
     """
     check_choice("decode", decode, DECODE_METHODS)
     width = 1 if decode == "greedy" else beam_width
-    check_decode(width, max_len)
+    check_decode(width)
     vocab = checkpoint.vocab
     check_beam_width(width, vocab)
     model = checkpoint.build_model()
-    limit = checkpoint.config.max_len
-    max_len = limit if max_len is None else min(max_len, limit)
+    max_len = checkpoint.config.max_len
     n = len(source_texts)
     forkable = n * width * max_len * checkpoint.config.model_dim >= FORK_MIN_WORK
     count = -(-n // max(1, BATCH_ROWS // width))

@@ -6,8 +6,12 @@ standalone CLI subcommand, and reads the same config, so running the
 pipeline equals composing the subcommands by hand. A tagged corpus is held
 as the ``(rendered source, target)`` pairs its TSV holds, so
 `write_pairs_tsv` writes each one, and step 5 trains on
-``tagged_train.tsv`` followed by ``enriched.tsv``. Reports carry no
-timestamp, which keeps repeated runs byte-identical.
+``tagged_train.tsv`` followed by ``enriched.tsv``. The reports hold one row,
+named by [experiment] task, and one metadata line, ``bleu_tokenization:
+whitespace``, since the pipeline computed both scores; they carry no
+timestamp, which keeps repeated runs byte-identical. The stage log gives the
+synthesizer's held-out fit and, below [synthesizer] synth_fit_threshold, the
+sentence `synth train` logs for it (`synth.low_fit`).
 
 The text-only translator reads nothing the synthesizer chain produces, so when
 the process may use two CPUs it trains in a forked child (`forking.alongside`)
@@ -31,7 +35,7 @@ from .mt.decode import check_beam_width, translate_corpus
 from .mt.model import check_fits
 from .mt.train import Checkpoint, train
 from .mt.vocab import vocab_from_pairs
-from .synth import build_synth_pairs, enrich_corpus, split_heldout, train_synthesizer
+from .synth import build_synth_pairs, enrich_corpus, low_fit, split_heldout, train_synthesizer
 from .tagging import load_tag_vocabulary, make_detector, tag_corpus
 
 
@@ -94,6 +98,9 @@ def run_pipeline(config, log=print):
         fit = synth_ckpt.training_meta.get("synth_fit")
         if fit is not None:
             log(f"      synthesizer held-out exact match: {fit:.3f}")
+        warning = low_fit(synth_ckpt, config.synthesizer)
+        if warning:
+            log(f"      {warning}")
 
         log("[4/7] enrich text-only bitext with synthetic tags")
         enriched = []
@@ -110,8 +117,8 @@ def run_pipeline(config, log=print):
 
     log("[6/7] translate the test split with both systems")
     text_sources = [source for _, source, _ in test_rows]
-    text_hyp = translate_corpus(text_ckpt, text_sources, **config.decode_kwargs)
-    mm_hyp = translate_corpus(mm_ckpt, [source for source, _ in tagged_test], **config.decode_kwargs)
+    text_hyp = translate_corpus(text_ckpt, text_sources, beam_width=config.beam_width)
+    mm_hyp = translate_corpus(mm_ckpt, [source for source, _ in tagged_test], beam_width=config.beam_width)
     write_lines(text_hyp, artifact("hypotheses_text.txt"))
     write_lines(mm_hyp, artifact("hypotheses_multimodal.txt"))
 
@@ -120,12 +127,7 @@ def run_pipeline(config, log=print):
     mm_bleu = bleu_from_texts(mm_hyp, references)
 
     log("[7/7] report")
-    report = report_delta(
-        {config.task_label: text_bleu.score},
-        {config.task_label: mm_bleu.score},
-        corpus_name=config.corpus_name,
-        split="etest",
-    )
+    report = report_delta({config.task_label: text_bleu.score}, {config.task_label: mm_bleu.score})
     # the pipeline computed both scores, so it can name their tokenization
     report.metadata["bleu_tokenization"] = "whitespace"
     write_report(report, artifact("report.tsv"), fmt="tsv")

@@ -55,8 +55,9 @@ def train_synthesizer(pairs, config, log=None):
     The pairs `split_heldout` holds out are split off before training and
     used both as the validation set and for an exact-match check of decoded
     tag sets. The measured fit is stored in training_meta["synth_fit"]; a
-    value below config.synth_fit_threshold is reported through log but not
-    fatal, since the tag function of real data need not be learnable.
+    value below config.synth_fit_threshold is not fatal, since the tag
+    function of real data need not be learnable, and `low_fit` words it.
+    `log` receives the training's validation lines.
     """
     if not pairs:
         raise DataError("no synthesizer training pairs")
@@ -74,12 +75,20 @@ def train_synthesizer(pairs, config, log=None):
         fit = None
     checkpoint.training_meta["synth_fit"] = fit
     checkpoint.training_meta["synth_heldout"] = len(held)
-    if fit is not None and fit < config.synth_fit_threshold and log is not None:
-        log(
+    return checkpoint
+
+
+def low_fit(checkpoint, config):
+    """The sentence that reports a synthesizer's held-out fit below
+    config.synth_fit_threshold, or None when it reached it or none was
+    measured."""
+    fit = checkpoint.training_meta.get("synth_fit")
+    if fit is not None and fit < config.synth_fit_threshold:
+        return (
             f"synthesizer held-out exact-match {fit:.3f} is below the "
             f"configured threshold {config.synth_fit_threshold:.3f}"
         )
-    return checkpoint
+    return None
 
 
 def tags_from_decoded(decoded, vocabulary, k=DEFAULT_TOP_K):

@@ -28,7 +28,6 @@ MINI_CFG = """\
 [experiment]
 seed = 13
 task = toy-disambiguation
-corpus_name = toy
 
 [paths]
 train_corpus = {d}/train.tsv
@@ -68,9 +67,6 @@ learning_rate = 3e-3
 warmup_steps = 10
 batch_size = 32
 max_len = 48
-
-[decode]
-max_len = 48
 """
 
 
@@ -101,6 +97,57 @@ def test_corpus_stats_bitext_tsv(capsys):
     )
     assert code == 0
     assert "sentences\t100" in capsys.readouterr().out
+
+
+WAT2022 = ["--text-only", fixture_path("wat2022_text_only.tsv"),
+           "--multimodal", fixture_path("wat2022_multimodal.tsv")]
+WAT2022_TSV = """\
+task\tsystem\tbaseline\tdelta
+EN-HI E-Test\t42.0\t36.2\t+5.8
+EN-HI C-Test\t39.1\t29.6\t+9.5
+EN-ML E-Test\t41.0\t30.8\t+10.2
+EN-ML C-Test\t20.4\t14.6\t+5.8
+EN-BN E-Test\t42.1\t41.0\t+1.1
+EN-BN C-Test\t28.7\t22.6\t+6.1
+"""
+WAT2022_TABLE = """\
+Task          System  Baseline  Delta
+------------  ------  --------  -----
+EN-HI E-Test  42.0    36.2      +5.8
+EN-HI C-Test  39.1    29.6      +9.5
+EN-ML E-Test  41.0    30.8      +10.2
+EN-ML C-Test  20.4    14.6      +5.8
+EN-BN E-Test  42.1    41.0      +1.1
+EN-BN C-Test  28.7    22.6      +6.1
+"""
+
+
+# Every table the CLI prints comes from evaluation.render_rows; these are the
+# bytes each command printed before the tables shared that one renderer
+# (test_corpus_stats_table holds the stats table's).
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["corpus", "stats", "--vg", os.path.join(DISAMBIG, "train.tsv"), "--format", "tsv"],
+         "sentences\t200\nsource_tokens\t1260\ntarget_tokens\t1260\n"),
+        (["eval", "bleu", "--hypotheses", "{hyp}", "--references", "{ref}", "--format", "tsv"],
+         "bleu\t82.01174971518101\n"
+         "precisions\t0.9047619047619048/0.8333333333333334/0.8/0.75\n"
+         "brevity_penalty\t1.0\nhyp_length\t21\nref_length\t21\n"),
+        (["eval", "report", *WAT2022, "--format", "tsv"], WAT2022_TSV),
+        (["eval", "report", *WAT2022, "--format", "table"], WAT2022_TABLE),
+        (["eval", "report", *WAT2022], WAT2022_TABLE),
+    ],
+    ids=["stats-tsv", "bleu-tsv", "report-tsv", "report-table", "report-default"],
+)
+def test_tables_print_pinned_bytes(tmp_path, capsys, argv, printed):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("THE BOY IS NEAR THE BAT\nA CHAIR AND A BATWING ARE BY THE BOAT\n"
+                   "THE TREE IS NEAR A CAR\n", encoding="utf-8")
+    ref.write_text("THE BOY IS NEAR THE BATCLUB\nA CHAIR AND A BATWING ARE BY THE BOAT\n"
+                   "THE TREE IS NEAR THE CAR\n", encoding="utf-8")
+    assert main([arg.format(hyp=hyp, ref=ref) for arg in argv]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_corpus_stats_bad_line_exit_2(tmp_path, capsys):
@@ -147,23 +194,6 @@ def test_usage_error_exit_1():
     assert proc.returncode == 1
     # an unimportable tagmt also exits 1; only argparse prints its usage line
     assert "usage:" in proc.stderr
-
-
-@pytest.mark.parametrize("max_len", ["0", "1", "-3"])
-def test_translate_max_len_below_two_exit_1(tmp_path, capsys, max_len):
-    ckpt = tmp_path / "random.ckpt"
-    random_checkpoint(0).save(str(ckpt))
-    sources = tmp_path / "sources.txt"
-    sources.write_text("aa bb\n", encoding="utf-8")
-    out = tmp_path / "hyps.txt"
-    cfg = write_cfg(tmp_path, f"[decode]\nmax_len = {max_len}\n")
-    rc = main(["mt", "translate", "--checkpoint", str(ckpt), "--input", str(sources),
-               "--output", str(out), "--config", str(cfg)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"max_len must be >= 2, got {max_len}" in err
-    assert "Traceback" not in err
-    assert not out.exists()
 
 
 def _write_corrupt_checkpoint(path, kind):
@@ -543,8 +573,10 @@ def test_negative_seed_exit_1(tmp_path, capsys, command):
     [
         ("[tagging]\nk = 0\n", "[tagging] k must be >= 1, got 0"),
         ("[decode]\nmethod = greedy\n", "unknown key 'method' in [decode]"),
+        ("[decode]\nmax_len = 9\n", "unknown key 'max_len' in [decode]"),
+        ("[experiment]\ncorpus_name = toy\n", "unknown key 'corpus_name' in [experiment]"),
     ],
-    ids=["tagging-k", "decode-method"],
+    ids=["tagging-k", "decode-method", "decode-max_len", "experiment-corpus_name"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -560,7 +592,9 @@ def test_negative_seed_exit_1(tmp_path, capsys, command):
 def test_stage_rejects_any_config_section_before_its_inputs_exit_1(tmp_path, capsys, command, body, message):
     """A stage validates the whole config, not only the sections it uses,
     before it opens an input: none of these inputs exists. The beam width is
-    the one search setting, so `[decode] method` is an unknown key."""
+    the one search setting, so `[decode] method` is an unknown key; a decode's
+    length is its checkpoint's max_len, and [experiment] task alone labels the
+    report, so `[decode] max_len` and `[experiment] corpus_name` are too."""
     cfg = write_cfg(tmp_path, body)
     argv = [arg.format(missing=tmp_path / "missing") for arg in command]
     assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 1
@@ -863,19 +897,10 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
     cfg = write_mini_cfg(tmp_path, out_a, "a.cfg")
 
     assert main(["pipeline", "run", "--config", cfg]) == 0
+    stage_log = capsys.readouterr().err.splitlines()
     assert main(["pipeline", "run", "--config", write_mini_cfg(tmp_path, out_a2, "a2.cfg")]) == 0
 
-    compare = [
-        "tagged_train.tsv",
-        "tagged_test.tsv",
-        "synth_pairs.tsv",
-        "enriched.tsv",
-        "hypotheses_text.txt",
-        "hypotheses_multimodal.txt",
-        "report.tsv",
-        "report.txt",
-    ]
-    for name in compare:
+    for name in PIPELINE_ARTIFACTS:
         a = (out_a / name).read_bytes()
         a2 = (out_a2 / name).read_bytes()
         assert a == a2, f"{name} differs between identical runs"
@@ -916,8 +941,16 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
          "--valid", p("text_valid.tsv"), "--output", p("translator_text.ckpt")])
 
     run(["synth", "build-pairs", "--tagged", p("tagged_train.tsv"), "--output", p("synth_pairs.tsv")])
+    capsys.readouterr()
     run(["synth", "train", "--config", cfg, "--pairs", p("synth_pairs.tsv"),
          "--output", p("synthesizer.ckpt")])
+    # the synthesizer fits below the default threshold 0.9 at 50 steps, and
+    # the stage log reports it right after the fit, as `synth train` does
+    low_fit = [line for line in capsys.readouterr().err.splitlines() if "below the configured" in line]
+    assert len(low_fit) == 1
+    fit_at = next(i for i, line in enumerate(stage_log) if "held-out exact match:" in line)
+    assert stage_log[fit_at + 1] == "      " + low_fit[0]
+    assert sum("below the configured" in line for line in stage_log) == 1
     run(["synth", "enrich", "--config", cfg, "--checkpoint", p("synthesizer.ckpt"),
          "--source", os.path.join(DISAMBIG, "extra.src"),
          "--target", os.path.join(DISAMBIG, "extra.tgt"), "--output", p("enriched.tsv")])
@@ -947,19 +980,19 @@ def test_pipeline_reproducible_and_equals_manual_composition(tmp_path, capsys):
         fh.write(f"toy-disambiguation\t{bleu_of(p('hypotheses_text.txt'))}\n")
     with open(p("scores_mm.tsv"), "w", encoding="utf-8") as fh:
         fh.write(f"toy-disambiguation\t{bleu_of(p('hypotheses_multimodal.txt'))}\n")
-    run(["eval", "report", "--text-only", p("scores_text.tsv"), "--multimodal", p("scores_mm.tsv"),
-         "--corpus-name", "toy", "--split", "etest", "--format", "tsv",
-         "--output", p("report.tsv")])
+    for fmt, name in (("tsv", "report.tsv"), ("table", "report.txt")):
+        run(["eval", "report", "--text-only", p("scores_text.tsv"), "--multimodal", p("scores_mm.tsv"),
+             "--format", fmt, "--output", p(name)])
 
-    for name in ("tagged_train.tsv", "tagged_test.tsv", "translator_text.ckpt", "synth_pairs.tsv",
-                 "synthesizer.ckpt", "enriched.tsv", "translator_multimodal.ckpt",
-                 "hypotheses_text.txt", "hypotheses_multimodal.txt"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     # only the pipeline, which computed both scores, names their tokenization
-    tokenization = b"# bleu_tokenization: whitespace\n"
-    report = (out_a / "report.tsv").read_bytes()
-    assert report.count(tokenization) == 1
-    assert report.replace(tokenization, b"") == (out_b / "report.tsv").read_bytes()
+    tokenization = {"report.tsv": b"# bleu_tokenization: whitespace\n",
+                    "report.txt": b"bleu_tokenization: whitespace\n"}
+    for name in PIPELINE_ARTIFACTS:
+        composed, piped = (out_b / name).read_bytes(), (out_a / name).read_bytes()
+        if name in tokenization:
+            assert piped.count(tokenization[name]) == 1, name
+            piped = piped.replace(tokenization[name], b"")
+        assert piped == composed, name
 
 
 PIPELINE_ARTIFACTS = [
@@ -1268,7 +1301,7 @@ LEAF_FLAGS = {
     ("eval", "bleu"): {"--hypotheses": "h.txt", "--references": "r.txt", "--smooth": None,
                        "--format": "tsv"},
     ("eval", "report"): {"--text-only": "a.tsv", "--multimodal": "b.tsv", "--output": "OUT",
-                         "--format": "tsv", "--corpus-name": "toy", "--split": "etest"},
+                         "--format": "tsv"},
     ("pipeline", "run"): {"--config": "c.cfg"},
 }
 
@@ -1277,11 +1310,11 @@ LEAF_FLAGS = {
 # command reads the key from --config instead), --tagsets, the file `tags
 # extract` wrote before it wrote the tagged corpus, --base, which only the
 # `mt finetune` subcommand, now gone, took, and `eval report`'s --timestamp,
-# which only echoed its value into the report
+# --corpus-name and --split, which only echoed their values into the report
 REMOVED_FLAGS = {"--backend": "file", "--detections": "d.tsv", "--tag-vocabulary": "v.txt", "--k": "3",
                  "--decode": "beam", "--beam-width": "2", "--max-len": "9", "--max-steps": "3",
                  "--seed": "5", "--output-dir": "OUT", "--tagsets": "t.tsv", "--base": "m.ckpt",
-                 "--timestamp": "now"}
+                 "--timestamp": "now", "--corpus-name": "toy", "--split": "etest"}
 
 
 def _leaf_argv(leaf, flags, out):
@@ -1305,7 +1338,7 @@ def _leaves(parser):
     }
 
 
-def test_build_parser_accepts_36_flags():
+def test_build_parser_accepts_34_flags():
     from tagmt.cli import build_parser
 
     parser = build_parser()
@@ -1314,7 +1347,7 @@ def test_build_parser_accepts_36_flags():
     assert _option_strings(parser) == set()
     for leaf, flags in LEAF_FLAGS.items():
         assert _option_strings(leaves[leaf]) == set(flags), leaf
-    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 36
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 34
 
 
 def test_no_flag_of_a_config_command_spells_a_config_key():
@@ -1343,7 +1376,7 @@ def test_leaf_takes_only_the_flags_it_reads(tmp_path, capsys, leaf):
     for flag, value in LEAF_FLAGS[leaf].items():
         got = getattr(args, flag.lstrip("-").replace("-", "_"))
         assert str(got) == (out if value == "OUT" else value or "True"), flag
-    foreign = {"--config": fixture_path("toy.cfg"), "--split": "train", **REMOVED_FLAGS}
+    foreign = {"--config": fixture_path("toy.cfg"), **REMOVED_FLAGS}
     for flag, value in foreign.items():
         if flag in LEAF_FLAGS[leaf]:
             continue

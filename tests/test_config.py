@@ -68,7 +68,7 @@ def test_translator_synth_fit_threshold_is_unknown(tmp_path):
         load_experiment_config(path)
     path = write_cfg(tmp_path, "[synthesizer]\nsynth_fit_threshold = 0.5\n")
     assert load_experiment_config(path).synthesizer.synth_fit_threshold == 0.5
-    assert len(KEYS) == 43
+    assert len(KEYS) == 41
 
 
 def test_model_section_seed_rejected(tmp_path):
@@ -83,7 +83,7 @@ def test_bad_value_type_rejected(tmp_path):
         load_experiment_config(path)
 
 
-@pytest.mark.parametrize("key", ["beam_width", "max_len"])
+@pytest.mark.parametrize("key", ["beam_width"])
 def test_decode_int_error_names_section_and_key(tmp_path, key):
     path = write_cfg(tmp_path, f"[decode]\n{key} = x\n")
     with pytest.raises(ConfigError, match=rf"^\[decode\] {key} expects int, got 'x'$"):
@@ -108,22 +108,12 @@ def test_number_forms_int_and_float_accept_are_rejected(tmp_path, section, key, 
         load_experiment_config(path)
 
 
-@pytest.mark.parametrize("value", ["0", "1", "-3"])
-def test_decode_max_len_below_two_rejected(tmp_path, value):
-    path = write_cfg(tmp_path, f"[decode]\nmax_len = {value}\n")
-    config = load_experiment_config(path)
-    with pytest.raises(ConfigError, match=rf"^\[decode\] max_len must be >= 2, got {value}$"):
-        config.validate()
-
-
 @pytest.mark.parametrize(
     "body, message, owner",
     [
         ("[tagging]\nk = 0\n", r"\[tagging\] k must be >= 1, got 0", lambda: select_tags([], k=0)),
         ("[decode]\nbeam_width = 0\n", r"\[decode\] beam_width must be >= 1, got 0",
          lambda: translate_corpus(None, ["a"], beam_width=0)),
-        ("[decode]\nmax_len = 1\n", r"\[decode\] max_len must be >= 2, got 1",
-         lambda: translate_corpus(None, ["a"], max_len=1)),
         ("[translator]\nlayers = 0\n", r"\[translator\] layers must be >= 1, got 0",
          lambda: ModelConfig(layers=0).validate()),
         ("[synthesizer]\nbatch_size = 0\n", r"\[synthesizer\] batch_size must be >= 1, got 0",
@@ -131,7 +121,7 @@ def test_decode_max_len_below_two_rejected(tmp_path, value):
         ("[paths]\nbitext_source = extra.src\n", r"\[paths\] bitext_target is needed with bitext_source",
          None),
     ],
-    ids=["tagging-k", "decode-beam_width", "decode-max_len", "translator-layers", "synthesizer-batch_size",
+    ids=["tagging-k", "decode-beam_width", "translator-layers", "synthesizer-batch_size",
          "paths-bitext_source"],
 )
 def test_validation_error_names_section_and_key(tmp_path, body, message, owner):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,13 @@ def random_checkpoint(seed):
 
     model = Transformer(config, len(vocab), rng=np.random.default_rng(seed))
     return Checkpoint(config=config, params=model.params, vocab=vocab)
+
+
+def with_max_len(checkpoint, max_len):
+    """checkpoint's parameters and vocabulary under its config at another
+    max_len: a decode's length comes from the checkpoint, and no parameter's
+    shape depends on it."""
+    return Checkpoint(replace(checkpoint.config, max_len=max_len), checkpoint.params, checkpoint.vocab)
 
 
 def test_beam_width_one_equals_greedy():
@@ -212,8 +220,6 @@ def test_bad_decode_mode(copy_checkpoint):
         translate_corpus(copy_checkpoint, ["t01"], decode="sampling")
     with pytest.raises(ConfigError):
         translate_corpus(copy_checkpoint, ["t01"], decode="beam", beam_width=0)
-    with pytest.raises(ConfigError):
-        translate_corpus(copy_checkpoint, ["t01"], max_len=1)
 
 
 def greedy_reference(model, src, vocab, max_len):
@@ -249,9 +255,9 @@ WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "zz"]
     max_len=st.integers(2, 12),
 )
 def test_batched_search_properties(seed, sources, width, max_len):
-    ckpt = random_checkpoint(seed)
+    ckpt = with_max_len(random_checkpoint(seed), max_len)
     model, vocab = ckpt.build_model(), ckpt.vocab
-    beam = dict(decode="beam", beam_width=width, max_len=max_len)
+    beam = dict(decode="beam", beam_width=width)
     # a batch gives every source the hypothesis it gets alone
     batched = translate_corpus(ckpt, sources, **beam)
     assert batched == [translate_corpus(ckpt, [text], **beam)[0] for text in sources]
@@ -262,7 +268,7 @@ def test_batched_search_properties(seed, sources, width, max_len):
         src[row, : len(ids)] = ids
     greedy = greedy_reference(model, src, vocab, max_len)
     assert beam_search(model, src, vocab, max_len, 1) == greedy
-    assert translate_corpus(ckpt, sources, max_len=max_len) == [vocab.decode(g) for g in greedy]
+    assert translate_corpus(ckpt, sources) == [vocab.decode(g) for g in greedy]
 
 
 def random_wide_checkpoint(model_dim, words=25):
@@ -296,8 +302,8 @@ def test_batch_plan_does_not_depend_on_the_fork(seed, sources, width, max_len, f
     same hypotheses, whether it would fork or not: here `decode.can_fork` says
     yes while `forking` sees one CPU, so `alongside` runs the child's half of
     the plan first, in this process."""
-    ckpt = random_checkpoint(seed)
-    kwargs = dict(decode="greedy" if width == 1 else "beam", beam_width=width, max_len=max_len)
+    ckpt = with_max_len(random_checkpoint(seed), max_len)
+    kwargs = dict(decode="greedy" if width == 1 else "beam", beam_width=width)
 
     def run(fork):
         batches = []
@@ -341,8 +347,8 @@ def test_forked_decode_equals_in_place(monkeypatch, model_dim, decode):
     [
         (3, "beam", None, 0),  # 3 x 2 x 12 = 72 row-positions
         (4, "beam", None, 1),  # 4 x 2 x 12 = 96
-        (4, "beam", 6, 0),  # the max_len asked for counts
-        (4, "beam", 100, 1),  # capped at the checkpoint's 12
+        (4, "beam", 6, 0),  # the checkpoint's max_len counts: 4 x 2 x 6 = 48
+        (4, "beam", 100, 1),  # 4 x 2 x 100 = 800
         (8, "greedy", None, 1),  # 8 x 1 x 12 = 96
         (1, "beam", None, 0),  # one source is never split, whatever its work
     ],
@@ -351,15 +357,17 @@ def test_decode_forks_from_fork_min_work(monkeypatch, n, decode, max_len, forks)
     calls = counting_forks(monkeypatch, 2)
     monkeypatch.setattr(decode_module, "FORK_MIN_WORK", 96 * 16)  # 96 row-positions at d=16
     width = 2 if n > 1 else 8
-    translate_corpus(random_checkpoint(0), ["aa bb"] * n, decode=decode, beam_width=width, max_len=max_len)
+    ckpt = random_checkpoint(0)
+    if max_len is not None:
+        ckpt = with_max_len(ckpt, max_len)
+    translate_corpus(ckpt, ["aa bb"] * n, decode=decode, beam_width=width)
     assert len(calls) == forks
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(decode="sampling"), dict(decode="beam", beam_width=0), dict(max_len=1),
-     dict(decode="beam", beam_width=10**20)],
-    ids=["mode", "width", "max-len", "width-above-vocabulary"],
+    [dict(decode="sampling"), dict(decode="beam", beam_width=0), dict(decode="beam", beam_width=10**20)],
+    ids=["mode", "width", "width-above-vocabulary"],
 )
 def test_bad_decode_arguments_raise_before_forking(monkeypatch, kwargs):
     forks = counting_forks(monkeypatch, 2)

@@ -3,13 +3,8 @@ import math
 import pytest
 
 from conftest import fixture_path
-from tagmt.errors import DataError
-from tagmt.evaluation import (
-    read_scores_tsv,
-    render_report_table,
-    render_report_tsv,
-    report_delta,
-)
+from tagmt.errors import ConfigError, DataError
+from tagmt.evaluation import read_scores_tsv, render_report, render_rows, report_delta
 from tagmt.fileio import read_lines
 
 
@@ -45,7 +40,7 @@ def test_identical_maps_zero_deltas():
     scores = {"t1": 30.0, "t2": 12.5}
     report = report_delta(scores, dict(scores))
     assert all(row.delta == 0.0 for row in report.rows)
-    assert "+0.0" in render_report_tsv(report)
+    assert "+0.0" in render_report(report, "tsv")
 
 
 def test_missing_baseline():
@@ -55,24 +50,25 @@ def test_missing_baseline():
 
 def test_tsv_rendering_one_decimal_signed():
     report = report_delta({"EN-HI E-Test": 36.2}, {"EN-HI E-Test": 42.0})
-    tsv = render_report_tsv(report)
+    tsv = render_report(report, "tsv")
     assert "EN-HI E-Test\t42.0\t36.2\t+5.8" in tsv
     assert tsv.startswith("task\tsystem\tbaseline\tdelta\n")
 
 
 def test_table_rendering_alignment():
     text, mm = wat2022_scores()
-    table = render_report_table(report_delta(text, mm, corpus_name="vg", split="etest"))
-    lines = table.splitlines()
+    report = report_delta(text, mm)
+    report.metadata["bleu_tokenization"] = "whitespace"
+    lines = render_report(report, "table").splitlines()
     assert lines[0].split() == ["Task", "System", "Baseline", "Delta"]
     assert any("+10.2" in line for line in lines)
-    assert "corpus: vg" in table
-    assert "split: etest" in table
+    assert len(lines[0]) == len(lines[1])  # the header's dashes span its columns
+    assert lines[-1] == "bleu_tokenization: whitespace"
 
 
 def test_negative_delta_rendering():
     report = report_delta({"t": 40.0}, {"t": 38.5})
-    assert "-1.5" in render_report_tsv(report)
+    assert "-1.5" in render_report(report, "tsv")
     assert math.isclose(report.rows[0].delta, -1.5)
 
 
@@ -81,3 +77,15 @@ def test_rows_follow_multimodal_order():
     mm = {"c": 3.5, "a": 1.5}
     report = report_delta(text, mm)
     assert [row.task for row in report.rows] == ["c", "a"]
+
+
+def test_render_rows_tsv_and_aligned_table():
+    rows = [("a", 1), ("long key", "x y")]
+    assert render_rows(rows, "tsv") == "a\t1\nlong key\tx y\n"
+    assert render_rows(rows, "table") == "a         1\nlong key  x y\n"
+    assert render_rows(rows, "tsv", header=("k", "v")) == "k\tv\na\t1\nlong key\tx y\n"
+    assert render_rows(rows, "table", header=("key", "value")) == (
+        "key       value\n--------  -----\na         1\nlong key  x y\n"
+    )
+    with pytest.raises(ConfigError):
+        render_rows(rows, "csv")
